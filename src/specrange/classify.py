@@ -70,8 +70,6 @@ def classify(op: OperatorMatrix, hull: NumericalRangeHull,
     its direction of error).
     """
     a = op.matrix
-    h = (a + a.conj().T) / 2.0
-    k = (a - a.conj().T) / 2.0j
     frob = op.frobenius
     tol_boundary = tol.boundary(frob)
     box = op.provenance.box if op.provenance is not None else None
@@ -79,9 +77,10 @@ def classify(op: OperatorMatrix, hull: NumericalRangeHull,
     for pair in eig_general(op, tol):
         lam, f = pair.value, pair.vector
         dist = hull.boundary_distance(lam, outside_tol=tol_boundary)
-        normality = float(np.linalg.norm(a.conj().T @ f - np.conj(lam) * f))
-        split_re = float(np.linalg.norm(h @ f - lam.real * f))
-        split_im = float(np.linalg.norm(k @ f - lam.imag * f))
+        af, ahf = a @ f, (f.conj() @ a).conj()  # A* f, without copying A
+        normality = float(np.linalg.norm(ahf - np.conj(lam) * f))
+        split_re = float(np.linalg.norm((af + ahf) / 2.0 - lam.real * f))
+        split_im = float(np.linalg.norm((af - ahf) / 2.0j - lam.imag * f))
         thresh = tol.support_rel * float(np.abs(f).max())
         support = np.flatnonzero(np.abs(f) > thresh)
         out.append(EigenClassification(

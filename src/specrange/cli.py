@@ -75,15 +75,21 @@ def _tolerances(sc: Scenario) -> Tolerances:
 # report assembly
 
 
-def _spectrum_json(op: OperatorMatrix, tol: Tolerances) -> dict:
+def _spectrum_outputs(op: OperatorMatrix, tol: Tolerances) -> tuple[dict, str]:
+    """The spectrum report section and spectrum.csv, from one eigensolve.
+    The eigenpairs are freed on return, before classify solves again."""
     pairs = eig_general(op, tol)
-    return {
+    section = {
         "count": len(pairs),
         "eigenvalues": [
             {"value": [p.value.real, p.value.imag], "residual": p.residual}
             for p in pairs
         ],
     }
+    lines = ["index,eig_re,eig_im,residual"]
+    for i, p in enumerate(pairs):
+        lines.append(f"{i},{p.value.real!r},{p.value.imag!r},{p.residual!r}")
+    return section, "\n".join(lines) + "\n"
 
 
 def _hull_json(hull: NumericalRangeHull) -> dict:
@@ -137,14 +143,8 @@ def _classify_json(op: OperatorMatrix, hull: NumericalRangeHull,
 def _hull_csv(hull: NumericalRangeHull) -> str:
     lines = ["theta,support,witness_re,witness_im"]
     for t, s, w in zip(hull.thetas, hull.supports, hull.witnesses):
-        lines.append(f"{float(t)!r},{float(s)!r},{w.real!r},{w.imag!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _spectrum_csv(op: OperatorMatrix, tol: Tolerances) -> str:
-    lines = ["index,eig_re,eig_im,residual"]
-    for i, p in enumerate(eig_general(op, tol)):
-        lines.append(f"{i},{p.value.real!r},{p.value.imag!r},{p.residual!r}")
+        lines.append(f"{float(t)!r},{float(s)!r},"
+                     f"{float(w.real)!r},{float(w.imag)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -174,8 +174,8 @@ def execute_scenario(sc: Scenario, max_dim: int = DEFAULT_MAX_DIM) -> Execution:
     if "numrange" in sc.analysis or "classify" in sc.analysis:
         hull = compute_hull(op, n_angles=sc.n_angles)
     if "spectrum" in sc.analysis:
-        report["results"]["spectrum"] = _spectrum_json(op, tol)
-        out.spectrum_csv = _spectrum_csv(op, tol)
+        report["results"]["spectrum"], out.spectrum_csv = \
+            _spectrum_outputs(op, tol)
     if "numrange" in sc.analysis:
         report["results"]["numrange"] = _hull_json(hull)
         out.hull_csv = _hull_csv(hull)

@@ -6,6 +6,20 @@ half-plane {z : Re(e^{i theta} z) <= s(theta)} and one inner witness point
 and the half-plane intersection (outer region) sandwich the true numerical
 range; the gap shrinks like 1/n_angles^2 on smooth boundary arcs.
 
+The per-angle solver is chosen once per matrix from its entries:
+
+  A = A^T (every assembled lattice operator, A = J + diag(V) with J real):
+      Re(e^{i theta} A) = cos(theta) Re A - sin(theta) Im A is real
+      symmetric, and the witness is f^T A f for the real unit vector f.
+      - bandwidth 1 (1D chains): scipy.linalg.eigh_tridiagonal on the
+        diagonal and sub-diagonal, witness in O(n);
+      - otherwise (boxes with nu >= 2): a real dense scipy.linalg.eigh.
+  any other matrix (a Jordan block, a random matrix): a complex Hermitian
+      dense scipy.linalg.eigh of Re(e^{i theta} A).
+
+When the top eigenvalue is highly degenerate the dense subset solve can
+return no eigenpair; the full spectrum of the same matrix is used then.
+
 Membership and boundary-distance queries run against the outer description.
 The sampled minimum margin equals the distance to the outer region's
 boundary, which upper-bounds the distance to the true boundary: on curved
@@ -34,34 +48,62 @@ def _as_array(op) -> np.ndarray:
     return np.asarray(op, dtype=np.complex128)
 
 
-def _hermitian_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    h = (a + a.conj().T) / 2.0
-    k = (a - a.conj().T) / 2.0j
-    return h, k
-
-
 def _top_eigpair(h: np.ndarray) -> tuple[float, np.ndarray]:
     n = h.shape[0]
-    if n == 1:
-        return float(h[0, 0].real), np.ones(1, dtype=np.complex128)
     w, v = scipy.linalg.eigh(h, subset_by_index=(n - 1, n - 1))
-    return float(w[0]), v[:, 0]
+    if len(w) == 0:
+        # LAPACK's subset driver can return nothing when many eigenvalues
+        # tie at the top; the full spectrum of the same matrix cannot.
+        w, v = scipy.linalg.eigh(h)
+    return float(w[-1]), v[:, -1]
+
+
+def _bandwidth_at_most_one(a: np.ndarray) -> bool:
+    """For a symmetric a: every nonzero entry lies on the three central
+    diagonals."""
+    return np.count_nonzero(a) == (np.count_nonzero(np.diagonal(a))
+                                   + 2 * np.count_nonzero(np.diagonal(a, 1)))
+
+
+def _sweep_solver(a: np.ndarray):
+    """The per-angle solver theta -> (s(theta), witness) for matrix a, chosen
+    once from a's structure (see the module notes)."""
+    if not np.array_equal(a, a.T):
+        h = (a + a.conj().T) / 2.0
+        k = (a - a.conj().T) / 2.0j
+
+        def dense(theta: float) -> tuple[float, complex]:
+            s, f = _top_eigpair(np.cos(theta) * h - np.sin(theta) * k)
+            return s, complex(np.vdot(f, a @ f))
+        return dense
+
+    n = a.shape[0]
+    if _bandwidth_at_most_one(a):
+        d, e = np.diagonal(a).copy(), np.diagonal(a, -1).copy()
+
+        def tridiagonal(theta: float) -> tuple[float, complex]:
+            c, sn = np.cos(theta), np.sin(theta)
+            w, v = scipy.linalg.eigh_tridiagonal(
+                c * d.real - sn * d.imag, c * e.real - sn * e.imag,
+                select="i", select_range=(n - 1, n - 1))
+            f = v[:, -1]
+            return float(w[-1]), complex(d @ f ** 2
+                                         + 2.0 * (e @ (f[:-1] * f[1:])))
+        return tridiagonal
+
+    re, im = a.real.copy(), a.imag.copy()
+
+    def real_symmetric(theta: float) -> tuple[float, complex]:
+        s, f = _top_eigpair(np.cos(theta) * re - np.sin(theta) * im)
+        return s, complex(f @ re @ f, f @ im @ f)
+    return real_symmetric
 
 
 def support_function(op, theta: float) -> tuple[float, complex]:
     """Support value s(theta) = lambda_max(Re(e^{i theta} A)) and the witness
     <A f, f> for a maximizing unit vector f.  Re(e^{i theta} witness) equals
     the support value up to eigensolver accuracy."""
-    a = _as_array(op)
-    h, k = _hermitian_parts(a)
-    return _support_at(a, h, k, float(theta))
-
-
-def _support_at(a, h, k, theta: float) -> tuple[float, complex]:
-    ht = np.cos(theta) * h - np.sin(theta) * k
-    s, f = _top_eigpair(ht)
-    witness = complex(np.vdot(f, a @ f))
-    return s, witness
+    return _sweep_solver(_as_array(op))(float(theta))
 
 
 def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
@@ -153,17 +195,16 @@ def compute_hull(op, n_angles: int = DEFAULT_N_ANGLES,
     """
     if n_angles < 3:
         raise ValueError("n_angles must be >= 3")
-    a = _as_array(op)
-    h, k = _hermitian_parts(a)
+    solve = _sweep_solver(_as_array(op))
     thetas = [2.0 * np.pi * m / n_angles for m in range(n_angles)]
-    samples = {t: _support_at(a, h, k, t) for t in thetas}
+    samples = {t: solve(t) for t in thetas}
     if refine_threshold is not None:
         step = np.pi / n_angles  # half the base spacing
         for i, t in enumerate(thetas):
             w0 = samples[t][1]
             w1 = samples[thetas[(i + 1) % n_angles]][1]
             if abs(w1 - w0) > refine_threshold:
-                samples.setdefault(t + step, _support_at(a, h, k, t + step))
+                samples.setdefault(t + step, solve(t + step))
     ts = np.array(sorted(samples), dtype=np.float64)
     sup = np.array([samples[t][0] for t in ts], dtype=np.float64)
     wit = np.array([samples[t][1] for t in ts], dtype=np.complex128)

@@ -1,11 +1,20 @@
 """Support-function sweeps against geometric oracles."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from specrange.exceptions import HullDomainError
-from specrange.model import LatticeBox, OperatorMatrix, SeededRandomPotential, assemble
-from specrange.numrange import compute_hull
+from specrange.model import (ConstantPotential, GeometricDecayPotential,
+                             LatticeBox, OperatorMatrix,
+                             SeededRandomPotential, assemble)
+from specrange.numrange import compute_hull, support_function
+from specrange.scenario import load_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+BOX_2D = LatticeBox(2, ((-3, 2), (-2, 2)))
 
 
 def hull_of(matrix, n_angles=360):
@@ -106,3 +115,107 @@ def test_angle_grid_shape_and_first_angle():
     assert len(hull.thetas) == 16 == len(hull.supports)
     assert hull.thetas[0] == 0.0
     assert hull.n_angles == 16
+
+
+def dense_supports(a, thetas):
+    """Reference: top eigenvalue of the complex hermitian Re(e^{i theta} A),
+    from the full spectrum."""
+    return np.array([np.linalg.eigvalsh(
+        (np.exp(1j * t) * a + np.exp(-1j * t) * a.conj().T) / 2.0)[-1]
+        for t in thetas])
+
+
+def structured_operators():
+    scenarios = [load_scenario(p) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+    ops = [pytest.param(assemble(sc.box, sc.potential), id=sc.name)
+           for sc in scenarios]
+    ops.append(pytest.param(
+        assemble(BOX_2D, GeometricDecayPotential(0.6 + 0.9j, 0.5)),
+        id="box_2d"))
+    return ops
+
+
+@pytest.mark.parametrize("op", structured_operators())
+def test_structured_sweep_matches_dense_complex_path(op):
+    hulls = [compute_hull(op, n_angles=n) for n in (359, 360, 718)]
+    # the 718 grid contains the 359 grid, so solve each distinct angle once
+    thetas = np.unique(np.concatenate([h.thetas for h in hulls]))
+    ref = dict(zip(thetas, dense_supports(op.matrix, thetas)))
+    for hull in hulls:
+        expect = np.array([ref[t] for t in hull.thetas])
+        assert np.max(np.abs(hull.supports - expect)) < 1e-12, hull.n_angles
+        on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
+        assert np.max(np.abs(on_line - hull.supports)) < 1e-9, hull.n_angles
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[0.0, 1.0], [0.0, 0.0]]),
+    assemble(LatticeBox(1, ((-6, 6),)),
+             GeometricDecayPotential(0.4 - 0.7j, 0.6)).matrix,
+    assemble(BOX_2D, GeometricDecayPotential(0.6 + 0.9j, 0.5)).matrix,
+])
+def test_support_function_equals_every_hull_sample(matrix):
+    op = OperatorMatrix(matrix)
+    hull = compute_hull(op, n_angles=24, refine_threshold=0.05)
+    assert len(hull.thetas) > 24  # the refinement pass inserted midpoints
+    for t, s, w in zip(hull.thetas, hull.supports, hull.witnesses):
+        assert support_function(op, t) == (s, w)
+
+
+def solver_calls(monkeypatch, matrix):
+    """Run one hull and record which eigensolver each angle went to, with the
+    dtype of the matrix it was handed."""
+    calls = []
+    eigh, eigh_tridiagonal = scipy.linalg.eigh, scipy.linalg.eigh_tridiagonal
+
+    def spy_eigh(h, *args, **kw):
+        calls.append(("eigh", h.dtype))
+        return eigh(h, *args, **kw)
+
+    def spy_tridiagonal(d, e, *args, **kw):
+        calls.append(("eigh_tridiagonal", d.dtype))
+        return eigh_tridiagonal(d, e, *args, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy_tridiagonal)
+    compute_hull(OperatorMatrix(matrix), n_angles=12)
+    return set(calls)
+
+
+def test_solver_path_follows_matrix_structure(monkeypatch):
+    rng = np.random.default_rng(3)
+    general = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    chain = assemble(LatticeBox(1, ((-6, 6),)),
+                     GeometricDecayPotential(0.4 - 0.7j, 0.6)).matrix
+    box = assemble(BOX_2D, GeometricDecayPotential(0.6 + 0.9j, 0.5)).matrix
+    complex_dense = {("eigh", np.dtype(np.complex128))}
+    # not complex symmetric: the dense complex path
+    assert solver_calls(monkeypatch, general) == complex_dense
+    assert solver_calls(monkeypatch, [[0.0, 1.0], [0.0, 0.0]]) == complex_dense
+    # complex symmetric with bandwidth 1, then wider: real solves only
+    assert solver_calls(monkeypatch, chain) == {
+        ("eigh_tridiagonal", np.dtype(np.float64))}
+    assert solver_calls(monkeypatch, box) == {("eigh", np.dtype(np.float64))}
+
+
+def test_tied_extreme_does_not_crash_either_path():
+    # A constant potential makes the top eigenvalue of Re(e^{i theta} A)
+    # nearly 64-fold degenerate at theta = pi/2 and 3 pi/2, where the
+    # hopping is scaled by cos(theta) ~ 6e-17; LAPACK's subset driver then
+    # may return no eigenpair.  seeded_random on this box gives every site
+    # one shared value, since no site has a negative coordinate.
+    box = LatticeBox(2, ((0, 7), (0, 7)))
+    pots = [SeededRandomPotential(seed, box, (-0.5, 0.5), (0.0, 0.8))
+            for seed in range(40)]
+    pots += [ConstantPotential(c) for c in (1j, 0.3 + 0.4j, -0.2 + 0.7j)]
+    phases = np.exp(0.7j * np.arange(box.site_count))
+    for pot in pots:
+        a = assemble(box, pot).matrix
+        # a diagonal unitary similarity keeps Num(A) but breaks A = A^T,
+        # which sends the same spectrum through the dense complex path
+        for m in (a, phases[:, None] * a * phases.conj()[None, :]):
+            hull = compute_hull(OperatorMatrix(m), n_angles=32)
+            ref = dense_supports(m, hull.thetas)
+            assert np.max(np.abs(hull.supports - ref)) < 1e-12, pot
+            on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
+            assert np.max(np.abs(on_line - hull.supports)) < 1e-9, pot

@@ -10,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
+from specrange import cli
 from specrange.cli import main
 from specrange.exceptions import SchemaError
+from specrange.linalg import eig_general
 from specrange.scenario import (atomic_write_text, dumps_canonical,
                                 encode_scenario, parse_scenario)
 
@@ -201,8 +203,28 @@ def test_run_verb_writes_report_and_csvs(tmp_path):
     assert res["numrange"]["n_angles"] == 60
     assert "certified_boundary_count" in res["classify"]
     assert "criteria" in res
-    assert (out / "small.hull.csv").exists()
-    assert (out / "small.spectrum.csv").exists()
+    for name in ("small.hull.csv", "small.spectrum.csv"):
+        header, *rows = (out / name).read_text().splitlines()
+        assert rows
+        for row in rows:
+            for cell in row.split(","):
+                float(cell)  # plain numbers, no numpy scalar reprs
+
+
+def test_run_computes_the_spectrum_once_for_both_outputs(monkeypatch):
+    calls = []
+
+    def counting(op, tol):
+        calls.append(op)
+        return eig_general(op, tol)
+
+    monkeypatch.setattr(cli, "eig_general", counting)
+    doc = small_run_doc()
+    doc["analysis"] = ["spectrum"]
+    ex = cli.execute_scenario(parse_scenario(doc))
+    assert len(calls) == 1
+    assert ex.report["results"]["spectrum"]["count"] == 16
+    assert len(ex.spectrum_csv.splitlines()) == 1 + 16
 
 
 def test_run_verb_is_byte_identical(tmp_path):
