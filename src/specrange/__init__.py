@@ -12,10 +12,10 @@ scenario files with deterministic reports.
 
 __version__ = "0.1.0"
 
-from ._kernels import kernel_backend
 from .classify import (EigenClassification, NormalityVerdict, SplitVerdict,
-                       box_limited, classify, hildebrandt_certificate,
-                       split_certificate, support_extent)
+                       box_limited, certify, classify,
+                       hildebrandt_certificate, split_certificate,
+                       support_extent)
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .construct import (CounterexampleBuild, DesignedEigenfunction,
                         build_counterexample, contractive_tail_ratio,
@@ -49,9 +49,8 @@ from .scenario import (Scenario, dumps_canonical, encode_potential,
 
 __all__ = [
     "__version__",
-    "kernel_backend",
     "EigenClassification", "NormalityVerdict", "SplitVerdict",
-    "box_limited", "classify", "hildebrandt_certificate",
+    "box_limited", "certify", "classify", "hildebrandt_certificate",
     "split_certificate", "support_extent",
     "DEFAULT_TOLERANCES", "Tolerances",
     "CounterexampleBuild", "DesignedEigenfunction", "build_counterexample",

@@ -140,6 +140,18 @@ def split_certificate(op: OperatorMatrix, cls: EigenClassification,
     return SplitVerdict.CERTIFIED
 
 
+def certify(op: OperatorMatrix, cls: EigenClassification,
+            tol: Tolerances = DEFAULT_TOLERANCES,
+            ) -> tuple[NormalityVerdict, SplitVerdict, bool]:
+    """Both certificates of one record, and whether together they certify a
+    boundary eigenvalue (boundary, certified normal and certified split)."""
+    normality = hildebrandt_certificate(op, cls, tol=tol)
+    split = split_certificate(op, cls, tol=tol)
+    return normality, split, (
+        cls.is_boundary and normality is NormalityVerdict.CERTIFIED_NORMAL
+        and split is SplitVerdict.CERTIFIED)
+
+
 def support_extent(cls: EigenClassification, axis: int) -> tuple[int, int]:
     """Min and max coordinate of the thresholded support along one axis."""
     if len(cls.support_indices) == 0:

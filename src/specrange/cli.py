@@ -4,6 +4,15 @@ Verbs: run, construct, sweep, criteria.  Exit codes: 0 success, 2 schema
 error, 3 numerical failure, 4 certification or design failure.  All output
 files are written atomically and only after the whole computation has
 succeeded, so a failing run leaves no partial artifacts.
+
+Every verb takes one path: `analyse` applies the scenario's seed, then
+assembles, sweeps the hull and classifies the eigenpairs, each at most
+once, and `build_report` writes the result up.  The spectrum is the
+classify records' pairs when classify runs.  `sweep` analyses each grid
+point with classify alone; `construct` reports the operator, hull and
+records that `build_counterexample` computed.  The report's
+certified_boundary_count, the sweep's certified_flags and the construct
+certificate all use `classify.certify`.
 """
 
 from __future__ import annotations
@@ -16,8 +25,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .classify import (NormalityVerdict, SplitVerdict, box_limited, classify,
-                       hildebrandt_certificate, split_certificate,
+from .classify import (EigenClassification, box_limited, certify, classify,
                        support_extent)
 from .config import (DEFAULT_MAX_DIM, DEFAULT_TOLERANCES, MAX_DIM_ENV,
                      Tolerances)
@@ -25,7 +33,7 @@ from .construct import build_counterexample
 from .criteria import CriteriaParams, evaluate_all
 from .exceptions import (CertificationError, DesignError, EmptySupportError,
                          SchemaError, SpecrangeError)
-from .linalg import eig_general
+from .linalg import EigenPair, eig_general
 from .model import (OperatorMatrix, PotentialSpec, SeededRandomPotential,
                     SumPotential, assemble)
 from .numrange import NumericalRangeHull, compute_hull
@@ -72,24 +80,70 @@ def _tolerances(sc: Scenario) -> Tolerances:
 
 
 # ---------------------------------------------------------------------------
+# the analysis path
+
+
+@dataclass
+class Analysis:
+    """What one scenario's analyses computed, each stage at most once.
+
+    pairs are the eig_general pairs.  The classify records carry them, one
+    per record in the same order, so given records they default to those.
+    """
+
+    scenario: Scenario
+    stages: tuple[str, ...]
+    tol: Tolerances
+    op: OperatorMatrix | None = None
+    hull: NumericalRangeHull | None = None
+    records: list[EigenClassification] | None = None
+    pairs: list[EigenPair] | None = None
+
+    def __post_init__(self):
+        if self.pairs is None and self.records is not None:
+            self.pairs = [c.pair for c in self.records]
+
+
+def analyse(sc: Scenario, max_dim: int = DEFAULT_MAX_DIM,
+            stages: tuple[str, ...] | None = None) -> Analysis:
+    """Run the stages (default: the scenario's analyses) on the scenario with
+    its seed applied: assemble, sweep, eigensolve and classify once each."""
+    if sc.seed is not None:
+        sc = dataclasses.replace(
+            sc, potential=_override_seed(sc.potential, sc.seed))
+    stages = sc.analysis if stages is None else stages
+    tol = _tolerances(sc)
+    op = hull = records = pairs = None
+    if any(a in stages for a in ("spectrum", "numrange", "classify")):
+        op = assemble(sc.box, sc.potential, max_dim=max_dim)
+    if "numrange" in stages or "classify" in stages:
+        hull = compute_hull(op, n_angles=sc.n_angles)
+    if "classify" in stages:
+        records = classify(op, hull, tol)
+    elif "spectrum" in stages:
+        pairs = eig_general(op, tol)
+    return Analysis(sc, stages, tol, op, hull, records, pairs)
+
+
+# ---------------------------------------------------------------------------
 # report assembly
 
 
-def _spectrum_outputs(op: OperatorMatrix, tol: Tolerances) -> tuple[dict, str]:
-    """The spectrum report section and spectrum.csv, from one eigensolve.
-    The eigenpairs are freed on return, before classify solves again."""
-    pairs = eig_general(op, tol)
-    section = {
+def _spectrum_json(pairs: list[EigenPair]) -> dict:
+    return {
         "count": len(pairs),
         "eigenvalues": [
             {"value": [p.value.real, p.value.imag], "residual": p.residual}
             for p in pairs
         ],
     }
+
+
+def _spectrum_csv(pairs: list[EigenPair]) -> str:
     lines = ["index,eig_re,eig_im,residual"]
     for i, p in enumerate(pairs):
         lines.append(f"{i},{p.value.real!r},{p.value.imag!r},{p.residual!r}")
-    return section, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _hull_json(hull: NumericalRangeHull) -> dict:
@@ -101,20 +155,21 @@ def _hull_json(hull: NumericalRangeHull) -> dict:
     }
 
 
-def _classify_json(op: OperatorMatrix, hull: NumericalRangeHull,
+def _classify_json(op: OperatorMatrix, records: list[EigenClassification],
                    tol: Tolerances) -> dict:
-    records = []
+    out = []
+    certified = 0
     nu = op.provenance.box.nu if op.provenance is not None else 1
-    for cls in classify(op, hull, tol):
-        normality = hildebrandt_certificate(op, cls, tol=tol)
-        split = split_certificate(op, cls, tol=tol)
+    for cls in records:
+        normality, split, ok = certify(op, cls, tol)
+        certified += ok
         try:
             extent = [list(support_extent(cls, j)) for j in range(nu)]
             limited = box_limited(cls)
         except EmptySupportError:
             extent = None
             limited = None
-        records.append({
+        out.append({
             "value": [cls.pair.value.real, cls.pair.value.imag],
             "residual": cls.pair.residual,
             "boundary_distance": cls.boundary_distance,
@@ -128,15 +183,11 @@ def _classify_json(op: OperatorMatrix, hull: NumericalRangeHull,
             "support_extent": extent,
             "box_limited": limited,
         })
-    certified = sum(
-        1 for r in records
-        if r["is_boundary"] and r["normality"] == "certified_normal"
-        and r["split"] == "certified")
     return {
         "tol_boundary": tol.boundary(op.frobenius),
         "tol_cert": tol.cert(op.frobenius),
         "certified_boundary_count": certified,
-        "records": records,
+        "records": out,
     }
 
 
@@ -155,37 +206,33 @@ class Execution:
     spectrum_csv: str | None = None
 
 
-def execute_scenario(sc: Scenario, max_dim: int = DEFAULT_MAX_DIM) -> Execution:
-    """Run the analyses a scenario requests and build its report dict."""
-    if sc.seed is not None:
-        sc = dataclasses.replace(
-            sc, potential=_override_seed(sc.potential, sc.seed))
-    tol = _tolerances(sc)
-    report: dict = {
+def build_report(an: Analysis) -> Execution:
+    """The report and CSVs of an analysis, one section per stage; the
+    criteria need no operator and are evaluated here."""
+    sc = an.scenario
+    results: dict = {}
+    out = Execution(report={
         "tool": {"name": "specrange", "version": __version__},
         "scenario": encode_scenario(sc),
-        "results": {},
-    }
-    out = Execution(report=report)
-    needs_matrix = any(a in sc.analysis
-                       for a in ("spectrum", "numrange", "classify"))
-    op = assemble(sc.box, sc.potential, max_dim=max_dim) if needs_matrix else None
-    hull = None
-    if "numrange" in sc.analysis or "classify" in sc.analysis:
-        hull = compute_hull(op, n_angles=sc.n_angles)
-    if "spectrum" in sc.analysis:
-        report["results"]["spectrum"], out.spectrum_csv = \
-            _spectrum_outputs(op, tol)
-    if "numrange" in sc.analysis:
-        report["results"]["numrange"] = _hull_json(hull)
-        out.hull_csv = _hull_csv(hull)
-    if "classify" in sc.analysis:
-        report["results"]["classify"] = _classify_json(op, hull, tol)
-    if "criteria" in sc.analysis:
+        "results": results,
+    })
+    if "spectrum" in an.stages:
+        results["spectrum"] = _spectrum_json(an.pairs)
+        out.spectrum_csv = _spectrum_csv(an.pairs)
+    if "numrange" in an.stages:
+        results["numrange"] = _hull_json(an.hull)
+        out.hull_csv = _hull_csv(an.hull)
+    if "classify" in an.stages:
+        results["classify"] = _classify_json(an.op, an.records, an.tol)
+    if "criteria" in an.stages:
         crit = evaluate_all(sc.potential, sc.box.nu, sc.criteria)
-        report["results"]["criteria"] = crit.to_json_dict(
-            encode_potential(sc.potential))
+        results["criteria"] = crit.to_json_dict(encode_potential(sc.potential))
     return out
+
+
+def execute_scenario(sc: Scenario, max_dim: int = DEFAULT_MAX_DIM) -> Execution:
+    """Run the analyses a scenario requests and build its report dict."""
+    return build_report(analyse(sc, max_dim))
 
 
 def _write_outputs(sc: Scenario, ex: Execution, out_dir: str) -> list[str]:
@@ -217,14 +264,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_criteria(args) -> int:
     sc = _apply_flags(load_scenario(args.scenario), args)
-    crit = evaluate_all(sc.potential, sc.box.nu, sc.criteria)
+    an = analyse(sc, stages=("criteria",))
+    report = build_report(an).report
     doc = {
-        "tool": {"name": "specrange", "version": __version__},
-        "scenario": encode_scenario(sc),
-        "criteria": crit.to_json_dict(encode_potential(sc.potential)),
+        "tool": report["tool"],
+        "scenario": report["scenario"],
+        "criteria": report["results"]["criteria"],
     }
     os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, f"{sc.name}.criteria.json")
+    path = os.path.join(args.out_dir, f"{an.scenario.name}.criteria.json")
     atomic_write_text(path, dumps_canonical(doc))
     print(path)
     return 0
@@ -248,7 +296,7 @@ def _cmd_construct(args) -> int:
     n_angles = args.angles if args.angles is not None else 720
     build = build_counterexample(
         a=args.a, b=args.b, zero_sites=zeros, n_sites=args.n,
-        n_angles=n_angles, tol=tol)
+        n_angles=n_angles, tol=tol, max_dim=resolve_max_dim(args.max_dim))
     name = args.name or f"counterexample_a{args.a:g}_b{args.b:g}"
     sc = Scenario(
         name=name, box=build.box, potential=build.potential,
@@ -260,7 +308,9 @@ def _cmd_construct(args) -> int:
              if v is not None}.items())),
         criteria=CriteriaParams(b_values=(args.b,), a_values=(args.a,)),
     )
-    ex = execute_scenario(sc, max_dim=resolve_max_dim(args.max_dim))
+    ex = build_report(Analysis(
+        scenario=sc, stages=sc.analysis, tol=tol, op=build.operator,
+        hull=build.hull, records=build.records))
     os.makedirs(args.out_dir, exist_ok=True)
     scenario_path = os.path.join(args.out_dir, f"{name}.scenario.json")
     atomic_write_text(scenario_path, dumps_canonical(encode_scenario(sc)))
@@ -314,21 +364,13 @@ def _cmd_sweep(args) -> int:
         doc = json.loads(json.dumps(raw))
         try:
             _set_path(doc, args.param, v)
-            sc = parse_scenario(doc)
-            tol = _tolerances(sc)
-            op = assemble(sc.box, sc.potential, max_dim=max_dim)
-            hull = compute_hull(op, n_angles=sc.n_angles)
-            recs = classify(op, hull, tol)
+            an = analyse(parse_scenario(doc), max_dim, stages=("classify",))
+            recs = an.records
             eigs = ";".join(
                 f"{c.pair.value.real!r} {c.pair.value.imag!r}" for c in recs)
             bflags = ";".join("1" if c.is_boundary else "0" for c in recs)
-            cflags = ";".join(
-                "1" if (c.is_boundary
-                        and hildebrandt_certificate(op, c, tol=tol)
-                        is NormalityVerdict.CERTIFIED_NORMAL
-                        and split_certificate(op, c, tol=tol)
-                        is SplitVerdict.CERTIFIED) else "0"
-                for c in recs)
+            cflags = ";".join("1" if certify(an.op, c, an.tol)[2] else "0"
+                              for c in recs)
             lines.append(f"{v!r},ok,{len(recs)},{eigs},{bflags},{cflags},")
         except SpecrangeError as exc:
             msg = str(exc).replace("\n", " ").replace(",", ";")

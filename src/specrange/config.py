@@ -6,7 +6,6 @@ from dataclasses import dataclass, replace
 
 DEFAULT_MAX_DIM = 4096
 MAX_DIM_ENV = "SPECRANGE_MAX_DIM"
-PURE_PYTHON_ENV = "SPECRANGE_PURE_PYTHON"
 
 SCAN_RADIUS_1D = 1000
 SCAN_RADIUS_ND = 100

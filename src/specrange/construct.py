@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .classify import (EigenClassification, NormalityVerdict, SplitVerdict,
-                       classify, hildebrandt_certificate, split_certificate)
+                       certify, classify)
 from .config import RATIO_CAP, Tolerances, DEFAULT_TOLERANCES
 from .exceptions import CertificationError, DesignError
 from .model import (ConstantPotential, LatticeBox, OperatorMatrix,
@@ -259,6 +259,7 @@ class CounterexampleBuild:
     potential: PotentialSpec
     box: LatticeBox
     hull: NumericalRangeHull
+    records: list[EigenClassification]
     classification: EigenClassification
     normality: NormalityVerdict
     split: SplitVerdict
@@ -273,14 +274,16 @@ def build_counterexample(a: float, b: float, zero_sites: list[int],
                          window: tuple[int, int] = (-10, 10),
                          n_sites: int = 101, n_angles: int = 720,
                          tol: Tolerances = DEFAULT_TOLERANCES,
-                         ) -> CounterexampleBuild:
+                         max_dim: int | None = None) -> CounterexampleBuild:
     """Assemble the truncated operator and certify its boundary eigenvalue.
 
     Requires the eigenvalue nearest a + ib to sit within the match
     tolerance, be boundary, and pass both certificates; and the computed
     hull to lie in the strip 0 <= Im z <= b.  Failure raises with the
     offending residuals (the usual cause is a truncation too small for
-    the tails to clear the box edge).
+    the tails to clear the box edge).  max_dim is assemble's dimension cap.
+    The build carries every classification record, not only the designed
+    one.
     """
     u = design_eigenfunction(a, zero_sites, window)
     re_spec = real_potential_from_eigenfunction(u, a)
@@ -294,7 +297,7 @@ def build_counterexample(a: float, b: float, zero_sites: list[int],
             f"window [{u.window_lo}, {u.window_hi}]",
             where="construct.build_counterexample",
         )
-    op = assemble(box, potential)
+    op = assemble(box, potential, max_dim=max_dim)
     hull = compute_hull(op, n_angles=n_angles)
     expected = complex(a, b)
 
@@ -306,10 +309,9 @@ def build_counterexample(a: float, b: float, zero_sites: list[int],
         problems["eigenvalue_gap"] = gap
     if not best.is_boundary:
         problems["boundary_distance"] = best.boundary_distance
-    normality = hildebrandt_certificate(op, best, tol=tol)
+    normality, split, _ = certify(op, best, tol)
     if normality is not NormalityVerdict.CERTIFIED_NORMAL:
         problems["normality_residual"] = best.normality_residual
-    split = split_certificate(op, best, tol=tol)
     if split is not SplitVerdict.CERTIFIED:
         problems["split_residual_re"] = best.split_residual_re
         problems["split_residual_im"] = best.split_residual_im
@@ -326,6 +328,6 @@ def build_counterexample(a: float, b: float, zero_sites: list[int],
         )
     return CounterexampleBuild(
         operator=op, expected=expected, eigenfunction=u, potential=potential,
-        box=box, hull=hull, classification=best, normality=normality,
-        split=split,
+        box=box, hull=hull, records=records, classification=best,
+        normality=normality, split=split,
     )

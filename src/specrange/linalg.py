@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Tolerances, DEFAULT_TOLERANCES
 from .exceptions import EigenSolverError, NotHermitianError
-from .model import OperatorMatrix
+from .model import _as_array
 
 HERMITIAN_TOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -27,12 +27,6 @@ class EigenPair:
     value: complex
     vector: np.ndarray
     residual: float
-
-
-def _as_array(op) -> np.ndarray:
-    if isinstance(op, OperatorMatrix):
-        return op.matrix
-    return np.asarray(op, dtype=np.complex128)
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:

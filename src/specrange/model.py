@@ -687,6 +687,13 @@ class OperatorMatrix:
         return float(np.linalg.norm(self.matrix, "fro"))
 
 
+def _as_array(op) -> np.ndarray:
+    """The matrix of an OperatorMatrix, or any array-like as complex128."""
+    if isinstance(op, OperatorMatrix):
+        return op.matrix
+    return np.asarray(op, dtype=np.complex128)
+
+
 def assemble(box: LatticeBox, potential: PotentialSpec,
              max_dim: int | None = None) -> OperatorMatrix:
     """Dirichlet truncation of hopping + diagonal potential to the box.
@@ -715,15 +722,15 @@ def assemble(box: LatticeBox, potential: PotentialSpec,
     return OperatorMatrix(m, provenance=Provenance(box, potential))
 
 
-def real_part(op: OperatorMatrix) -> OperatorMatrix:
+def real_part(op) -> OperatorMatrix:
     """(A + A*)/2 as a fresh hermitian OperatorMatrix."""
-    m = op.matrix
+    m = _as_array(op)
     return OperatorMatrix((m + m.conj().T) / 2.0)
 
 
-def imag_part(op: OperatorMatrix) -> OperatorMatrix:
+def imag_part(op) -> OperatorMatrix:
     """(A - A*)/(2i) as a fresh hermitian OperatorMatrix."""
-    m = op.matrix
+    m = _as_array(op)
     return OperatorMatrix((m - m.conj().T) / 2.0j)
 
 

@@ -39,13 +39,7 @@ import scipy.linalg
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_N_ANGLES
 from .exceptions import HullDomainError
-from .model import OperatorMatrix
-
-
-def _as_array(op) -> np.ndarray:
-    if isinstance(op, OperatorMatrix):
-        return op.matrix
-    return np.asarray(op, dtype=np.complex128)
+from .model import _as_array, imag_part, real_part
 
 
 def _top_eigpair(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -69,8 +63,7 @@ def _sweep_solver(a: np.ndarray):
     """The per-angle solver theta -> (s(theta), witness) for matrix a, chosen
     once from a's structure (see the module notes)."""
     if not np.array_equal(a, a.T):
-        h = (a + a.conj().T) / 2.0
-        k = (a - a.conj().T) / 2.0j
+        h, k = real_part(a).matrix, imag_part(a).matrix
 
         def dense(theta: float) -> tuple[float, complex]:
             s, f = _top_eigpair(np.cos(theta) * h - np.sin(theta) * k)

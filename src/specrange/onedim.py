@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import three_term_scan
 from .config import (OVERFLOW_AT, RESCALE_AT, Tolerances, DEFAULT_TOLERANCES)
 from .exceptions import BandRegimeError, BlowupError, DecayCertificateError
 from .model import LatticeBox, PotentialSpec
@@ -81,6 +80,46 @@ class SolutionTrace:
             lines.append(f"{n},{float(v.real)!r},{float(v.imag)!r},"
                          f"{float(self.log_scale[i])!r}")
         return "\n".join(lines) + "\n"
+
+
+def three_term_scan(coeff, x0, x1, normalize, rescale_at, overflow_at,
+                    out_vals, out_scale) -> int:
+    """The three-term recurrence x[0] = x0, x[1] = x1,
+    x[j+1] = coeff[j-1] * x[j] - x[j-1].
+
+    out_vals[j] receives x[j] at its storage-time scale, out_scale[j] the
+    cumulative natural-log factor, so the true value is
+    out_vals[j] * e^out_scale[j].  With normalize=True the active pair is
+    divided by its max magnitude whenever it exceeds rescale_at (log factor
+    accumulated); otherwise the scan stops at the first magnitude above
+    overflow_at and returns the index of the first entry NOT written.
+    Returns -1 on a complete scan.
+    """
+    m = len(coeff)
+    if len(out_vals) != m + 2 or len(out_scale) != m + 2:
+        raise ValueError("output buffers must have length len(coeff) + 2")
+    a = complex(x0)
+    b = complex(x1)
+    s = 0.0
+    out_vals[0] = a
+    out_scale[0] = 0.0
+    out_vals[1] = b
+    out_scale[1] = 0.0
+    for i, c in enumerate(complex(c) for c in coeff):
+        nxt = c * b - a
+        a = b
+        b = nxt
+        mag = max(abs(a), abs(b))
+        if normalize:
+            if mag > rescale_at:
+                a /= mag
+                b /= mag
+                s += math.log(mag)
+        elif mag > overflow_at:
+            return i + 2
+        out_vals[i + 2] = b
+        out_scale[i + 2] = s
+    return -1
 
 
 def _scan(coeff: np.ndarray, x0: complex, x1: complex, normalize: bool,

@@ -1,18 +1,11 @@
-"""Compiled and pure-Python recurrence kernels against closed forms and
-against each other."""
+"""The three-term recurrence kernel against closed forms."""
 
 import math
 
 import numpy as np
 import pytest
 
-from specrange._kernels import kernel_backend, three_term_scan
-from specrange import _recurrence_py
-
-try:
-    from specrange import _recurrence as _compiled
-except ImportError:
-    _compiled = None
+from specrange.onedim import three_term_scan
 
 RESCALE_AT = 1e150
 OVERFLOW_AT = 1e300
@@ -23,10 +16,6 @@ def run_scan(impl, coeff, x0, x1, normalize):
     scale = np.empty(len(coeff) + 2, dtype=np.float64)
     stop = impl(coeff, x0, x1, normalize, RESCALE_AT, OVERFLOW_AT, vals, scale)
     return stop, vals, scale
-
-
-def test_backend_reports_known_name():
-    assert kernel_backend() in ("compiled", "python")
 
 
 def test_chebyshev_closed_form():
@@ -80,29 +69,3 @@ def test_scale_is_monotone_and_zero_before_first_rescale():
     assert scale[0] == 0.0 and scale[1] == 0.0
     assert np.all(np.diff(scale) >= 0.0)
     assert scale[-1] > 0.0
-
-
-@pytest.mark.skipif(_compiled is None, reason="compiled kernel not built")
-def test_backends_agree_bitwise_on_random_input():
-    rng = np.random.default_rng(42)
-    coeff = (rng.normal(size=400) + 1j * rng.normal(size=400)).astype(
-        np.complex128) * 2.0
-    for normalize in (False, True):
-        s1, v1, g1 = run_scan(_compiled.three_term_scan, coeff, 1.0, 0.5j,
-                              normalize)
-        s2, v2, g2 = run_scan(_recurrence_py.three_term_scan, coeff, 1.0,
-                              0.5j, normalize)
-        assert s1 == s2
-        n = len(coeff) + 2 if s1 == -1 else s1
-        assert np.array_equal(v1[:n], v2[:n])
-        assert np.array_equal(g1[:n], g2[:n])
-
-
-@pytest.mark.skipif(_compiled is None, reason="compiled kernel not built")
-def test_backends_agree_on_overflow_stop():
-    coeff = np.full(900, 5.0, dtype=np.complex128)
-    s1, v1, _ = run_scan(_compiled.three_term_scan, coeff, 0.0, 1.0, False)
-    s2, v2, _ = run_scan(_recurrence_py.three_term_scan, coeff, 0.0, 1.0,
-                         False)
-    assert s1 == s2 != -1
-    assert np.array_equal(v1[:s1], v2[:s1])

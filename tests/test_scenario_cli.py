@@ -10,10 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from specrange import cli
 from specrange.cli import main
 from specrange.exceptions import SchemaError
-from specrange.linalg import eig_general
 from specrange.scenario import (atomic_write_text, dumps_canonical,
                                 encode_scenario, parse_scenario)
 
@@ -211,20 +209,114 @@ def test_run_verb_writes_report_and_csvs(tmp_path):
                 float(cell)  # plain numbers, no numpy scalar reprs
 
 
-def test_run_computes_the_spectrum_once_for_both_outputs(monkeypatch):
-    calls = []
+def count_calls(monkeypatch, names=("assemble", "compute_hull",
+                                      "eig_general")):
+    """Count calls of the named functions through every specrange module
+    namespace that binds them."""
+    counts = dict.fromkeys(names, 0)
+    originals = {}
+    for module in ("specrange.model", "specrange.numrange",
+                   "specrange.linalg"):
+        for name in names:
+            if hasattr(sys.modules[module], name):
+                originals[name] = getattr(sys.modules[module], name)
 
-    def counting(op, tol):
-        calls.append(op)
-        return eig_general(op, tol)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(cli, "eig_general", counting)
-    doc = small_run_doc()
-    doc["analysis"] = ["spectrum"]
-    ex = cli.execute_scenario(parse_scenario(doc))
-    assert len(calls) == 1
-    assert ex.report["results"]["spectrum"]["count"] == 16
-    assert len(ex.spectrum_csv.splitlines()) == 1 + 16
+    for modname, module in list(sys.modules.items()):
+        if modname != "specrange" and not modname.startswith("specrange."):
+            continue
+        for name, fn in originals.items():
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    return counts
+
+
+# verb -> (argv, calls of assemble, compute_hull and eig_general)
+COUNTED = {
+    "run_spectrum_only": (["run", "{path}"], (1, 0, 1)),
+    "run": (["run", "{path}"], (1, 1, 1)),
+    "construct": (["construct", "--a", "-2.5", "--b", "1.0", "--n", "41",
+                   "--angles", "120"], (1, 1, 1)),
+    "sweep": (["sweep", "{path}", "--param", "potential.params.b_odd",
+               "--from", "0.0", "--to", "1.0", "--steps", "3"], (3, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(COUNTED))
+def test_each_verb_assembles_sweeps_and_eigensolves_once(
+        tmp_path, monkeypatch, verb):
+    argv, per_run = COUNTED[verb]
+    doc = doc_for("alternating_1d")
+    doc["name"] = "counted"
+    doc["params"] = {"n_angles": 60}
+    doc["analysis"] = (["spectrum"] if verb == "run_spectrum_only"
+                       else ["spectrum", "numrange", "classify"])
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    counts = count_calls(monkeypatch)
+    argv = [a.format(path=path) for a in argv]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    assert (counts["assemble"], counts["compute_hull"],
+            counts["eig_general"]) == per_run
+    if verb.startswith("run"):
+        report = json.loads((out / "counted.report.json").read_text())
+        assert report["results"]["spectrum"]["count"] == 16
+        csv = (out / "counted.spectrum.csv").read_text().splitlines()
+        assert len(csv) == 1 + 16
+    if verb == "run":
+        spectrum = report["results"]["spectrum"]["eigenvalues"]
+        records = report["results"]["classify"]["records"]
+        assert [e["value"] for e in spectrum] == [r["value"] for r in records]
+        assert [e["residual"] for e in spectrum] == \
+            [r["residual"] for r in records]
+
+
+def seeded_doc(seed=None, potential_seed=11):
+    doc = doc_for("seeded_random")
+    doc["name"] = "seeded"
+    doc["potential"]["params"]["seed"] = potential_seed
+    doc["params"] = {"n_angles": 60, "criteria": {"b_values": [0.25]}}
+    if seed is not None:
+        doc["params"]["seed"] = seed
+    return doc
+
+
+SEED_VERBS = {
+    "run": ["run"],
+    "criteria": ["criteria"],
+    "sweep": ["sweep", "--param", "potential.params.im_range.1",
+              "--from", "0.5", "--to", "1.0", "--steps", "2"],
+}
+
+
+def outputs(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("verb", sorted(SEED_VERBS))
+def test_seed_override_reaches_the_potential(tmp_path, verb):
+    """--seed and params.seed both replace the seed of seeded_random terms,
+    so the outputs equal those of a file that names that seed itself."""
+    cmd, *rest = SEED_VERBS[verb]
+
+    def run(doc, name, *flags):
+        path = write_scenario(tmp_path, doc, f"{name}.json")
+        out = tmp_path / name
+        assert main([cmd, path, *rest, *flags, "--out-dir", str(out)]) == 0
+        return outputs(out)
+
+    reference = {seed: run(seeded_doc(seed, potential_seed=seed), f"ref{seed}")
+                 for seed in (1, 2)}
+    assert reference[1] != reference[2]
+    for seed in (1, 2):
+        assert run(seeded_doc(), f"flag{seed}", "--seed", str(seed)) == \
+            reference[seed]
+        assert run(seeded_doc(seed), f"params{seed}") == reference[seed]
 
 
 def test_run_verb_is_byte_identical(tmp_path):
@@ -295,6 +387,22 @@ def test_construct_verb_emits_scenario_and_certificate(tmp_path, capsys):
     target = min(report["results"]["spectrum"]["eigenvalues"],
                  key=lambda e: abs(complex(*e["value"]) - (-2.5 + 1j)))
     assert abs(complex(*target["value"]) - (-2.5 + 1j)) < 1e-6
+
+
+def test_construct_forwards_max_dim_to_its_single_assemble(
+        tmp_path, monkeypatch):
+    from specrange import model
+    monkeypatch.setattr(model, "DEFAULT_MAX_DIM", 20)
+    monkeypatch.delenv("SPECRANGE_MAX_DIM", raising=False)
+    argv = ["construct", "--a", "-2.5", "--b", "1.0", "--n", "41",
+            "--angles", "120"]
+    assert main([*argv, "--max-dim", "64",
+                 "--out-dir", str(tmp_path / "raised")]) == 0
+    counts = count_calls(monkeypatch)
+    assert main([*argv, "--max-dim", "40",
+                 "--out-dir", str(tmp_path / "lowered")]) == 3
+    assert counts["assemble"] == 1 and counts["compute_hull"] == 0
+    assert not (tmp_path / "lowered").exists()
 
 
 def test_sweep_verb_emits_csv_rows(tmp_path):
