@@ -30,10 +30,11 @@ class EigenPair:
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:
+    """Scale vec in place so its largest entry is real positive."""
     k = int(np.argmax(np.abs(vec)))
     pivot = vec[k]
     if pivot != 0:
-        vec = vec * (abs(pivot) / pivot)
+        vec *= abs(pivot) / pivot
     return vec
 
 
@@ -57,16 +58,21 @@ def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
         ) from exc
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
-    vecs = vecs[:, order]
+    # One contiguous row per eigenvector, normalised in place: each pair's
+    # vector is a view of this one block rather than a separate small array,
+    # so n pairs do not scatter n allocations (and their temporaries) over
+    # the heap.
+    vecs = vecs.T[order]
     pairs = []
     worst = 0.0
     for j in range(len(vals)):
-        v = vecs[:, j]
+        v = vecs[j]
         nrm = np.linalg.norm(v)
         if nrm == 0:
             raise EigenSolverError("backend returned a zero eigenvector",
                                    where="linalg.eig_general")
-        v = _canonical_phase(v / nrm)
+        v /= nrm
+        _canonical_phase(v)
         res = float(np.linalg.norm(a @ v - vals[j] * v))
         worst = max(worst, res)
         pairs.append(EigenPair(complex(vals[j]), v, res))

@@ -47,6 +47,23 @@ def test_general_vector_phase_is_canonical():
         assert q1.vector[k].real > 0
 
 
+def test_general_vectors_are_rows_of_one_block_with_unchanged_values():
+    # The pairs share one contiguous block instead of n separate arrays; the
+    # in-place normalisation gives the same bits as normalising a copy.
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    pairs = eig_general(OperatorMatrix(a))
+    base = pairs[0].vector.base
+    assert base is not None and base.shape == (9, 9)
+    vals, vecs = np.linalg.eig(a)
+    order = np.lexsort((vals.imag, vals.real))
+    for p, j in zip(pairs, order):
+        assert p.vector.base is base and p.vector.flags["C_CONTIGUOUS"]
+        v = vecs[:, j] / np.linalg.norm(vecs[:, j])
+        k = int(np.argmax(np.abs(v)))
+        assert np.array_equal(p.vector, v * (abs(v[k]) / v[k]))
+
+
 def test_hermitian_free_chain_matches_cosine_oracle():
     n = 30
     box = LatticeBox(1, ((1, n),))
