@@ -54,12 +54,6 @@ class EigenClassification:
     support_indices: np.ndarray
     box: LatticeBox | None
 
-    @property
-    def support_set(self) -> list[tuple[int, ...]]:
-        if self.box is None:
-            return [(int(i),) for i in self.support_indices]
-        return [self.box.index_site(int(i)) for i in self.support_indices]
-
 
 def classify(op: OperatorMatrix, hull: NumericalRangeHull,
              tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenClassification]:

@@ -46,9 +46,13 @@ def resolve_max_dim(flag: int | None) -> int:
     if flag is not None:
         return int(flag)
     env = os.environ.get(MAX_DIM_ENV)
-    if env is not None:
+    if env is None:
+        return DEFAULT_MAX_DIM
+    try:
         return int(env)
-    return DEFAULT_MAX_DIM
+    except ValueError:
+        raise SchemaError(f"{MAX_DIM_ENV} must be an integer, got {env!r}",
+                          path=MAX_DIM_ENV, where="cli.resolve_max_dim")
 
 
 def _override_seed(spec: PotentialSpec, seed: int) -> PotentialSpec:
@@ -230,11 +234,6 @@ def build_report(an: Analysis) -> Execution:
     return out
 
 
-def execute_scenario(sc: Scenario, max_dim: int = DEFAULT_MAX_DIM) -> Execution:
-    """Run the analyses a scenario requests and build its report dict."""
-    return build_report(analyse(sc, max_dim))
-
-
 def _write_outputs(sc: Scenario, ex: Execution, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -256,7 +255,7 @@ def _write_outputs(sc: Scenario, ex: Execution, out_dir: str) -> list[str]:
 
 def _cmd_run(args) -> int:
     sc = _apply_flags(load_scenario(args.scenario), args)
-    ex = execute_scenario(sc, max_dim=resolve_max_dim(args.max_dim))
+    ex = build_report(analyse(sc, resolve_max_dim(args.max_dim)))
     for path in _write_outputs(sc, ex, args.out_dir):
         print(path)
     return 0
@@ -394,13 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="absolute certification tolerance override")
     common.add_argument("--angles", type=int, default=None,
                         help="number of support-function angles")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the seed of seeded_random potentials")
     common.add_argument("--max-dim", type=int, default=None,
                         help=f"matrix dimension cap (default {DEFAULT_MAX_DIM}; "
                              f"env {MAX_DIM_ENV})")
     common.add_argument("--out-dir", default=".",
                         help="directory for output files (default: .)")
+
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="override the seed of seeded_random potentials")
 
     parser = argparse.ArgumentParser(
         prog="specrange",
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"specrange {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[common],
+    p_run = sub.add_parser("run", parents=[common, seeded],
                            help="run a scenario file, writing report files")
     p_run.add_argument("scenario", help="path to a scenario JSON file")
     p_run.set_defaults(func=_cmd_run)
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--name", default=None, help="output basename")
     p_con.set_defaults(func=_cmd_construct)
 
-    p_swp = sub.add_parser("sweep", parents=[common],
+    p_swp = sub.add_parser("sweep", parents=[common, seeded],
                            help="grid-sweep one scalar scenario parameter")
     p_swp.add_argument("scenario", help="path to a scenario JSON file")
     p_swp.add_argument("--param", required=True,
@@ -441,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--steps", type=int, required=True)
     p_swp.set_defaults(func=_cmd_sweep)
 
-    p_cri = sub.add_parser("criteria", parents=[common],
+    p_cri = sub.add_parser("criteria", parents=[common, seeded],
                            help="evaluate the absence criteria only")
     p_cri.add_argument("scenario", help="path to a scenario JSON file")
     p_cri.set_defaults(func=_cmd_criteria)

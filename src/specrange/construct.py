@@ -59,10 +59,6 @@ class DesignedEigenfunction:
     c_plus: float
     eigenvalue: float
 
-    @property
-    def tail_ratios(self) -> tuple[float, float]:
-        return (self.tail_ratio, self.tail_ratio)
-
     def value_at(self, n: int) -> float:
         n = int(n)
         if n < self.window_lo:

@@ -69,15 +69,6 @@ class Target:
             return abs(z.imag) > tol
         return abs(z.real - self.value) <= tol
 
-    def describe(self) -> str:
-        if self.kind == "all":
-            return "all boundary eigenvalues"
-        if self.kind == "im":
-            return f"boundary eigenvalues with imaginary part {self.value}"
-        if self.kind == "nonreal":
-            return "non-real boundary eigenvalues"
-        return f"boundary eigenvalues with real part {self.value}"
-
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.value is not None:

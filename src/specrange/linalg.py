@@ -19,7 +19,6 @@ from .model import _as_array
 
 HERMITIAN_TOL = 1e-12
 ORTHO_TOL = 1e-10
-UNIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -92,11 +92,6 @@ class LatticeBox:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def contains_site(self, site: Sequence[int]) -> bool:
-        return len(site) == self.nu and all(
-            lo <= int(k) <= hi for k, (lo, hi) in zip(site, self.ranges)
-        )
-
 
 # ---------------------------------------------------------------------------
 # decay certificates
@@ -120,14 +115,6 @@ class DecayBound:
         if self.form == "power":
             return self.amplitude / (1.0 + s ** self.rate)
         return self.amplitude * self.rate ** s
-
-    def weighted_sum_finite(self) -> bool:
-        """Whether sum_s s * g(s) converges (1D moment condition)."""
-        if self.amplitude == 0.0:
-            return True
-        if self.form == "power":
-            return self.rate > 2.0
-        return True  # geometric with rate < 1
 
 
 def _dev(form: str, amplitude: float, rate: float) -> tuple[DecayBound, ...]:
@@ -266,9 +253,8 @@ class TablePotential(PotentialSpec):
 
     @cached_property
     def support_radius(self) -> int:
-        if not self.entries:
-            return 0
-        return max(sum(abs(c) for c in site) for site, v in self.entries if v != 0)
+        return max((sum(abs(c) for c in site) for site, v in self.entries if v != 0),
+                   default=0)
 
     def values(self, sites: np.ndarray) -> np.ndarray:
         m = self._map
@@ -516,7 +502,9 @@ class SeededRandomPotential(PotentialSpec):
             raise ValueError("seeded_random supports nu <= 4 (Philox counter width)")
 
     def _site_value(self, site: tuple[int, ...]) -> complex:
-        counter = [0] * 4
+        # an unsigned array: numpy turns a list holding ints >= 2**63 into
+        # floats, which would round every such counter to 2**63
+        counter = np.zeros(4, dtype=np.uint64)
         for j, c in enumerate(site):
             counter[j] = int(c) + (1 << 63)
         gen = np.random.Generator(np.random.Philox(key=self.seed, counter=counter))

@@ -144,10 +144,6 @@ class NumericalRangeHull:
     polygon: np.ndarray
     n_angles: int
 
-    @property
-    def half_planes(self) -> list[tuple[float, float]]:
-        return [(float(t), float(s)) for t, s in zip(self.thetas, self.supports)]
-
     @cached_property
     def _phases(self) -> np.ndarray:
         return np.exp(1j * self.thetas)
@@ -178,29 +174,16 @@ class NumericalRangeHull:
         return self.polygon
 
 
-def compute_hull(op, n_angles: int = DEFAULT_N_ANGLES,
-                 refine_threshold: float | None = None) -> NumericalRangeHull:
-    """Sweep theta_m = 2 pi m / n_angles, m = 0..n_angles-1.
-
-    With refine_threshold set, one extra pass inserts the midpoint angle
-    between consecutive samples whose witnesses are farther apart than the
-    threshold (a single refinement level, deterministic).
-    """
+def compute_hull(op, n_angles: int = DEFAULT_N_ANGLES) -> NumericalRangeHull:
+    """Sweep theta_m = 2 pi m / n_angles, m = 0..n_angles-1."""
     if n_angles < 3:
         raise ValueError("n_angles must be >= 3")
     solve = _sweep_solver(_as_array(op))
-    thetas = [2.0 * np.pi * m / n_angles for m in range(n_angles)]
-    samples = {t: solve(t) for t in thetas}
-    if refine_threshold is not None:
-        step = np.pi / n_angles  # half the base spacing
-        for i, t in enumerate(thetas):
-            w0 = samples[t][1]
-            w1 = samples[thetas[(i + 1) % n_angles]][1]
-            if abs(w1 - w0) > refine_threshold:
-                samples.setdefault(t + step, solve(t + step))
-    ts = np.array(sorted(samples), dtype=np.float64)
-    sup = np.array([samples[t][0] for t in ts], dtype=np.float64)
-    wit = np.array([samples[t][1] for t in ts], dtype=np.complex128)
+    ts = np.array([2.0 * np.pi * m / n_angles for m in range(n_angles)],
+                  dtype=np.float64)
+    samples = [solve(t) for t in ts]
+    sup = np.array([s for s, _ in samples], dtype=np.float64)
+    wit = np.array([w for _, w in samples], dtype=np.complex128)
     poly = _convex_hull_ccw(wit)
     return NumericalRangeHull(thetas=ts, supports=sup, witnesses=wit,
                               polygon=poly, n_angles=n_angles)

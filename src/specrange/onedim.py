@@ -82,54 +82,41 @@ class SolutionTrace:
         return "\n".join(lines) + "\n"
 
 
-def three_term_scan(coeff, x0, x1, normalize, rescale_at, overflow_at,
-                    out_vals, out_scale) -> int:
+def three_term_scan(coeff, x0: complex, x1: complex, normalize: bool,
+                    ) -> tuple[np.ndarray, np.ndarray, int | None]:
     """The three-term recurrence x[0] = x0, x[1] = x1,
-    x[j+1] = coeff[j-1] * x[j] - x[j-1].
+    x[j+1] = coeff[j-1] * x[j] - x[j-1], as (values, log_scale, stop).
 
-    out_vals[j] receives x[j] at its storage-time scale, out_scale[j] the
+    values[j] holds x[j] at its storage-time scale and log_scale[j] the
     cumulative natural-log factor, so the true value is
-    out_vals[j] * e^out_scale[j].  With normalize=True the active pair is
-    divided by its max magnitude whenever it exceeds rescale_at (log factor
-    accumulated); otherwise the scan stops at the first magnitude above
-    overflow_at and returns the index of the first entry NOT written.
-    Returns -1 on a complete scan.
+    values[j] * e^log_scale[j].  With normalize=True the active pair is
+    divided by its max magnitude whenever it exceeds RESCALE_AT (log factor
+    accumulated) and stop is None.  Otherwise the scan stops at the first
+    magnitude above OVERFLOW_AT, and stop is the index of the first entry
+    not written (None if the scan completed).
     """
-    m = len(coeff)
-    if len(out_vals) != m + 2 or len(out_scale) != m + 2:
-        raise ValueError("output buffers must have length len(coeff) + 2")
+    values = np.empty(len(coeff) + 2, dtype=np.complex128)
+    log_scale = np.zeros(len(coeff) + 2, dtype=np.float64)
     a = complex(x0)
     b = complex(x1)
     s = 0.0
-    out_vals[0] = a
-    out_scale[0] = 0.0
-    out_vals[1] = b
-    out_scale[1] = 0.0
+    values[0] = a
+    values[1] = b
     for i, c in enumerate(complex(c) for c in coeff):
         nxt = c * b - a
         a = b
         b = nxt
         mag = max(abs(a), abs(b))
         if normalize:
-            if mag > rescale_at:
+            if mag > RESCALE_AT:
                 a /= mag
                 b /= mag
                 s += math.log(mag)
-        elif mag > overflow_at:
-            return i + 2
-        out_vals[i + 2] = b
-        out_scale[i + 2] = s
-    return -1
-
-
-def _scan(coeff: np.ndarray, x0: complex, x1: complex, normalize: bool,
-          ) -> tuple[np.ndarray, np.ndarray, int]:
-    out_vals = np.empty(len(coeff) + 2, dtype=np.complex128)
-    out_scale = np.empty(len(coeff) + 2, dtype=np.float64)
-    stop = three_term_scan(np.ascontiguousarray(coeff, dtype=np.complex128),
-                           complex(x0), complex(x1), bool(normalize),
-                           RESCALE_AT, OVERFLOW_AT, out_vals, out_scale)
-    return out_vals, out_scale, int(stop)
+        elif mag > OVERFLOW_AT:
+            return values, log_scale, i + 2
+        values[i + 2] = b
+        log_scale[i + 2] = s
+    return values, log_scale, None
 
 
 def propagate(potential: PotentialSpec, lam: complex,
@@ -157,8 +144,8 @@ def propagate(potential: PotentialSpec, lam: complex,
     # forward: x_j = u(anchor + j), coefficients at sites anchor+1 .. n_hi-1
     fwd_sites = np.arange(anchor + 1, n_hi)
     coeff_f = lam - d[fwd_sites - n_lo]
-    vals_f, sc_f, stop_f = _scan(coeff_f, seed[0], seed[1], normalize)
-    if stop_f >= 0:
+    vals_f, sc_f, stop_f = three_term_scan(coeff_f, seed[0], seed[1], normalize)
+    if stop_f is not None:
         raise BlowupError(
             f"magnitude exceeded {OVERFLOW_AT:.1e} at site {anchor + stop_f} "
             f"(growth regime; use normalized propagation)",
@@ -171,8 +158,8 @@ def propagate(potential: PotentialSpec, lam: complex,
     # backward: y_j = u(anchor + 1 - j), coefficients at sites anchor .. n_lo+1
     bwd_sites = np.arange(anchor, n_lo, -1)
     coeff_b = lam - d[bwd_sites - n_lo]
-    vals_b, sc_b, stop_b = _scan(coeff_b, seed[1], seed[0], normalize)
-    if stop_b >= 0:
+    vals_b, sc_b, stop_b = three_term_scan(coeff_b, seed[1], seed[0], normalize)
+    if stop_b is not None:
         raise BlowupError(
             f"magnitude exceeded {OVERFLOW_AT:.1e} at site {anchor + 1 - stop_b} "
             f"(growth regime; use normalized propagation)",

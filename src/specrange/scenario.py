@@ -1,16 +1,22 @@
 """Scenario files: the strict JSON schema tying the CLI to the model.
 
 Parsing is a whitelist walk: every object's keys are checked against the
-schema and an unknown or ill-typed field fails with the exact JSON path
-(e.g. "$.potential.params.entries[3].site").  Serialization inverts
-parsing losslessly, and `dumps_canonical` fixes the byte-level format
+schema and an unknown, ill-typed or non-finite field fails with the exact
+JSON path (e.g. "$.potential.params.entries[3].site").  The potential
+kinds are declared once, by the model's dataclasses: `KINDS` maps each
+kind to its class, a kind's `params` are exactly the class's init fields
+(required unless they have a default), and each field goes through one
+reader and one writer keyed by its name.  Serialization inverts parsing
+losslessly, and `dumps_canonical` fixes the byte-level format
 (sorted keys, two-space indent, shortest round-trip floats) so identical
 inputs yield byte-identical reports.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -66,7 +72,13 @@ def _int(data, path: str) -> int:
 def _real(data, path: str) -> float:
     if isinstance(data, bool) or not isinstance(data, (int, float)):
         raise _fail(path, f"expected a number, got {type(data).__name__}")
-    return float(data)
+    try:
+        value = float(data)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise _fail(path, f"expected a finite number, got {data!r}")
+    return value
 
 
 def _string(data, path: str) -> str:
@@ -75,11 +87,20 @@ def _string(data, path: str) -> str:
     return data
 
 
-def _complex(data, path: str) -> complex:
+def _items(data, path: str, read, min_len: int = 0) -> tuple:
+    return tuple(read(v, f"{path}[{i}]")
+                 for i, v in enumerate(_array(data, path, min_len)))
+
+
+def _pair(data, path: str, form: str, read=_real) -> tuple:
     arr = _array(data, path)
     if len(arr) != 2:
-        raise _fail(path, "expected [re, im]")
-    return complex(_real(arr[0], f"{path}[0]"), _real(arr[1], f"{path}[1]"))
+        raise _fail(path, f"expected {form}")
+    return read(arr[0], f"{path}[0]"), read(arr[1], f"{path}[1]")
+
+
+def _complex(data, path: str) -> complex:
+    return complex(*_pair(data, path, "[re, im]"))
 
 
 def _encode_complex(z: complex) -> list[float]:
@@ -100,11 +121,7 @@ def parse_box(data, path: str = "$.box") -> LatticeBox:
     if len(arr) != nu:
         raise _fail(f"{path}.ranges", f"expected {nu} intervals, got {len(arr)}")
     for j, pair in enumerate(arr):
-        p = _array(pair, f"{path}.ranges[{j}]")
-        if len(p) != 2:
-            raise _fail(f"{path}.ranges[{j}]", "expected [lo, hi]")
-        lo = _int(p[0], f"{path}.ranges[{j}][0]")
-        hi = _int(p[1], f"{path}.ranges[{j}][1]")
+        lo, hi = _pair(pair, f"{path}.ranges[{j}]", "[lo, hi]", _int)
         if lo > hi:
             raise _fail(f"{path}.ranges[{j}]", f"lo = {lo} exceeds hi = {hi}")
         ranges.append((lo, hi))
@@ -116,198 +133,132 @@ def encode_box(box: LatticeBox) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# decay declaration (optional, validated against the kind)
+# potentials: one codec over the model's dataclasses
 
 
-@dataclass(frozen=True)
-class DecayDeclaration:
-    """User-declared tail metadata, checked for consistency with the kind.
+KINDS: dict[str, type[PotentialSpec]] = {cls.kind: cls for cls in (
+    TablePotential, ConstantPotential, PowerDecayPotential,
+    GeometricDecayPotential, Alternating1DPotential, SeededRandomPotential,
+    SumPotential)}
 
-    style "vanishes": d == 0 outside ||k||_1 <= radius.
-    style "monotone": |d(k) - 0| bounded by the (form, amplitude, rate)
-    envelope.  The derived certificate from the kind is always at least as
-    sharp, so this declaration is validated and recorded, not consumed.
+
+def _params(cls) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The kind's `params`: its init fields without and with a default, in
+    declaration order (dataclasses put defaulted fields last)."""
+    init = [f for f in dataclasses.fields(cls) if f.init]
+    return (tuple(f.name for f in init if f.default is dataclasses.MISSING),
+            tuple(f.name for f in init if f.default is not dataclasses.MISSING))
+
+
+def _entry(data, path: str) -> tuple:
+    obj = _object(data, path, required=("site", "value"))
+    return (_items(obj["site"], f"{path}.site", _int, 1),
+            _complex(obj["value"], f"{path}.value"))
+
+
+# field name -> reader(value, path) and writer(value); a field without a
+# writer is written as it is stored
+_READ = {
+    "entries": lambda v, path: _items(v, path, _entry),
+    "c": _complex, "amplitude": _complex,
+    "exponent": _real, "ratio": _real, "b_even": _real, "b_odd": _real,
+    "parity": lambda v, path: None if v is None else _string(v, path),
+    "seed": _int,
+    "box": parse_box,
+    "re_range": lambda v, path: _pair(v, path, "[lo, hi]"),
+    "im_range": lambda v, path: _pair(v, path, "[lo, hi]"),
+    "terms": lambda v, path: _items(v, path, parse_potential, 1),
+}
+_WRITE = {
+    "entries": lambda entries: [{"site": list(site), "value": _encode_complex(v)}
+                                for site, v in entries],
+    "c": _encode_complex, "amplitude": _encode_complex,
+    "box": encode_box,
+    "re_range": list, "im_range": list,
+    "terms": lambda terms: [encode_potential(t) for t in terms],
+}
+
+
+def parse_potential(data, path: str = "$.potential") -> PotentialSpec:
+    obj = _object(data, path, required=("kind",), optional=("params", "decay"))
+    kind = _string(obj["kind"], f"{path}.kind")
+    cls = KINDS.get(kind)
+    if cls is None:
+        raise _fail(f"{path}.kind", f"unknown potential kind {kind!r}")
+    ppath = f"{path}.params"
+    required, optional = _params(cls)
+    p = _object(obj.get("params", {}), ppath, required, optional)
+    kwargs = {k: _READ[k](p[k], f"{ppath}.{k}")
+              for k in required + optional if k in p}
+    try:
+        spec = cls(**kwargs)
+    except ValueError as exc:
+        raise _fail(ppath, str(exc))
+    if "decay" in obj:
+        check_decay(obj["decay"], spec, f"{path}.decay")
+    return spec
+
+
+def encode_potential(spec: PotentialSpec) -> dict:
+    if KINDS.get(spec.kind) is not type(spec):
+        raise TypeError(f"cannot encode potential of type {type(spec).__name__}")
+    required, optional = _params(type(spec))
+    values = {k: getattr(spec, k) for k in required + optional}
+    return {"kind": spec.kind,
+            "params": {k: _WRITE.get(k, lambda v: v)(v)
+                       for k, v in values.items() if v is not None}}
+
+
+def check_decay(data, spec: PotentialSpec, path: str) -> None:
+    """Check a `decay` declaration against what the kind itself certifies.
+
+    "vanishes_outside_radius": d == 0 outside ||k||_1 <= radius.
+    "monotone_bound": |d(k)| bounded by the (form, amplitude, rate)
+    envelope.  The kind's own tail certificate is always at least as sharp,
+    so the declaration is validated and then dropped.
     """
-
-    style: str
-    radius: int | None = None
-    form: str | None = None
-    amplitude: float | None = None
-    rate: float | None = None
-
-
-def parse_decay(data, path: str) -> DecayDeclaration:
     obj = _object(data, path, required=(),
                   optional=("vanishes_outside_radius", "monotone_bound"))
     if ("vanishes_outside_radius" in obj) == ("monotone_bound" in obj):
         raise _fail(path, "expected exactly one of 'vanishes_outside_radius' "
                           "or 'monotone_bound'")
     if "vanishes_outside_radius" in obj:
-        r = _int(obj["vanishes_outside_radius"],
-                 f"{path}.vanishes_outside_radius")
-        if r < 0:
-            raise _fail(f"{path}.vanishes_outside_radius", "radius must be >= 0")
-        return DecayDeclaration(style="vanishes", radius=r)
+        rpath = f"{path}.vanishes_outside_radius"
+        radius = _int(obj["vanishes_outside_radius"], rpath)
+        if radius < 0:
+            raise _fail(rpath, "radius must be >= 0")
+        tail = spec.tail_info()
+        if tail is None or not tail.exact or tail.base != 0:
+            raise _fail(path, f"kind {spec.kind!r} does not vanish "
+                              "outside a finite radius")
+        if radius < tail.radius:
+            raise _fail(rpath, f"declared radius {radius} is smaller than the "
+                               f"kind's support radius {tail.radius}")
+        return
     mb_path = f"{path}.monotone_bound"
     mb = _object(obj["monotone_bound"], mb_path,
                  required=("form", "amplitude", "rate"))
     form = _string(mb["form"], f"{mb_path}.form")
     if form not in ("power", "geometric"):
         raise _fail(f"{mb_path}.form", "form must be 'power' or 'geometric'")
-    return DecayDeclaration(
-        style="monotone", form=form,
-        amplitude=_real(mb["amplitude"], f"{mb_path}.amplitude"),
-        rate=_real(mb["rate"], f"{mb_path}.rate"))
-
-
-def encode_decay(decl: DecayDeclaration) -> dict:
-    if decl.style == "vanishes":
-        return {"vanishes_outside_radius": decl.radius}
-    return {"monotone_bound": {"form": decl.form, "amplitude": decl.amplitude,
-                               "rate": decl.rate}}
-
-
-def validate_decay(decl: DecayDeclaration, potential: PotentialSpec,
-                   path: str) -> None:
-    tail = potential.tail_info()
-    if decl.style == "vanishes":
-        if tail is None or not tail.exact or tail.base != 0:
-            raise _fail(path, f"kind {potential.kind!r} does not vanish "
-                              "outside a finite radius")
-        if decl.radius < tail.radius:
-            raise _fail(f"{path}.vanishes_outside_radius",
-                        f"declared radius {decl.radius} is smaller than the "
-                        f"kind's support radius {tail.radius}")
-        return
-    if potential.kind not in ("decay_power", "decay_geometric"):
+    amplitude = _real(mb["amplitude"], f"{mb_path}.amplitude")
+    rate = _real(mb["rate"], f"{mb_path}.rate")
+    if spec.kind not in ("decay_power", "decay_geometric"):
         raise _fail(path, f"monotone_bound declarations apply to decaying "
-                          f"kinds, not {potential.kind!r}")
-    natural = "power" if potential.kind == "decay_power" else "geometric"
-    if decl.form != natural:
-        raise _fail(f"{path}.monotone_bound.form",
-                    f"kind {potential.kind!r} has a {natural!r} envelope")
-    amp = potential.sup_abs()
-    if decl.amplitude < amp:
-        raise _fail(f"{path}.monotone_bound.amplitude",
-                    f"declared amplitude {decl.amplitude} does not dominate "
+                          f"kinds, not {spec.kind!r}")
+    natural = "power" if spec.kind == "decay_power" else "geometric"
+    if form != natural:
+        raise _fail(f"{mb_path}.form",
+                    f"kind {spec.kind!r} has a {natural!r} envelope")
+    amp = spec.sup_abs()
+    if amplitude < amp:
+        raise _fail(f"{mb_path}.amplitude",
+                    f"declared amplitude {amplitude} does not dominate "
                     f"the kind's amplitude {amp}")
-    kind_rate = (potential.exponent if natural == "power"
-                 else abs(potential.ratio))
-    ok = (decl.rate <= kind_rate) if natural == "power" else (decl.rate >= kind_rate)
-    if not ok:
-        raise _fail(f"{path}.monotone_bound.rate",
+    if (rate > spec.exponent if natural == "power"
+            else rate < abs(spec.ratio)):
+        raise _fail(f"{mb_path}.rate",
                     "declared envelope decays faster than the kind certifies")
-
-
-# ---------------------------------------------------------------------------
-# potentials
-
-
-def parse_potential(data, path: str = "$.potential") -> PotentialSpec:
-    obj = _object(data, path, required=("kind",), optional=("params", "decay"))
-    kind = _string(obj["kind"], f"{path}.kind")
-    params = obj.get("params", {})
-    ppath = f"{path}.params"
-    if not isinstance(params, dict):
-        raise _fail(ppath, f"expected an object, got {type(params).__name__}")
-
-    if kind == "table":
-        p = _object(params, ppath, required=("entries",))
-        entries = []
-        for i, e in enumerate(_array(p["entries"], f"{ppath}.entries")):
-            epath = f"{ppath}.entries[{i}]"
-            eo = _object(e, epath, required=("site", "value"))
-            site = tuple(_int(c, f"{epath}.site[{j}]")
-                         for j, c in enumerate(_array(eo["site"], f"{epath}.site", 1)))
-            entries.append((site, _complex(eo["value"], f"{epath}.value")))
-        try:
-            spec: PotentialSpec = TablePotential(tuple(entries))
-        except ValueError as exc:
-            raise _fail(f"{ppath}.entries", str(exc))
-    elif kind == "constant":
-        p = _object(params, ppath, required=("c",))
-        spec = ConstantPotential(_complex(p["c"], f"{ppath}.c"))
-    elif kind in ("decay_power", "decay_geometric"):
-        rate_key = "exponent" if kind == "decay_power" else "ratio"
-        p = _object(params, ppath, required=("amplitude", rate_key),
-                    optional=("parity",))
-        parity = None
-        if "parity" in p and p["parity"] is not None:
-            parity = _string(p["parity"], f"{ppath}.parity")
-        try:
-            if kind == "decay_power":
-                spec = PowerDecayPotential(
-                    _complex(p["amplitude"], f"{ppath}.amplitude"),
-                    _real(p["exponent"], f"{ppath}.exponent"), parity)
-            else:
-                spec = GeometricDecayPotential(
-                    _complex(p["amplitude"], f"{ppath}.amplitude"),
-                    _real(p["ratio"], f"{ppath}.ratio"), parity)
-        except ValueError as exc:
-            raise _fail(ppath, str(exc))
-    elif kind == "alternating_1d":
-        p = _object(params, ppath, required=("b_even", "b_odd"))
-        spec = Alternating1DPotential(_real(p["b_even"], f"{ppath}.b_even"),
-                                      _real(p["b_odd"], f"{ppath}.b_odd"))
-    elif kind == "seeded_random":
-        p = _object(params, ppath,
-                    required=("seed", "box", "re_range", "im_range"))
-        rr = _array(p["re_range"], f"{ppath}.re_range")
-        ir = _array(p["im_range"], f"{ppath}.im_range")
-        if len(rr) != 2 or len(ir) != 2:
-            raise _fail(ppath, "re_range and im_range must be [lo, hi]")
-        try:
-            spec = SeededRandomPotential(
-                _int(p["seed"], f"{ppath}.seed"),
-                parse_box(p["box"], f"{ppath}.box"),
-                (_real(rr[0], f"{ppath}.re_range[0]"),
-                 _real(rr[1], f"{ppath}.re_range[1]")),
-                (_real(ir[0], f"{ppath}.im_range[0]"),
-                 _real(ir[1], f"{ppath}.im_range[1]")))
-        except ValueError as exc:
-            raise _fail(ppath, str(exc))
-    elif kind == "sum":
-        p = _object(params, ppath, required=("terms",))
-        terms = [parse_potential(t, f"{ppath}.terms[{i}]")
-                 for i, t in enumerate(_array(p["terms"], f"{ppath}.terms", 1))]
-        spec = SumPotential(tuple(terms))
-    else:
-        raise _fail(f"{path}.kind", f"unknown potential kind {kind!r}")
-
-    if "decay" in obj:
-        decl = parse_decay(obj["decay"], f"{path}.decay")
-        validate_decay(decl, spec, f"{path}.decay")
-    return spec
-
-
-def encode_potential(spec: PotentialSpec) -> dict:
-    if isinstance(spec, TablePotential):
-        params: dict = {"entries": [
-            {"site": list(site), "value": _encode_complex(v)}
-            for site, v in spec.entries]}
-    elif isinstance(spec, ConstantPotential):
-        params = {"c": _encode_complex(spec.c)}
-    elif isinstance(spec, PowerDecayPotential):
-        params = {"amplitude": _encode_complex(spec.amplitude),
-                  "exponent": spec.exponent}
-        if spec.parity is not None:
-            params["parity"] = spec.parity
-    elif isinstance(spec, GeometricDecayPotential):
-        params = {"amplitude": _encode_complex(spec.amplitude),
-                  "ratio": spec.ratio}
-        if spec.parity is not None:
-            params["parity"] = spec.parity
-    elif isinstance(spec, Alternating1DPotential):
-        params = {"b_even": spec.b_even, "b_odd": spec.b_odd}
-    elif isinstance(spec, SeededRandomPotential):
-        params = {"seed": spec.seed, "box": encode_box(spec.box),
-                  "re_range": list(spec.re_range),
-                  "im_range": list(spec.im_range)}
-    elif isinstance(spec, SumPotential):
-        params = {"terms": [encode_potential(t) for t in spec.terms]}
-    else:
-        raise TypeError(f"cannot encode potential of type {type(spec).__name__}")
-    return {"kind": spec.kind, "params": params}
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +321,11 @@ def parse_scenario(data) -> Scenario:
             c = _object(p["criteria"], cpath, required=(),
                         optional=("b_values", "a_values", "axes",
                                   "scan_radius"))
-            bs = tuple(_real(v, f"{cpath}.b_values[{i}]") for i, v in
-                       enumerate(_array(c.get("b_values", []),
-                                        f"{cpath}.b_values")))
-            as_ = tuple(_real(v, f"{cpath}.a_values[{i}]") for i, v in
-                        enumerate(_array(c.get("a_values", []),
-                                         f"{cpath}.a_values")))
+            bs = _items(c.get("b_values", []), f"{cpath}.b_values", _real)
+            as_ = _items(c.get("a_values", []), f"{cpath}.a_values", _real)
             axes = None
             if c.get("axes") is not None:
-                axes = tuple(_int(v, f"{cpath}.axes[{i}]") for i, v in
-                             enumerate(_array(c["axes"], f"{cpath}.axes")))
+                axes = _items(c["axes"], f"{cpath}.axes", _int)
                 for i, j in enumerate(axes):
                     if not 0 <= j < box.nu:
                         raise _fail(f"{cpath}.axes[{i}]",
@@ -434,10 +380,14 @@ def encode_scenario(sc: Scenario) -> dict:
 def loads_scenario(text: str) -> Scenario:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError included
         raise SchemaError(f"invalid JSON: {exc}", path="$",
                           where="scenario.loads_scenario")
-    return parse_scenario(data)
+    try:
+        return parse_scenario(data)
+    except RecursionError:  # sum terms nested past the interpreter's limit
+        raise SchemaError("potential nests too deeply", path="$.potential",
+                          where="scenario.loads_scenario")
 
 
 def load_scenario(path: str) -> Scenario:

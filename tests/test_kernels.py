@@ -3,19 +3,9 @@
 import math
 
 import numpy as np
-import pytest
 
+from specrange.config import OVERFLOW_AT, RESCALE_AT
 from specrange.onedim import three_term_scan
-
-RESCALE_AT = 1e150
-OVERFLOW_AT = 1e300
-
-
-def run_scan(impl, coeff, x0, x1, normalize):
-    vals = np.empty(len(coeff) + 2, dtype=np.complex128)
-    scale = np.empty(len(coeff) + 2, dtype=np.float64)
-    stop = impl(coeff, x0, x1, normalize, RESCALE_AT, OVERFLOW_AT, vals, scale)
-    return stop, vals, scale
 
 
 def test_chebyshev_closed_form():
@@ -23,27 +13,18 @@ def test_chebyshev_closed_form():
     t = 0.9
     lam = 2 * math.cos(t)
     coeff = np.full(60, lam, dtype=np.complex128)
-    stop, vals, scale = run_scan(three_term_scan, coeff, 0.0, 1.0, False)
-    assert stop == -1
+    vals, scale, stop = three_term_scan(coeff, 0.0, 1.0, False)
+    assert stop is None
     assert np.all(scale == 0.0)
     expected = np.array([math.sin(j * t) / math.sin(t) for j in range(62)])
     assert np.max(np.abs(vals - expected)) < 1e-12
 
 
-def test_buffer_length_validation():
-    coeff = np.zeros(5, dtype=np.complex128)
-    vals = np.empty(6, dtype=np.complex128)
-    scale = np.empty(7, dtype=np.float64)
-    with pytest.raises(ValueError):
-        three_term_scan(coeff, 1.0, 0.0, False, RESCALE_AT, OVERFLOW_AT,
-                        vals, scale)
-
-
 def test_plain_mode_overflow_returns_first_unwritten_index():
     # lam = 4 grows like (2+sqrt(3))^j; find where it crosses the cutoff
     coeff = np.full(800, 4.0, dtype=np.complex128)
-    stop, vals, scale = run_scan(three_term_scan, coeff, 0.0, 1.0, False)
-    assert stop != -1
+    vals, scale, stop = three_term_scan(coeff, 0.0, 1.0, False)
+    assert stop is not None
     grow = math.log(2 + math.sqrt(3))
     assert abs(stop - math.log(OVERFLOW_AT) / grow) < 5
     # everything before the stop index was written and is finite
@@ -52,8 +33,8 @@ def test_plain_mode_overflow_returns_first_unwritten_index():
 
 def test_normalized_mode_tracks_log_scale():
     coeff = np.full(3000, 4.0, dtype=np.complex128)
-    stop, vals, scale = run_scan(three_term_scan, coeff, 0.0, 1.0, True)
-    assert stop == -1
+    vals, scale, stop = three_term_scan(coeff, 0.0, 1.0, True)
+    assert stop is None
     assert np.all(np.abs(vals) <= RESCALE_AT * 4.0)
     # true log-magnitude log|x_j| = log|vals_j| + scale_j grows linearly
     # with slope log(2+sqrt(3))
@@ -64,8 +45,8 @@ def test_normalized_mode_tracks_log_scale():
 
 def test_scale_is_monotone_and_zero_before_first_rescale():
     coeff = np.full(500, 3.0, dtype=np.complex128)
-    stop, vals, scale = run_scan(three_term_scan, coeff, 1.0, 1.0, True)
-    assert stop == -1
+    vals, scale, stop = three_term_scan(coeff, 1.0, 1.0, True)
+    assert stop is None
     assert scale[0] == 0.0 and scale[1] == 0.0
     assert np.all(np.diff(scale) >= 0.0)
     assert scale[-1] > 0.0

@@ -190,6 +190,17 @@ def test_seeded_random_is_a_function_of_the_site():
     assert single[0] == full[8]
 
 
+def test_seeded_random_gives_every_site_its_own_value():
+    # Philox counters of sites with a coordinate >= 0 are >= 2**63; they
+    # must not collapse onto one shared draw
+    box = LatticeBox(2, ((-2, 2), (-2, 2)))
+    pot = SeededRandomPotential(3, box, (-1.0, 1.0), (0.0, 1.0))
+    assert len(set(pot.values(box.sites).tolist())) == box.site_count
+    # sites whose coordinates are all negative always had their own counter
+    assert pot.value((-2, -1)) == -0.19365529257910108 + 0.2487787451724367j
+    assert pot.value((-1, -2)) == 0.440810207525979 + 0.6152236166583348j
+
+
 def test_sum_potential_is_additive_and_composes_tails():
     s = SumPotential((ConstantPotential(1.0j),
                       TablePotential({(0,): -1.0j, (4,): 0.5})))

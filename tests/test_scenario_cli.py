@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from specrange import scenario
 from specrange.cli import main
 from specrange.exceptions import SchemaError
 from specrange.scenario import (atomic_write_text, dumps_canonical,
@@ -49,6 +50,11 @@ def doc_for(kind: str) -> dict:
     return {"name": f"rt_{kind}", "box": dict(BOX),
             "potential": json.loads(json.dumps(KIND_DOCS[kind])),
             "analysis": list(ANALYSIS)}
+
+
+def test_codec_covers_every_kind():
+    # a kind added to the model needs a round-trip document here
+    assert set(KIND_DOCS) == set(scenario.KINDS)
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_DOCS))
@@ -98,6 +104,34 @@ def test_complex_values_must_be_two_element_arrays():
     doc["potential"]["params"]["c"] = [0.1, 0.2, 0.3]
     with pytest.raises(SchemaError):
         parse_scenario(doc)
+
+
+def test_kind_errors_are_reported_at_the_offending_params():
+    seeded = {"seed": 1, "box": {"nu": 1, "ranges": [[0, 3]]},
+              "re_range": [0.0, 1.0], "im_range": [0.0, 1.0]}
+    cases = [
+        # constructor ValueErrors: at the kind's params
+        ("table", {"entries": [{"site": [0], "value": [1.0, 0.0]},
+                               {"site": [0], "value": [0.0, 1.0]}]},
+         "$.potential.params"),
+        ("decay_power", {"amplitude": [1.0, 0.0], "exponent": 0.0},
+         "$.potential.params"),
+        ("decay_geometric", {"amplitude": [1.0, 0.0], "ratio": 1.5},
+         "$.potential.params"),
+        ("decay_geometric", {"amplitude": [1.0, 0.0], "ratio": 0.5,
+                             "parity": "odds"}, "$.potential.params"),
+        ("seeded_random", dict(seeded, re_range=[1.0, 0.0]),
+         "$.potential.params"),
+        # a malformed range: at that range
+        ("seeded_random", dict(seeded, re_range=[1.0]),
+         "$.potential.params.re_range"),
+    ]
+    for kind, params, path in cases:
+        doc = doc_for(kind)
+        doc["potential"] = {"kind": kind, "params": params}
+        with pytest.raises(SchemaError) as e:
+            parse_scenario(doc)
+        assert e.value.path == path, (kind, params)
 
 
 def test_decay_declarations_checked_against_kind():
@@ -343,9 +377,74 @@ def test_exit_code_two_for_schema_problems(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x"}\n')
     assert main(["run", str(bad), "--out-dir", str(tmp_path)]) == 2
-    notjson = tmp_path / "notjson.json"
-    notjson.write_text("]]]\n")
-    assert main(["run", str(notjson), "--out-dir", str(tmp_path)]) == 2
+    for text in ("]]]", "1" + "0" * 5000, "[" * 100000):
+        notjson = tmp_path / "notjson.json"
+        notjson.write_text(text + "\n")
+        assert main(["run", str(notjson), "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("field,literal", [
+    ("c", "[NaN, 0.0]"), ("c", "[0.0, -Infinity]"), ("exponent", "Infinity"),
+    pytest.param("exponent", "1" + "0" * 400, id="exponent-int-beyond-float")])
+def test_non_finite_numbers_exit_two_with_their_path(tmp_path, capsys, field,
+                                                     literal):
+    doc = doc_for("constant" if field == "c" else "decay_power")
+    doc["potential"]["params"][field] = "@"
+    path = tmp_path / "nonfinite.json"
+    path.write_text(dumps_canonical(doc).replace('"@"', literal))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"$.potential.params.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_all_zero_table_runs_as_the_free_chain(tmp_path):
+    doc = small_run_doc()
+    doc["potential"] = {"kind": "table", "params": {
+        "entries": [{"site": [0], "value": [0.0, 0.0]}]}}
+    free = dict(doc, name="free",
+                potential={"kind": "table", "params": {"entries": []}})
+    results = {}
+    for d in (doc, free):
+        path = write_scenario(tmp_path, d, f"{d['name']}.json")
+        out = tmp_path / d["name"]
+        assert main(["run", path, "--out-dir", str(out)]) == 0
+        assert main(["criteria", path, "--out-dir", str(out)]) == 0
+        report = json.loads((out / f"{d['name']}.report.json").read_text())
+        results[d["name"]] = report["results"]
+    for analysis in ("spectrum", "numrange", "classify"):
+        assert results["small"][analysis] == results["free"][analysis]
+
+
+def test_non_integer_max_dim_variable_exits_two(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.setenv("SPECRANGE_MAX_DIM", "abc")
+    path = write_scenario(tmp_path, small_run_doc())
+    assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "SPECRANGE_MAX_DIM" in capsys.readouterr().err
+
+
+def test_construct_takes_no_seed_flag(tmp_path, capsys):
+    # construct builds no seeded potential, so --seed is not one of its flags
+    with pytest.raises(SystemExit) as e:
+        main(["construct", "--a", "-2.5", "--b", "1.0", "--n", "41",
+              "--angles", "120", "--seed", "3", "--out-dir", str(tmp_path)])
+    assert e.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_deeply_nested_sum_exits_two(tmp_path, capsys):
+    # Shallow enough for json.loads, too deep for the recursive parser,
+    # which needs about five Python frames per level of sum terms.
+    depth = 250
+    potential = ('{"kind": "sum", "params": {"terms": [' * depth
+                 + '{"kind": "constant", "params": {"c": [0.0, 1.0]}}'
+                 + "]}}" * depth)
+    doc = doc_for("constant")
+    doc["potential"] = "@"
+    path = tmp_path / "deep.json"
+    path.write_text(dumps_canonical(doc).replace('"@"', potential))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
 
 
 def test_exit_code_three_for_dimension_cap(tmp_path):
