@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import Tolerances, DEFAULT_TOLERANCES
 from .exceptions import EmptySupportError, ProvenanceError
-from .linalg import EigenPair, eig_general
+from .linalg import EigenPair, eig_general, residual_blocks
 from .model import LatticeBox, OperatorMatrix
 from .numrange import NumericalRangeHull
 
@@ -67,26 +67,31 @@ def classify(op: OperatorMatrix, hull: NumericalRangeHull,
     frob = op.frobenius
     tol_boundary = tol.boundary(frob)
     box = op.provenance.box if op.provenance is not None else None
+    pairs = eig_general(op, tol)
     out = []
-    for pair in eig_general(op, tol):
-        lam, f = pair.value, pair.vector
-        dist = hull.boundary_distance(lam, outside_tol=tol_boundary)
-        af, ahf = a @ f, (f.conj() @ a).conj()  # A* f, without copying A
-        normality = float(np.linalg.norm(ahf - np.conj(lam) * f))
-        split_re = float(np.linalg.norm((af + ahf) / 2.0 - lam.real * f))
-        split_im = float(np.linalg.norm((af - ahf) / 2.0j - lam.imag * f))
-        thresh = tol.support_rel * float(np.abs(f).max())
-        support = np.flatnonzero(np.abs(f) > thresh)
-        out.append(EigenClassification(
-            pair=pair,
-            boundary_distance=dist,
-            is_boundary=dist <= tol_boundary,
-            normality_residual=normality,
-            split_residual_re=split_re,
-            split_residual_im=split_im,
-            support_indices=support,
-            box=box,
-        ))
+    for b in residual_blocks(len(pairs)):
+        block = pairs[b]
+        f = np.array([p.vector for p in block])  # rows f_j
+        lam = np.array([p.value for p in block])[:, None]
+        af = f @ a.T  # rows A f_j
+        ahf = (f.conj() @ a).conj()  # rows A* f_j, without copying A
+        normality = np.linalg.norm(ahf - lam.conj() * f, axis=1)
+        split_re = np.linalg.norm((af + ahf) / 2.0 - lam.real * f, axis=1)
+        split_im = np.linalg.norm((af - ahf) / 2.0j - lam.imag * f, axis=1)
+        absf = np.abs(f)
+        thresh = tol.support_rel * absf.max(axis=1)
+        for j, pair in enumerate(block):
+            dist = hull.boundary_distance(pair.value, outside_tol=tol_boundary)
+            out.append(EigenClassification(
+                pair=pair,
+                boundary_distance=dist,
+                is_boundary=dist <= tol_boundary,
+                normality_residual=float(normality[j]),
+                split_residual_re=float(split_re[j]),
+                split_residual_im=float(split_im[j]),
+                support_indices=np.flatnonzero(absf[j] > thresh[j]),
+                box=box,
+            ))
     return out
 
 

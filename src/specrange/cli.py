@@ -37,9 +37,9 @@ from .linalg import EigenPair, eig_general
 from .model import (OperatorMatrix, PotentialSpec, SeededRandomPotential,
                     SumPotential, assemble)
 from .numrange import NumericalRangeHull, compute_hull
-from .scenario import (Scenario, atomic_write_text, dumps_canonical,
-                       encode_potential, encode_scenario, load_scenario,
-                       parse_scenario)
+from .scenario import (Scenario, atomic_write_text, check_seed,
+                       dumps_canonical, encode_potential, encode_scenario,
+                       load_scenario, parse_scenario)
 
 
 def resolve_max_dim(flag: int | None) -> int:
@@ -63,12 +63,21 @@ def _override_seed(spec: PotentialSpec, seed: int) -> PotentialSpec:
     return spec
 
 
+def _angles_flag(args) -> int | None:
+    """The --angles value, held to the schema's n_angles >= 3."""
+    n = getattr(args, "angles", None)
+    if n is not None and n < 3:
+        raise SchemaError(f"--angles must be >= 3, got {n}", path="--angles",
+                          where="cli.angles")
+    return n
+
+
 def _apply_flags(sc: Scenario, args) -> Scenario:
     changes: dict = {}
-    if getattr(args, "angles", None) is not None:
+    if _angles_flag(args) is not None:
         changes["n_angles"] = args.angles
     if getattr(args, "seed", None) is not None:
-        changes["seed"] = args.seed
+        changes["seed"] = check_seed(args.seed, "--seed")
     overrides = dict(sc.tolerance_overrides)
     if getattr(args, "tol_boundary", None) is not None:
         overrides["boundary_abs"] = args.tol_boundary
@@ -292,7 +301,7 @@ def _cmd_construct(args) -> int:
     zeros = _parse_zeros(args.zeros)
     tol = DEFAULT_TOLERANCES.with_overrides(
         boundary_abs=args.tol_boundary, cert_abs=args.tol_cert)
-    n_angles = args.angles if args.angles is not None else 720
+    n_angles = _angles_flag(args) or 720
     build = build_counterexample(
         a=args.a, b=args.b, zero_sites=zeros, n_sites=args.n,
         n_angles=n_angles, tol=tol, max_dim=resolve_max_dim(args.max_dim))

@@ -23,6 +23,10 @@ from .exceptions import DimensionLimitError
 
 Site = tuple | tuple[int, ...]
 
+# Sites are int64 arrays: keeping ||k||_1 <= 2**62 on a box leaves room for
+# the norms, offsets and 2 r + 1 scan widths computed from its coordinates.
+MAX_NORM1 = 2 ** 62
+
 
 # ---------------------------------------------------------------------------
 # lattice box
@@ -49,6 +53,8 @@ class LatticeBox:
         for lo, hi in self.ranges:
             if lo > hi:
                 raise ValueError(f"empty axis range ({lo}, {hi})")
+        if sum(max(-lo, hi) for lo, hi in self.ranges) > MAX_NORM1:
+            raise ValueError("box coordinates reach ||k||_1 > 2**62")
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
@@ -56,7 +62,7 @@ class LatticeBox:
 
     @cached_property
     def site_count(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64))
+        return math.prod(self.shape)
 
     @cached_property
     def strides(self) -> tuple[int, ...]:
@@ -181,6 +187,12 @@ class PotentialSpec(abc.ABC):
     def value(self, site: Sequence[int]) -> complex:
         return complex(self.values(np.asarray([site], dtype=np.int64))[0])
 
+    @property
+    def site_dim(self) -> int | None:
+        """The lattice dimension nu the kind is declared on, or None when it
+        is defined on Z^nu for every nu."""
+        return None
+
     @abc.abstractmethod
     def sup_abs(self) -> float:
         """Finite upper bound for sup_k |d(k)| over all of Z^nu."""
@@ -245,7 +257,14 @@ class TablePotential(PotentialSpec):
             if site in seen:
                 raise ValueError(f"duplicate table site {site}")
             seen.add(site)
+        if len({len(site) for site in seen}) > 1:
+            raise ValueError("table sites must all have the same number of "
+                             "coordinates")
         object.__setattr__(self, "entries", norm)
+
+    @property
+    def site_dim(self) -> int | None:
+        return len(self.entries[0][0]) if self.entries else None
 
     @cached_property
     def _map(self) -> dict[tuple[int, ...], complex]:
@@ -435,6 +454,7 @@ class Alternating1DPotential(PotentialSpec):
     b_even: float
     b_odd: float
     kind: str = field(default="alternating_1d", init=False)
+    site_dim = 1
 
     def __post_init__(self):
         object.__setattr__(self, "b_even", float(self.b_even))
@@ -478,6 +498,9 @@ class Alternating1DPotential(PotentialSpec):
         return self.b_even == 0.0 and self.b_odd == 0.0
 
 
+SEED_LIMIT = 2 ** 128
+
+
 @dataclass(frozen=True)
 class SeededRandomPotential(PotentialSpec):
     """Counter-based random values on a finite carrier box, zero outside.
@@ -500,6 +523,8 @@ class SeededRandomPotential(PotentialSpec):
             raise ValueError("ranges must be (lo, hi) with lo <= hi")
         if self.box.nu > 4:
             raise ValueError("seeded_random supports nu <= 4 (Philox counter width)")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError("seed must be >= 0 and < 2**128 (Philox key width)")
 
     def _site_value(self, site: tuple[int, ...]) -> complex:
         # an unsigned array: numpy turns a list holding ints >= 2**63 into
@@ -514,19 +539,36 @@ class SeededRandomPotential(PotentialSpec):
         return complex(rlo + u[0] * (rhi - rlo), ilo + u[1] * (ihi - ilo))
 
     @cached_property
-    def _carrier_values(self) -> dict[tuple[int, ...], complex]:
-        return {tuple(s): self._site_value(tuple(s)) for s in map(tuple, self.box.sites)}
+    def _carrier_values(self) -> np.ndarray:
+        """The carrier's values in box.shape: site k at k - (lo_0, lo_1, ...)."""
+        box = self.box
+        vals = np.array([self._site_value(s) for s in map(tuple, box.sites)],
+                        dtype=np.complex128).reshape(box.shape)
+        vals.setflags(write=False)
+        return vals
+
+    @property
+    def site_dim(self) -> int:
+        return self.box.nu
 
     def values(self, sites):
-        carrier = self._carrier_values
-        return np.array([carrier.get(tuple(int(c) for c in s), 0.0) for s in sites],
-                        dtype=np.complex128)
+        sites = np.asarray(sites)
+        if sites.ndim != 2 or sites.shape[1] != self.box.nu:
+            raise ValueError(f"sites of shape {sites.shape} given, the carrier "
+                             f"box has nu={self.box.nu}")
+        lo, hi = np.array(self.box.ranges, dtype=np.int64).T
+        inside = ((sites >= lo) & (sites <= hi)).all(axis=1)
+        out = np.zeros(len(sites), dtype=np.complex128)
+        out[inside] = self._carrier_values[tuple((sites[inside] - lo).T)]
+        return out
 
     def sup_abs(self):
-        return max((abs(v) for v in self._carrier_values.values()), default=0.0)
+        return float(np.abs(self._carrier_values).max())
 
     def global_range(self):
-        return _hull4([0j] + list(self._carrier_values.values()))
+        v = self._carrier_values
+        return (min(0.0, float(v.real.min())), max(0.0, float(v.real.max())),
+                min(0.0, float(v.imag.min())), max(0.0, float(v.imag.max())))
 
     @cached_property
     def support_radius(self) -> int:
@@ -537,11 +579,12 @@ class SeededRandomPotential(PotentialSpec):
         return TailInfo(radius=self.support_radius, base=0j)
 
     def im_support_parity(self):
-        if all(v.imag == 0.0 for v in self._carrier_values.values()):
+        nonzero = np.flatnonzero(self._carrier_values.imag != 0.0)
+        if not len(nonzero):
             return "zero"
         if self.box.nu != 1:
             return None
-        pars = {s[0] % 2 for s, v in self._carrier_values.items() if v.imag != 0.0}
+        pars = set(((nonzero + self.box.ranges[0][0]) % 2).tolist())
         return {frozenset({0}): "even", frozenset({1}): "odd"}.get(frozenset(pars))
 
     def re_weighted_summable(self):
@@ -557,6 +600,14 @@ class SumPotential(PotentialSpec):
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("sum potential needs at least one term")
+        if len({t.site_dim for t in self.terms} - {None}) > 1:
+            raise ValueError("sum terms are declared on lattices of different "
+                             "dimensions")
+
+    @property
+    def site_dim(self) -> int | None:
+        return next((t.site_dim for t in self.terms
+                     if t.site_dim is not None), None)
 
     def values(self, sites):
         out = np.zeros(len(sites), dtype=np.complex128)
@@ -690,6 +741,9 @@ def assemble(box: LatticeBox, potential: PotentialSpec,
     inside the box; hops leaving the box are dropped.  Refuses to build
     matrices larger than max_dim (default DEFAULT_MAX_DIM).
     """
+    if potential.site_dim not in (None, box.nu):
+        raise ValueError(f"{potential.kind} potential is declared on "
+                         f"nu={potential.site_dim}, the box has nu={box.nu}")
     limit = DEFAULT_MAX_DIM if max_dim is None else int(max_dim)
     n = box.site_count
     if n > limit:

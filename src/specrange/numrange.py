@@ -42,14 +42,31 @@ from .exceptions import HullDomainError
 from .model import _as_array, imag_part, real_part
 
 
-def _top_eigpair(h: np.ndarray) -> tuple[float, np.ndarray]:
+def _top_eigpair(build) -> tuple[float, np.ndarray]:
+    """Top eigenpair of the Hermitian matrix that build() returns.  eigh may
+    overwrite that matrix, so the fallback builds it again."""
+    h = build()
     n = h.shape[0]
-    w, v = scipy.linalg.eigh(h, subset_by_index=(n - 1, n - 1))
+    w, v = scipy.linalg.eigh(h, subset_by_index=(n - 1, n - 1),
+                             overwrite_a=True)
     if len(w) == 0:
         # LAPACK's subset driver can return nothing when many eigenvalues
         # tie at the top; the full spectrum of the same matrix cannot.
-        w, v = scipy.linalg.eigh(h)
+        w, v = scipy.linalg.eigh(build(), overwrite_a=True)
     return float(w[-1]), v[:, -1]
+
+
+def _rotation(p: np.ndarray, q: np.ndarray):
+    """theta -> cos(theta) p - sin(theta) q, built into two buffers allocated
+    once here.  p and q are Fortran-ordered, so the result is too and eigh
+    works on it in place instead of copying it."""
+    buf, tmp = np.empty_like(p), np.empty_like(p)
+
+    def build(theta: float) -> np.ndarray:
+        np.multiply(p, np.cos(theta), out=buf)
+        np.multiply(q, np.sin(theta), out=tmp)
+        return np.subtract(buf, tmp, out=buf)
+    return build
 
 
 def _bandwidth_at_most_one(a: np.ndarray) -> bool:
@@ -63,10 +80,11 @@ def _sweep_solver(a: np.ndarray):
     """The per-angle solver theta -> (s(theta), witness) for matrix a, chosen
     once from a's structure (see the module notes)."""
     if not np.array_equal(a, a.T):
-        h, k = real_part(a).matrix, imag_part(a).matrix
+        rotated = _rotation(np.asfortranarray(real_part(a).matrix),
+                            np.asfortranarray(imag_part(a).matrix))
 
         def dense(theta: float) -> tuple[float, complex]:
-            s, f = _top_eigpair(np.cos(theta) * h - np.sin(theta) * k)
+            s, f = _top_eigpair(lambda: rotated(theta))
             return s, complex(np.vdot(f, a @ f))
         return dense
 
@@ -85,9 +103,10 @@ def _sweep_solver(a: np.ndarray):
         return tridiagonal
 
     re, im = a.real.copy(), a.imag.copy()
+    rotated = _rotation(re.T, im.T)  # symmetric: the same entries, F-ordered
 
     def real_symmetric(theta: float) -> tuple[float, complex]:
-        s, f = _top_eigpair(np.cos(theta) * re - np.sin(theta) * im)
+        s, f = _top_eigpair(lambda: rotated(theta))
         return s, complex(f @ re @ f, f @ im @ f)
     return real_symmetric
 

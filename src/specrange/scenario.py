@@ -26,8 +26,8 @@ from .criteria import CriteriaParams
 from .exceptions import SchemaError
 from .model import (Alternating1DPotential, ConstantPotential,
                     GeometricDecayPotential, LatticeBox, PotentialSpec,
-                    PowerDecayPotential, SeededRandomPotential, SumPotential,
-                    TablePotential)
+                    PowerDecayPotential, SEED_LIMIT, SeededRandomPotential,
+                    SumPotential, TablePotential)
 
 ANALYSES = ("spectrum", "numrange", "classify", "criteria")
 TOLERANCE_KEYS = ("eig", "hull", "boundary_rel", "cert_rel", "support_rel",
@@ -125,7 +125,17 @@ def parse_box(data, path: str = "$.box") -> LatticeBox:
         if lo > hi:
             raise _fail(f"{path}.ranges[{j}]", f"lo = {lo} exceeds hi = {hi}")
         ranges.append((lo, hi))
-    return LatticeBox(nu=nu, ranges=tuple(ranges))
+    try:
+        return LatticeBox(nu=nu, ranges=tuple(ranges))
+    except ValueError as exc:
+        raise _fail(f"{path}.ranges", str(exc))
+
+
+def check_seed(seed: int, path: str) -> int:
+    """A seed override, held to the Philox key range of seeded_random."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise _fail(path, "seed must be >= 0 and < 2**128")
+    return seed
 
 
 def encode_box(box: LatticeBox) -> dict:
@@ -197,6 +207,20 @@ def parse_potential(data, path: str = "$.potential") -> PotentialSpec:
     if "decay" in obj:
         check_decay(obj["decay"], spec, f"{path}.decay")
     return spec
+
+
+def check_site_dim(spec: PotentialSpec, nu: int,
+                   path: str = "$.potential") -> None:
+    """Fail at the offending part of the potential unless every kind in it,
+    sum terms included, is declared on the box's dimension nu."""
+    if isinstance(spec, SumPotential):
+        for i, term in enumerate(spec.terms):
+            check_site_dim(term, nu, f"{path}.params.terms[{i}]")
+    elif spec.site_dim not in (None, nu):
+        where = {"table": ".params.entries",
+                 "seeded_random": ".params.box.nu"}.get(spec.kind, ".kind")
+        raise _fail(path + where, f"{spec.kind!r} is declared on nu = "
+                                  f"{spec.site_dim}, the box has nu = {nu}")
 
 
 def encode_potential(spec: PotentialSpec) -> dict:
@@ -288,6 +312,7 @@ def parse_scenario(data) -> Scenario:
         raise _fail("$.name", "name must be nonempty")
     box = parse_box(obj["box"])
     potential = parse_potential(obj["potential"])
+    check_site_dim(potential, box.nu)
     analysis = []
     for i, a in enumerate(_array(obj["analysis"], "$.analysis", 1)):
         s = _string(a, f"$.analysis[{i}]")
@@ -338,7 +363,8 @@ def parse_scenario(data) -> Scenario:
             crit = CriteriaParams(b_values=bs, a_values=as_, axes=axes,
                                   scan_radius=radius)
         if "seed" in p and p["seed"] is not None:
-            seed = _int(p["seed"], "$.params.seed")
+            seed = check_seed(_int(p["seed"], "$.params.seed"),
+                              "$.params.seed")
 
     return Scenario(name=name, box=box, potential=potential,
                     analysis=tuple(analysis), n_angles=n_angles,

@@ -11,8 +11,10 @@ from specrange.classify import (EigenClassification, NormalityVerdict,
                                 support_extent)
 from specrange.config import DEFAULT_TOLERANCES
 from specrange.exceptions import ProvenanceError
-from specrange.model import (ConstantPotential, LatticeBox, OperatorMatrix,
-                             SumPotential, TablePotential, assemble)
+from specrange.linalg import RESIDUAL_BLOCK, eig_general
+from specrange.model import (ConstantPotential, GeometricDecayPotential,
+                             LatticeBox, OperatorMatrix, SumPotential,
+                             TablePotential, assemble)
 from specrange.numrange import compute_hull
 
 
@@ -120,3 +122,39 @@ def test_records_align_with_eig_order_and_carry_residuals():
         # J0 + 0.2i is normal: every eigenvalue sits on the segment hull
         assert rec.is_boundary
         assert split_certificate(op, rec) is SplitVerdict.CERTIFIED
+
+
+def random_operator(n):
+    rng = np.random.default_rng(n)
+    return OperatorMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+
+@pytest.mark.parametrize("op", [random_operator(n) for n in (
+    1, RESIDUAL_BLOCK - 1, RESIDUAL_BLOCK, RESIDUAL_BLOCK + 1,
+    2 * RESIDUAL_BLOCK + 3)] + [assemble(LatticeBox(2, ((-4, 4), (-7, 7))),
+                                         GeometricDecayPotential(0.4 + 0.7j,
+                                                                 0.6))],
+    ids=lambda op: f"n{op.dim}" + ("_box_2d" if op.provenance else ""))
+def test_blocked_classify_matches_per_pair_reference(op):
+    hull = compute_hull(op, n_angles=24)
+    records = classify(op, hull)
+    pairs = eig_general(op)
+    assert [r.pair.value for r in records] == [p.value for p in pairs]
+    a = op.matrix
+    tol_boundary = DEFAULT_TOLERANCES.boundary(op.frobenius)
+    for rec in records:
+        lam, f = rec.pair.value, rec.pair.vector
+        af, ahf = a @ f, a.conj().T @ f
+        assert abs(rec.normality_residual
+                   - np.linalg.norm(ahf - np.conj(lam) * f)) <= 1e-12
+        assert abs(rec.split_residual_re - np.linalg.norm(
+            (af + ahf) / 2.0 - lam.real * f)) <= 1e-12
+        assert abs(rec.split_residual_im - np.linalg.norm(
+            (af - ahf) / 2.0j - lam.imag * f)) <= 1e-12
+        thresh = DEFAULT_TOLERANCES.support_rel * float(np.abs(f).max())
+        assert np.array_equal(rec.support_indices,
+                              np.flatnonzero(np.abs(f) > thresh))
+        dist = hull.boundary_distance(lam, outside_tol=tol_boundary)
+        assert rec.boundary_distance == dist
+        assert rec.is_boundary == (dist <= tol_boundary)
+        assert isinstance(rec.normality_residual, float)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from specrange.linalg import eig_general, eig_hermitian
-from specrange.model import LatticeBox, OperatorMatrix, TablePotential, assemble
+from specrange.config import Tolerances
+from specrange.exceptions import EigenSolverError
+from specrange.linalg import RESIDUAL_BLOCK, eig_general, eig_hermitian
+from specrange.model import (GeometricDecayPotential, LatticeBox,
+                             OperatorMatrix, TablePotential, assemble)
 
 
 def companion(*coeffs):
@@ -62,6 +65,44 @@ def test_general_vectors_are_rows_of_one_block_with_unchanged_values():
         v = vecs[:, j] / np.linalg.norm(vecs[:, j])
         k = int(np.argmax(np.abs(v)))
         assert np.array_equal(p.vector, v * (abs(v[k]) / v[k]))
+
+
+BLOCK_SIZES = (1, RESIDUAL_BLOCK - 1, RESIDUAL_BLOCK, RESIDUAL_BLOCK + 1,
+               2 * RESIDUAL_BLOCK + 3)
+
+
+def random_matrix(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+# an assembled 2D box whose 135 sites fill two blocks and part of a third
+BOX_2D = assemble(LatticeBox(2, ((-4, 4), (-7, 7))),
+                  GeometricDecayPotential(0.4 + 0.7j, 0.6))
+
+
+@pytest.mark.parametrize("a", [random_matrix(n, seed=n) for n in BLOCK_SIZES]
+                         + [BOX_2D.matrix],
+                         ids=[f"random_{n}" for n in BLOCK_SIZES] + ["box_2d"])
+def test_blocked_residuals_match_per_pair_mat_vecs(a):
+    # residuals come in blocks of RESIDUAL_BLOCK vectors; each must match
+    # its own mat-vec, whatever the block boundaries
+    pairs = eig_general(OperatorMatrix(a))
+    assert len(pairs) == len(a)
+    for p in pairs:
+        direct = np.linalg.norm(a @ p.vector - p.value * p.vector)
+        assert abs(direct - p.residual) < 1e-13
+        assert isinstance(p.residual, float)
+
+
+def test_residual_contract_breach_still_raises():
+    a = random_matrix(RESIDUAL_BLOCK + 5, seed=4)
+    worst = max(p.residual for p in eig_general(OperatorMatrix(a)))
+    assert worst > 0.0
+    with pytest.raises(EigenSolverError) as exc:
+        eig_general(OperatorMatrix(a), Tolerances(eig=worst / 1e3 / (
+            1.0 + np.linalg.norm(a, "fro"))))
+    assert exc.value.worst_residual == worst
 
 
 def test_hermitian_free_chain_matches_cosine_oracle():

@@ -201,6 +201,70 @@ def test_seeded_random_gives_every_site_its_own_value():
     assert pot.value((-1, -2)) == 0.440810207525979 + 0.6152236166583348j
 
 
+def grid(*axes):
+    """All integer sites of the product of the given coordinate ranges."""
+    mesh = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in axes],
+                       indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
+
+
+@pytest.mark.parametrize("carrier,query", [
+    (((-3, 4),), ((-9, 9),)),  # straddles the carrier
+    (((2, 6),), ((-40, -30),)),  # entirely outside, negative coordinates
+    (((-4, -1), (0, 3)), ((-7, 2), (-2, 5))),
+    (((-2, 2), (-3, 1)), ((5, 8), (-9, -6))),
+    (((-1, 1), (0, 2), (-2, 0)), ((-3, 2), (-1, 3), (-3, 1))),
+    (((0, 1), (0, 1), (0, 1)), ((-5, -3), (2, 3), (-1, 0))),
+])
+def test_seeded_values_equal_per_site_draws(carrier, query):
+    box = LatticeBox(len(carrier), carrier)
+    pot = SeededRandomPotential(29, box, (-0.7, 0.3), (-0.2, 0.9))
+    sites = grid(*query)
+    inside = np.all([(sites[:, j] >= lo) & (sites[:, j] <= hi)
+                     for j, (lo, hi) in enumerate(carrier)], axis=0)
+    ref = np.array([pot._site_value(tuple(int(c) for c in s)) if ok else 0j
+                    for s, ok in zip(sites, inside)], dtype=np.complex128)
+    assert np.array_equal(pot.values(sites), ref)
+    empty = pot.values(np.zeros((0, box.nu), dtype=np.int64))
+    assert empty.shape == (0,) and empty.dtype == np.complex128
+
+
+def test_seeded_summaries_read_the_carrier_values():
+    box = LatticeBox(1, ((-3, 4),))
+    pot = SeededRandomPotential(5, box, (-0.5, 0.25), (0.0, 0.75))
+    draws = [pot._site_value((k,)) for k in range(-3, 5)]
+    assert pot.sup_abs() == max(abs(v) for v in draws)
+    assert pot.global_range() == (
+        min(0.0, *(v.real for v in draws)), max(0.0, *(v.real for v in draws)),
+        min(0.0, *(v.imag for v in draws)), max(0.0, *(v.imag for v in draws)))
+    assert pot.im_support_parity() is None  # every site has Im d > 0
+    flat = SeededRandomPotential(5, box, (-0.5, 0.25), (0.0, 0.0))
+    assert flat.im_support_parity() == "zero"
+
+
+def test_site_dimension_mismatch_is_a_value_error():
+    box1, box2 = LatticeBox(1, ((-2, 2),)), LatticeBox(2, ((-1, 1), (0, 1)))
+    seeded2 = SeededRandomPotential(1, box2, (0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ValueError):
+        seeded2.values(box1.sites)
+    for pot in (seeded2, TablePotential({(0, 0): 1j}),
+                Alternating1DPotential(0.5, -0.5),
+                SumPotential((ConstantPotential(1j), seeded2))):
+        wrong = box1 if pot.site_dim == 2 else box2
+        with pytest.raises(ValueError):
+            assemble(wrong, pot)
+    with pytest.raises(ValueError):
+        TablePotential({(0,): 1j, (1, 1): 1.0})
+    with pytest.raises(ValueError):
+        SumPotential((TablePotential({(0,): 1j}), seeded2))
+    # kinds defined on every Z^nu, and the empty table, fit any box
+    for pot in (ConstantPotential(1j), TablePotential({}),
+                GeometricDecayPotential(1j, 0.5)):
+        assert pot.site_dim is None
+        assemble(box1, pot)
+        assemble(box2, pot)
+
+
 def test_sum_potential_is_additive_and_composes_tails():
     s = SumPotential((ConstantPotential(1.0j),
                       TablePotential({(0,): -1.0j, (4,): 0.5})))

@@ -9,7 +9,8 @@ import scipy.linalg
 from specrange.exceptions import HullDomainError
 from specrange.model import (ConstantPotential, GeometricDecayPotential,
                              LatticeBox, OperatorMatrix,
-                             SeededRandomPotential, assemble)
+                             SeededRandomPotential, assemble, imag_part,
+                             real_part)
 from specrange.numrange import compute_hull, support_function
 from specrange.scenario import load_scenario
 
@@ -218,3 +219,52 @@ def test_tied_extreme_does_not_crash_either_path():
             assert np.max(np.abs(hull.supports - ref)) < 1e-12, pot
             on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
             assert np.max(np.abs(on_line - hull.supports)) < 1e-9, pot
+
+
+EIGH = scipy.linalg.eigh
+
+
+def expression_sweep(a, thetas):
+    """Reference: each angle's matrix formed as a fresh expression, and eigh
+    left to copy it, as the sweep did before it reused one buffer."""
+    if np.array_equal(a, a.T):
+        p, q = a.real.copy(), a.imag.copy()
+    else:
+        p, q = real_part(a).matrix, imag_part(a).matrix
+    out = []
+    for t in thetas:
+        h = np.cos(t) * p - np.sin(t) * q
+        n = len(h)
+        w, v = EIGH(h, subset_by_index=(n - 1, n - 1))
+        if len(w) == 0:
+            w, v = EIGH(h)
+        f = v[:, -1]
+        wit = (complex(f @ p @ f, f @ q @ f) if p.dtype == np.float64
+               else complex(np.vdot(f, a @ f)))
+        out.append((float(w[-1]), wit))
+    return out
+
+
+def test_buffered_sweep_reproduces_the_expression_bit_for_bit(monkeypatch):
+    # A constant potential ties the top eigenvalue at theta = pi/2, which
+    # sends some angles to the full-spectrum fallback after the subset solve
+    # may have overwritten its input.
+    box = LatticeBox(2, ((0, 7), (0, 7)))
+    phases = np.exp(0.7j * np.arange(box.site_count))
+    fallbacks = []
+
+    def spy(h, *args, **kw):
+        if "subset_by_index" not in kw:
+            fallbacks.append(1)
+        return EIGH(h, *args, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    for pot in (ConstantPotential(0.3 + 0.4j),
+                GeometricDecayPotential(0.6 + 0.9j, 0.5)):
+        a = assemble(box, pot).matrix
+        for m in (a, phases[:, None] * a * phases.conj()[None, :]):
+            hull = compute_hull(OperatorMatrix(m), n_angles=32)
+            ref = expression_sweep(m, hull.thetas)
+            assert hull.supports.tolist() == [s for s, _ in ref]
+            assert hull.witnesses.tolist() == [w for _, w in ref]
+    assert fallbacks

@@ -371,6 +371,86 @@ def test_angles_flag_overrides_scenario(tmp_path):
     assert report["scenario"]["params"]["n_angles"] == 48
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{path}", "--angles", "2"],
+    ["construct", "--a", "-2.5", "--b", "1.0", "--n", "41", "--angles", "2"]],
+    ids=["run", "construct"])
+def test_angles_below_three_exit_two(tmp_path, capsys, argv):
+    path = write_scenario(tmp_path, small_run_doc())
+    out = tmp_path / "out"
+    assert main([a.format(path=path) for a in argv]
+                + ["--out-dir", str(out)]) == 2
+    assert "--angles" in capsys.readouterr().err
+    assert not out.exists()
+
+
+TABLE_2D = {"kind": "table",
+            "params": {"entries": [{"site": [1], "value": [0.0, 0.5]},
+                                   {"site": [0, 0], "value": [0.0, 1.0]}]}}
+SEEDED_2D = {"kind": "seeded_random",
+             "params": {"seed": 3, "box": {"nu": 2, "ranges": [[0, 1], [0, 1]]},
+                        "re_range": [0.0, 0.0], "im_range": [0.5, 1.0]}}
+
+
+@pytest.mark.parametrize("potential,box,where", [
+    (TABLE_2D, BOX, "$.potential.params"),  # mixed site dimensions
+    ({"kind": "table", "params": {"entries": TABLE_2D["params"]["entries"][1:]}},
+     BOX, "$.potential.params.entries"),
+    (SEEDED_2D, BOX, "$.potential.params.box.nu"),
+    (KIND_DOCS["alternating_1d"], {"nu": 2, "ranges": [[0, 2], [0, 2]]},
+     "$.potential.kind"),
+    ({"kind": "sum", "params": {"terms": [KIND_DOCS["constant"], SEEDED_2D]}},
+     BOX, "$.potential.params.terms[1].params.box.nu"),
+    ({"kind": "sum", "params": {"terms": [
+        KIND_DOCS["seeded_random"], {"kind": "sum", "params": {"terms": [
+            KIND_DOCS["alternating_1d"]]}}]}},
+     {"nu": 2, "ranges": [[0, 2], [0, 2]]},
+     "$.potential.params.terms[0].params.box.nu"),
+])
+@pytest.mark.parametrize("verb", ["run", "criteria"])
+def test_site_dimension_mismatch_exits_two_with_its_path(
+        tmp_path, capsys, potential, box, where, verb):
+    doc = dict(small_run_doc(), box=box, potential=potential)
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([verb, path, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"at {where}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed,flags,where", [
+    (-1, [], "$.potential.params"),
+    (2 ** 128, [], "$.potential.params"),
+    (11, ["--seed", "-4"], "--seed"),
+    ("params", [], "$.params.seed"),
+])
+def test_seed_outside_the_philox_key_range_exits_two(tmp_path, capsys, seed,
+                                                     flags, where):
+    doc = dict(small_run_doc(), potential=doc_for("seeded_random")["potential"])
+    if seed == "params":
+        doc["params"]["seed"] = -2
+    else:
+        doc["potential"]["params"]["seed"] = seed
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", path, *flags, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"at {where}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ranges", [
+    [[2 ** 63, 2 ** 63]],  # beyond int64
+    [[2 ** 62, 2 ** 62 + 3]],
+])
+def test_box_coordinates_beyond_the_site_range_exit_two(tmp_path, capsys,
+                                                        ranges):
+    doc = dict(small_run_doc(), box={"nu": 1, "ranges": ranges})
+    doc["potential"] = doc_for("constant")["potential"]
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.rstrip().endswith("at $.box.ranges")
+
+
 def test_exit_code_two_for_schema_problems(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["run", missing, "--out-dir", str(tmp_path)]) == 2

@@ -1,0 +1,128 @@
+"""Property: every scenario document either runs or fails with a
+path-qualified error, exit code 2, 3 or 4; none ends in a traceback.
+
+Documents are mutations of the round-trip documents of every kind: values
+of the wrong type or range, non-finite numbers, sites and carrier boxes of
+the wrong dimension, dropped and unknown fields, and sums of kinds.  Every
+box, the carriers included, has at most 12 sites, so each example runs in
+milliseconds.
+"""
+
+import json
+import math
+
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from specrange.cli import main
+from test_scenario_cli import KIND_DOCS
+
+ANALYSES = ["spectrum", "numrange", "classify", "criteria"]
+
+# values that a field of some other type, range or finiteness may receive;
+# the integers stay small or beyond int64, never large enough to allocate
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(["", "even", "x", "sum"]),
+    st.integers(-8, 8), st.sampled_from([2 ** 70, -(2 ** 70), 10 ** 400]),
+    st.floats(-50.0, 50.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.builds(list), st.builds(dict), st.lists(st.integers(-3, 3), max_size=3),
+)
+
+
+@st.composite
+def small_box(draw, nu=None):
+    nu = draw(st.integers(1, 3)) if nu is None else nu
+    budget, ranges = 12, []
+    for _ in range(nu):
+        side = draw(st.integers(1, max(1, budget)))
+        budget //= side
+        lo = draw(st.integers(-6, 6))
+        ranges.append([lo, lo + side - 1])
+    return {"nu": nu, "ranges": ranges}
+
+
+@st.composite
+def potential(draw, depth=0):
+    kind = draw(st.sampled_from(sorted(KIND_DOCS)))
+    doc = json.loads(json.dumps(KIND_DOCS[kind]))
+    params = doc["params"]
+    if kind == "seeded_random":
+        params["box"] = draw(small_box())
+    elif kind == "table":
+        dim = draw(st.integers(1, 3))
+        params["entries"] = [
+            {"site": [draw(st.integers(-6, 6)) for _ in range(dim)],
+             "value": [draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))]}
+            for _ in range(draw(st.integers(0, 3)))]
+        if draw(st.booleans()):
+            doc.pop("decay", None)
+    elif kind == "sum" and depth < 2:
+        params["terms"] = draw(st.lists(potential(depth + 1), min_size=1,
+                                        max_size=3))
+    return doc
+
+
+def leaves(node, path=()):
+    """Paths of every scalar in a JSON document."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from leaves(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from leaves(v, path + (i,))
+    else:
+        yield path
+
+
+def containers(node, path=()):
+    """Paths of every object in a JSON document."""
+    if isinstance(node, dict):
+        yield path
+        for k, v in node.items():
+            yield from containers(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from containers(v, path + (i,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_document(draw):
+    doc = {"name": "prop", "box": draw(small_box(draw(st.integers(1, 2)))),
+           "potential": draw(potential()),
+           "analysis": draw(st.lists(st.sampled_from(ANALYSES), min_size=1,
+                                     max_size=4, unique=True)),
+           "params": {"n_angles": draw(st.integers(1, 24)),
+                      "criteria": {"b_values": [0.5], "a_values": [-2.5],
+                                   "scan_radius": draw(st.integers(1, 30))}}}
+    for _ in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(["replace", "drop", "add"]))
+        if how == "replace":
+            path = draw(st.sampled_from(list(leaves(doc))))
+            if path:
+                at(doc, path[:-1])[path[-1]] = draw(JUNK)
+        else:
+            obj = at(doc, draw(st.sampled_from(list(containers(doc)))))
+            if how == "drop" and obj:
+                obj.pop(draw(st.sampled_from(sorted(obj))))
+            elif how == "add":
+                obj["unexpected"] = draw(JUNK)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(doc=mutated_document(), verb=st.sampled_from(["run", "criteria"]))
+def test_every_document_runs_or_exits_with_a_code(tmp_path, doc, verb):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
+    code = main([verb, str(path), "--out-dir", str(tmp_path / "out")])
+    event(f"exit code {code}")
+    assert code in (0, 2, 3, 4)
