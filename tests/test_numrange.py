@@ -225,8 +225,8 @@ EIGH = scipy.linalg.eigh
 
 
 def expression_sweep(a, thetas):
-    """Reference: each angle's matrix formed as a fresh expression, and eigh
-    left to copy it, as the sweep did before it reused one buffer."""
+    """Reference: each angle's matrix formed as a fresh expression, which
+    eigh copies before it solves."""
     if np.array_equal(a, a.T):
         p, q = a.real.copy(), a.imag.copy()
     else:
