@@ -117,7 +117,8 @@ def split_certificate(op: OperatorMatrix, cls: EigenClassification,
 
     Requires assembly provenance: on top of the two split residuals, the
     diagonal structure of Im(A) is checked sitewise, |Im d(k) - Im lambda|
-    <= tol_cert for every support site k.
+    <= tol_cert for every support site k.  assemble writes d on the
+    diagonal of A, so Im d(k) is read from there.
     """
     if op.provenance is None:
         raise ProvenanceError(
@@ -129,11 +130,8 @@ def split_certificate(op: OperatorMatrix, cls: EigenClassification,
     bound = tol.cert(op.frobenius)
     if cls.split_residual_re > bound or cls.split_residual_im > bound:
         return SplitVerdict.VIOLATED
-    box = op.provenance.box
-    potential = op.provenance.potential
     if len(cls.support_indices):
-        sites = box.sites[cls.support_indices]
-        imvals = potential.values(sites).imag
+        imvals = np.diagonal(op.matrix).imag[cls.support_indices]
         if float(np.abs(imvals - cls.pair.value.imag).max()) > bound:
             return SplitVerdict.VIOLATED
     return SplitVerdict.CERTIFIED

@@ -112,6 +112,25 @@ def _scan_grid(nu: int, radius: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
 
 
+class ImScan:
+    """Im d of one potential on the scan grids, each grid evaluated once.
+
+    evaluate_all shares one ImScan between its checks, which scan the same
+    grid for every level b; a check called on its own makes its own."""
+
+    def __init__(self, potential: PotentialSpec):
+        self.potential = potential
+        self._grids: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def __call__(self, nu: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        """(sites, Im d(sites)) on the grid of _scan_grid(nu, radius)."""
+        key = (nu, radius)
+        if key not in self._grids:
+            sites = _scan_grid(nu, radius)
+            self._grids[key] = sites, self.potential.values(sites).imag
+        return self._grids[key]
+
+
 def _resolve_radius(potential: PotentialSpec, nu: int,
                     scan_radius: int | None) -> int:
     base = default_scan_radius(nu) if scan_radius is None else int(scan_radius)
@@ -131,7 +150,8 @@ def _tail_gap(potential: PotentialSpec, b: float, radius: int) -> float | None:
 
 
 def check_level_set_empty(potential: PotentialSpec, b: float, nu: int = 1,
-                          scan_radius: int | None = None) -> CriterionResult:
+                          scan_radius: int | None = None,
+                          im_scan: ImScan | None = None) -> CriterionResult:
     """Absence for imaginary part b when Im d(k) = b has no solution at
     all: empty on the scan and excluded beyond it by the tail."""
     b = float(b)
@@ -146,8 +166,8 @@ def check_level_set_empty(potential: PotentialSpec, b: float, nu: int = 1,
             "no usable tail certificate (missing, or its radius exceeds "
             "the scan cap): the level set is undecidable beyond any finite "
             "scan", detail)
-    sites = _scan_grid(nu, radius)
-    dist = np.abs(potential.values(sites).imag - b)
+    sites, im = (im_scan or ImScan(potential))(nu, radius)
+    dist = np.abs(im - b)
     hit = int(np.argmin(dist))
     if dist[hit] <= margin:
         site = tuple(int(c) for c in sites[hit])
@@ -169,7 +189,8 @@ def check_level_set_empty(potential: PotentialSpec, b: float, nu: int = 1,
 
 def check_halfspace_support(potential: PotentialSpec, b: float, axis: int = 0,
                             side: str = "sup_finite", nu: int = 1,
-                            scan_radius: int | None = None) -> CriterionResult:
+                            scan_radius: int | None = None,
+                            im_scan: ImScan | None = None) -> CriterionResult:
     """Absence for imaginary part b when {k : Im d(k) = b} is bounded
     above (sup_finite) or below (inf_finite) in coordinate `axis`."""
     b = float(b)
@@ -193,8 +214,8 @@ def check_halfspace_support(potential: PotentialSpec, b: float, axis: int = 0,
             "halfspace_support", target, INCONCLUSIVE,
             f"the tail certificate cannot separate Im d from b = {b}, so "
             "the level set may extend to infinity on both sides", detail)
-    sites = _scan_grid(nu, radius)
-    hits = np.abs(potential.values(sites).imag - b) <= margin
+    sites, im = (im_scan or ImScan(potential))(nu, radius)
+    hits = np.abs(im - b) <= margin
     word = "sup" if side == "sup_finite" else "inf"
     if not hits.any():
         extent = "-infinity" if side == "sup_finite" else "+infinity"
@@ -259,7 +280,8 @@ def check_full_decay(potential: PotentialSpec, nu: int = 1,
 
 
 def check_pair_condition(potential: PotentialSpec, b: float, nu: int = 1,
-                         scan_radius: int | None = None) -> CriterionResult:
+                         scan_radius: int | None = None,
+                         im_scan: ImScan | None = None) -> CriterionResult:
     """Absence for imaginary part b witnessed by one adjacent pair with
     Im d(m) != b and Im d(m+1) != b (1D)."""
     b = float(b)
@@ -271,15 +293,15 @@ def check_pair_condition(potential: PotentialSpec, b: float, nu: int = 1,
     radius = _resolve_radius(potential, 1, scan_radius)
     detail = {"b": b, "scan_radius": radius}
     margin = NEAR_EQ * max(1.0, abs(b))
-    ns = np.arange(-radius, radius + 1)
-    away = np.abs(potential.values(ns.reshape(-1, 1)).imag - b) > margin
+    sites, im = (im_scan or ImScan(potential))(1, radius)
+    away = np.abs(im - b) > margin
     both = away[:-1] & away[1:]
     if not both.any():
         return CriterionResult(
             "pair_condition", target, INCONCLUSIVE,
             f"no adjacent pair with Im d != b on both sites within scan "
             f"radius {radius}", detail)
-    m = int(ns[int(np.argmax(both))])
+    m = int(sites[int(np.argmax(both)), 0])
     dm = potential.value((m,)).imag
     dm1 = potential.value((m + 1,)).imag
     detail["witness_site"] = m
@@ -354,7 +376,8 @@ def check_real_window(potential: PotentialSpec, a: float, nu: int = 1,
 
 
 def check_summability(potential: PotentialSpec, nu: int = 1,
-                      scan_radius: int | None = None) -> CriterionResult:
+                      scan_radius: int | None = None,
+                      im_scan: ImScan | None = None) -> CriterionResult:
     """Absence of all boundary eigenvalues for decaying d with a gap in
     every adjacent pair of Im d, infinitely many nonzero Im sites, and a
     convergent first moment of |Re d| (1D)."""
@@ -384,12 +407,11 @@ def check_summability(potential: PotentialSpec, nu: int = 1,
             "summability", target, INCONCLUSIVE,
             "sum over k of |k| |Re d(k)| is not certified convergent",
             detail)
-    ns = np.arange(-radius, radius + 1)
-    im = potential.values(ns.reshape(-1, 1)).imag
+    sites, im = (im_scan or ImScan(potential))(1, radius)
     nz = im != 0.0
     both = nz[:-1] & nz[1:]
     if both.any():
-        m = int(ns[int(np.argmax(both))])
+        m = int(sites[int(np.argmax(both)), 0])
         return CriterionResult(
             "summability", target, INCONCLUSIVE,
             f"adjacent sites {m}, {m + 1} both have Im d != 0, "
@@ -480,22 +502,24 @@ def evaluate_all(potential: PotentialSpec, nu: int,
 
     Non-real exclusion plus an adjacent-pair witness at level 0 jointly
     exclude every boundary eigenvalue; alternating and summability do so
-    directly.  Entries keep a fixed deterministic order.
+    directly.  Entries keep a fixed deterministic order.  The potential is
+    evaluated at most once per scan grid.
     """
     if params is None:
         params = CriteriaParams()
     nu = int(nu)
     axes = params.axes if params.axes is not None else tuple(range(nu))
     radius = params.scan_radius
+    scan = ImScan(potential)
     entries: list[CriterionResult] = []
 
     for b in params.b_values:
-        entries.append(check_level_set_empty(potential, b, nu, radius))
+        entries.append(check_level_set_empty(potential, b, nu, radius, scan))
     for b in params.b_values:
         for axis in axes:
             for side in ("sup_finite", "inf_finite"):
                 entries.append(check_halfspace_support(
-                    potential, b, axis, side, nu, radius))
+                    potential, b, axis, side, nu, radius, scan))
     for axis in axes:
         for direction in ("+", "-"):
             entries.append(check_direction_decay(
@@ -505,11 +529,11 @@ def evaluate_all(potential: PotentialSpec, nu: int,
     if not any(b == 0.0 for b in pair_levels):
         pair_levels.append(0.0)
     for b in pair_levels:
-        entries.append(check_pair_condition(potential, b, nu, radius))
+        entries.append(check_pair_condition(potential, b, nu, radius, scan))
     entries.append(check_alternating(potential, nu))
     for a in params.a_values:
         entries.append(check_real_window(potential, a, nu, radius))
-    entries.append(check_summability(potential, nu, radius))
+    entries.append(check_summability(potential, nu, radius, scan))
 
     nonreal_excluded = any(
         e.absent and e.target.kind == "nonreal" for e in entries)

@@ -11,14 +11,24 @@ The per-angle solver is chosen once per matrix from its entries:
   A = A^T (every assembled lattice operator, A = J + diag(V) with J real):
       Re(e^{i theta} A) = cos(theta) Re A - sin(theta) Im A is real
       symmetric, and the witness is f^T A f for the real unit vector f.
-      - bandwidth 1 (1D chains): scipy.linalg.eigh_tridiagonal on the
-        diagonal and sub-diagonal, witness in O(n);
+      - bandwidth 1 (1D chains): LAPACK ?stebz (bisection for the top
+        eigenvalue) and ?stein (inverse iteration for its vector) on the
+        diagonal and sub-diagonal, witness in O(n).  These are the calls
+        scipy.linalg.eigh_tridiagonal(select='i') makes, with its answers
+        bit for bit, but made directly: on the chains of a sweep (tens to
+        hundreds of sites) that wrapper's per-call argument handling cost
+        more than the two LAPACK calls.  Finiteness is checked once per
+        matrix instead of once per angle; a rotation that overflows
+        (entries near the float64 limit) makes ?stebz fail, which raises
+        EigenSolverError;
       - otherwise (boxes with nu >= 2): a real dense scipy.linalg.eigh.
   any other matrix (a Jordan block, a random matrix): a complex Hermitian
       dense scipy.linalg.eigh of Re(e^{i theta} A).
 
-When the top eigenvalue is highly degenerate the dense subset solve can
-return no eigenpair; the full spectrum of the same matrix is used then.
+A subset solve can return no eigenpair: the dense one when the top
+eigenvalue is highly degenerate, bisection when its Gershgorin bounds
+overflow (entries near the float64 limit).  The full spectrum of the same
+matrix is used then (?stevd for a chain, which scales the matrix first).
 
 Membership and boundary-distance queries run against the outer description.
 The sampled minimum margin equals the distance to the outer region's
@@ -38,7 +48,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_N_ANGLES
-from .exceptions import HullDomainError
+from .exceptions import EigenSolverError, HullDomainError
 from .model import _as_array, imag_part, real_part
 
 
@@ -54,6 +64,41 @@ def _top_eigpair(build) -> tuple[float, np.ndarray]:
         # tie at the top; the full spectrum of the same matrix cannot.
         w, v = scipy.linalg.eigh(build(), overwrite_a=True)
     return float(w[-1]), v[:, -1]
+
+
+def _lapack_ok(info: int, routine: str) -> None:
+    if info != 0:
+        raise EigenSolverError(f"LAPACK {routine} returned info = {info}",
+                               where="numrange.tridiagonal")
+
+
+def _tridiagonal_top(n: int):
+    """(dd, ee) -> top eigenpair of the real symmetric tridiagonal matrix
+    with diagonal dd and sub-diagonal ee, by the LAPACK calls that
+    scipy.linalg.eigh_tridiagonal(dd, ee, select='i',
+    select_range=(n - 1, n - 1)) makes.  The routines are looked up once
+    here; dd and ee must be finite float64 arrays.  A 1 x 1 matrix needs no
+    LAPACK call (the wrapper's quick exit)."""
+    if n == 1:
+        return lambda dd, ee: (float(dd[0]), np.ones(1))
+    stebz, stein, stevd = scipy.linalg.get_lapack_funcs(
+        ("stebz", "stein", "stevd"), dtype=np.float64)
+
+    def top(dd: np.ndarray, ee: np.ndarray) -> tuple[float, np.ndarray]:
+        m, w, iblock, isplit, info = stebz(dd, ee, 2, 0.0, 1.0, n, n, 0.0,
+                                           "B")
+        _lapack_ok(info, "stebz")
+        if m == 0:
+            # its Gershgorin bounds overflowed; ?stevd scales the matrix first
+            w, v, info = stevd(dd, ee)
+            _lapack_ok(info, "stevd")
+            return float(w[-1]), v[:, -1]
+        v, info = stein(dd, ee, w[:m], iblock, isplit)
+        _lapack_ok(info, "stein")
+        # stebz orders by block, not by value
+        j = np.argsort(w[:m])[-1] if m > 1 else 0
+        return float(w[j]), v[:, j]
+    return top
 
 
 def _rotation(p: np.ndarray, q: np.ndarray):
@@ -91,15 +136,18 @@ def _sweep_solver(a: np.ndarray):
     n = a.shape[0]
     if _bandwidth_at_most_one(a):
         d, e = np.diagonal(a).copy(), np.diagonal(a, -1).copy()
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        # d and e end to end, so one rotation per angle forms both
+        re_de = np.concatenate([d.real, e.real])
+        im_de = np.concatenate([d.imag, e.imag])
+        top = _tridiagonal_top(n)
 
         def tridiagonal(theta: float) -> tuple[float, complex]:
             c, sn = np.cos(theta), np.sin(theta)
-            w, v = scipy.linalg.eigh_tridiagonal(
-                c * d.real - sn * d.imag, c * e.real - sn * e.imag,
-                select="i", select_range=(n - 1, n - 1))
-            f = v[:, -1]
-            return float(w[-1]), complex(d @ f ** 2
-                                         + 2.0 * (e @ (f[:-1] * f[1:])))
+            de = c * re_de - sn * im_de
+            s, f = top(de[:n], de[n:])
+            return s, complex(d @ f ** 2 + 2.0 * (e @ (f[:-1] * f[1:])))
         return tridiagonal
 
     re, im = a.real.copy(), a.imag.copy()

@@ -1,6 +1,7 @@
 """Boundary classification and the two certificates."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from specrange.config import DEFAULT_TOLERANCES
 from specrange.exceptions import ProvenanceError
 from specrange.linalg import RESIDUAL_BLOCK, eig_general
 from specrange.model import (ConstantPotential, GeometricDecayPotential,
-                             LatticeBox, OperatorMatrix, SumPotential,
-                             TablePotential, assemble)
+                             LatticeBox, OperatorMatrix, SeededRandomPotential,
+                             SumPotential, TablePotential, assemble)
 from specrange.numrange import compute_hull
+from specrange.scenario import load_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def classify_matrix(matrix, n_angles=360, tol=DEFAULT_TOLERANCES):
@@ -158,3 +162,19 @@ def test_blocked_classify_matches_per_pair_reference(op):
         assert rec.boundary_distance == dist
         assert rec.is_boundary == (dist <= tol_boundary)
         assert isinstance(rec.normality_residual, float)
+
+
+def test_assembled_diagonal_is_the_potential_sitewise():
+    # split_certificate reads Im d(k) from the diagonal of A instead of
+    # evaluating the potential again on the support sites
+    cases = [load_scenario(p) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+    cases = [(sc.box, sc.potential) for sc in cases]
+    box = LatticeBox(2, ((-5, 6), (-4, 4)))
+    cases.append((box, SeededRandomPotential(3, box, (-0.5, 0.5), (0.0, 1.0))))
+    rng = np.random.default_rng(0)
+    for box, pot in cases:
+        diagonal = np.diagonal(assemble(box, pot).matrix)
+        n = len(diagonal)
+        for idx in (np.arange(n), rng.permutation(n)[:n // 3]):
+            assert (pot.values(box.sites[idx]).imag.tobytes()
+                    == diagonal.imag[idx].tobytes())

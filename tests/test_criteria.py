@@ -224,3 +224,22 @@ def test_report_json_shape():
     for entry in doc["entries"]:
         assert set(entry) == {"criterion", "target", "verdict", "witness",
                               "detail"}
+
+
+def test_evaluate_all_evaluates_the_potential_once_per_grid(monkeypatch):
+    grids = []
+    values = type(PAIR_POT).values
+
+    def spy(self, sites):
+        if self is PAIR_POT and len(sites) > 1:  # value() asks for one site
+            grids.append(sites.shape)
+        return values(self, sites)
+
+    monkeypatch.setattr(type(PAIR_POT), "values", spy)
+    params = CriteriaParams(b_values=(0.4, 0.0, 1.0), scan_radius=10)
+    for nu in (1, 2):
+        grids.clear()
+        rep = evaluate_all(PAIR_POT, nu=nu, params=params)
+        radius = rep.entries[0].detail["scan_radius"]
+        # level sets, half-spaces, pairs and summability share one scan
+        assert grids == [((2 * radius + 1) ** nu, nu)]

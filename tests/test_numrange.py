@@ -164,9 +164,11 @@ def test_support_function_equals_every_hull_sample(matrix):
 
 def solver_calls(monkeypatch, matrix):
     """Run one hull and record which eigensolver each angle went to, with the
-    dtype of the matrix it was handed."""
+    dtype of the matrix (or diagonal) it was handed: scipy's drivers, and the
+    LAPACK routines that the chain path fetches and calls itself."""
     calls = []
     eigh, eigh_tridiagonal = scipy.linalg.eigh, scipy.linalg.eigh_tridiagonal
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
 
     def spy_eigh(h, *args, **kw):
         calls.append(("eigh", h.dtype))
@@ -176,8 +178,19 @@ def solver_calls(monkeypatch, matrix):
         calls.append(("eigh_tridiagonal", d.dtype))
         return eigh_tridiagonal(d, e, *args, **kw)
 
+    def recording(name, routine):
+        def call(d, *args, **kw):
+            calls.append((name, d.dtype))
+            return routine(d, *args, **kw)
+        return call
+
+    def spy_lapack(names, *args, **kw):
+        routines = get_lapack_funcs(names, *args, **kw)
+        return [recording(n, r) for n, r in zip(names, routines)]
+
     monkeypatch.setattr(scipy.linalg, "eigh", spy_eigh)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy_tridiagonal)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spy_lapack)
     compute_hull(OperatorMatrix(matrix), n_angles=12)
     return set(calls)
 
@@ -192,10 +205,69 @@ def test_solver_path_follows_matrix_structure(monkeypatch):
     # not complex symmetric: the dense complex path
     assert solver_calls(monkeypatch, general) == complex_dense
     assert solver_calls(monkeypatch, [[0.0, 1.0], [0.0, 0.0]]) == complex_dense
-    # complex symmetric with bandwidth 1, then wider: real solves only
+    # complex symmetric with bandwidth 1, then wider: real solves only, the
+    # chain by bisection and inverse iteration with no scipy driver between
     assert solver_calls(monkeypatch, chain) == {
-        ("eigh_tridiagonal", np.dtype(np.float64))}
+        ("stebz", np.dtype(np.float64)), ("stein", np.dtype(np.float64))}
     assert solver_calls(monkeypatch, box) == {("eigh", np.dtype(np.float64))}
+
+
+def eigh_tridiagonal_sweep(a, thetas):
+    """Reference: each angle through scipy.linalg.eigh_tridiagonal with
+    select='i', witness from the same expression as the chain path."""
+    d, e = np.diagonal(a).copy(), np.diagonal(a, -1).copy()
+    n = len(d)
+    out = []
+    for t in thetas:
+        c, sn = np.cos(t), np.sin(t)
+        w, v = scipy.linalg.eigh_tridiagonal(
+            c * d.real - sn * d.imag, c * e.real - sn * e.imag,
+            select="i", select_range=(n - 1, n - 1))
+        f = v[:, -1]
+        out.append((float(w[-1]),
+                    complex(d @ f ** 2 + 2.0 * (e @ (f[:-1] * f[1:])))))
+    return out
+
+
+def random_chain(n, seed):
+    rng = np.random.default_rng(seed)
+    a = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
+    k = np.arange(n - 1)
+    a[k, k + 1] = a[k + 1, k] = rng.normal(size=n - 1)
+    return a
+
+
+def chain_matrices():
+    ops = [(p.values[0].matrix, p.id) for p in structured_operators()]
+    chains = [pytest.param(m, id=name) for m, name in ops
+              if np.count_nonzero(np.triu(m, 2)) == 0]
+    chains += [pytest.param(random_chain(n, n), id=f"random_{n}")
+               for n in (1, 2, 3, 40, 301)]
+    return chains
+
+
+@pytest.mark.parametrize("matrix", chain_matrices())
+def test_chain_sweep_equals_eigh_tridiagonal_bit_for_bit(matrix):
+    for n_angles in (359, 360, 720):
+        hull = compute_hull(OperatorMatrix(matrix), n_angles=n_angles)
+        ref = eigh_tridiagonal_sweep(matrix, hull.thetas)
+        assert hull.supports.tolist() == [s for s, _ in ref], n_angles
+        assert hull.witnesses.tolist() == [w for _, w in ref], n_angles
+
+
+def test_chain_sweep_falls_back_when_bisection_finds_nothing():
+    # Entries near the float64 limit overflow ?stebz's Gershgorin bounds,
+    # and it returns no eigenvalue at most angles; the full spectrum of the
+    # same chain is used then.  Next to 1e308 the hopping is lost to
+    # rounding, so s(theta) is Re(e^{i theta} c) to that accuracy.
+    c = 1e308 + 1e308j
+    a = assemble(LatticeBox(1, ((-3, 3),)), ConstantPotential(c)).matrix
+    hull = compute_hull(OperatorMatrix(a), n_angles=360)
+    exact = (np.exp(1j * hull.thetas) * c).real
+    assert np.all(np.isfinite(hull.supports))
+    assert np.max(np.abs(hull.supports - exact)) <= 1e-12 * abs(c)
+    on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
+    assert np.max(np.abs(on_line - hull.supports)) <= 1e-12 * abs(c)
 
 
 def test_tied_extreme_does_not_crash_either_path():

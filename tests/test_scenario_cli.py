@@ -632,3 +632,33 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "small.report.json").exists()
+
+
+def test_chain_with_entries_near_the_float_limit_runs_its_sweep(tmp_path):
+    # ?stebz finds no eigenvalue on this chain at most angles (its bounds
+    # overflow); the sweep falls back to the chain's full spectrum
+    doc = {"name": "huge", "box": {"nu": 1, "ranges": [[-3, 3]]},
+           "potential": {"kind": "constant", "params": {"c": [1e308, 1e308]}},
+           "analysis": ["numrange"]}
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out-dir", str(out)]) == 0
+    report = json.loads((out / "huge.report.json").read_text())
+    _, *rows = (out / "huge.hull.csv").read_text().splitlines()
+    assert len(rows) == report["results"]["numrange"]["n_angles"]
+    assert all(math.isfinite(float(cell))
+               for row in rows for cell in row.split(","))
+
+
+def test_single_site_chain_runs_every_analysis(tmp_path):
+    doc = {"name": "one", "box": {"nu": 1, "ranges": [[0, 0]]},
+           "potential": json.loads(json.dumps(KIND_DOCS["alternating_1d"])),
+           "analysis": list(ANALYSIS), "params": {"n_angles": 3}}
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out-dir", str(out)]) == 0
+    res = json.loads((out / "one.report.json").read_text())["results"]
+    # one site with d(0) = i b_even: the spectrum, and the whole hull
+    assert res["spectrum"]["count"] == 1
+    assert res["numrange"]["polygon"] == [[0.0, 0.25]]
+    assert res["classify"]["certified_boundary_count"] == 1
