@@ -25,7 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .config import Tolerances, DEFAULT_TOLERANCES
-from .exceptions import EmptySupportError, ProvenanceError
+from .exceptions import (EigenSolverError, EmptySupportError,
+                         ProvenanceError)
 from .linalg import EigenPair, eig_general, residual_blocks
 from .model import LatticeBox, OperatorMatrix
 from .numrange import NumericalRangeHull
@@ -65,6 +66,11 @@ def classify(op: OperatorMatrix, hull: NumericalRangeHull,
     """
     a = op.matrix
     frob = op.frobenius
+    if not np.isfinite(frob):
+        raise EigenSolverError(
+            f"||A||_F = {frob} is beyond the float64 range, so the residuals "
+            f"and the tolerances scaled by it are undefined",
+            where="classify.classify")
     tol_boundary = tol.boundary(frob)
     box = op.provenance.box if op.provenance is not None else None
     pairs = eig_general(op, tol)

@@ -37,9 +37,9 @@ from .linalg import EigenPair, eig_general
 from .model import (OperatorMatrix, PotentialSpec, SeededRandomPotential,
                     SumPotential, assemble)
 from .numrange import NumericalRangeHull, compute_hull
-from .scenario import (Scenario, atomic_write_text, check_seed,
-                       dumps_canonical, encode_potential, encode_scenario,
-                       load_scenario, parse_scenario)
+from .scenario import (Scenario, atomic_write_text, check_carrier_size,
+                       check_seed, dumps_canonical, encode_potential,
+                       encode_scenario, load_scenario, parse_scenario)
 
 
 def resolve_max_dim(flag: int | None) -> int:
@@ -124,6 +124,7 @@ def analyse(sc: Scenario, max_dim: int = DEFAULT_MAX_DIM,
     if sc.seed is not None:
         sc = dataclasses.replace(
             sc, potential=_override_seed(sc.potential, sc.seed))
+    check_carrier_size(sc.potential, max_dim)
     stages = sc.analysis if stages is None else stages
     tol = _tolerances(sc)
     op = hull = records = pairs = None
@@ -272,7 +273,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_criteria(args) -> int:
     sc = _apply_flags(load_scenario(args.scenario), args)
-    an = analyse(sc, stages=("criteria",))
+    an = analyse(sc, resolve_max_dim(args.max_dim), stages=("criteria",))
     report = build_report(an).report
     doc = {
         "tool": report["tool"],

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Tolerances, DEFAULT_TOLERANCES
 from .exceptions import EigenSolverError, NotHermitianError
-from .model import _as_array
+from .model import _as_array, frobenius_norm
 
 HERMITIAN_TOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -55,7 +55,7 @@ def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
     the worst residual achieved.
     """
     a = _as_array(op)
-    frob = float(np.linalg.norm(a, "fro"))
+    frob = frobenius_norm(a)
     try:
         vals, vecs = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -109,7 +109,7 @@ def eig_hermitian(op, tol: Tolerances = DEFAULT_TOLERANCES,
             f"matrix deviates from hermitian by {dev:.3e} (> {HERMITIAN_TOL})",
             where="linalg.eig_hermitian",
         )
-    frob = float(np.linalg.norm(a, "fro"))
+    frob = frobenius_norm(a)
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

@@ -723,7 +723,20 @@ class OperatorMatrix:
 
     @cached_property
     def frobenius(self) -> float:
-        return float(np.linalg.norm(self.matrix, "fro"))
+        return frobenius_norm(self.matrix)
+
+
+def frobenius_norm(m: np.ndarray) -> float:
+    """||m||_F, inf only when the norm itself exceeds the float64 range.  The
+    plain sum of squares overflows once an entry passes about 1e154; the
+    norm of m scaled by its largest modulus does not."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m, "fro"))
+    if norm == np.inf:
+        scale = float(np.abs(m).max())
+        if scale < np.inf:
+            norm = scale * float(np.linalg.norm(m / scale, "fro"))
+    return norm
 
 
 def _as_array(op) -> np.ndarray:

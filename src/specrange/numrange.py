@@ -21,14 +21,32 @@ The per-angle solver is chosen once per matrix from its entries:
         matrix instead of once per angle; a rotation that overflows
         (entries near the float64 limit) makes ?stebz fail, which raises
         EigenSolverError;
-      - otherwise (boxes with nu >= 2): a real dense scipy.linalg.eigh.
+      - bandwidth kd > 1 (boxes with nu >= 2: kd = L on an L x L box,
+        L^2 on L^3): shifted inverse iteration on the band of
+        H = cos(theta) Re A - sin(theta) Im A, LAPACK ?pbtrf/?pbtrs and
+        BLAS ?sbmv, O(n kd^2) per step and about eight steps per angle.
+        Re A and Im A are stored in band form once per matrix.  Each
+        shift sigma is certified to lie above lambda_max by a successful
+        band Cholesky factorisation of sigma I - H, and the iteration stops
+        when the Rayleigh quotient rho has residual at most delta and
+        sigma = rho + delta factors, so s(theta) = rho with lambda_max in
+        the certified bracket [rho, rho + delta].  delta is a fixed multiple
+        of kd * eps * (1 + max row sum |A|), Cholesky's backward error, not
+        a setting.  An angle the iteration has not certified within
+        _BAND_MAX_FACTORS factorisations goes to a real dense
+        scipy.linalg.eigh, whose n x n buffers are allocated only then.
   any other matrix (a Jordan block, a random matrix): a complex Hermitian
       dense scipy.linalg.eigh of Re(e^{i theta} A).
 
 A subset solve can return no eigenpair: the dense one when the top
 eigenvalue is highly degenerate, bisection when its Gershgorin bounds
 overflow (entries near the float64 limit).  The full spectrum of the same
-matrix is used then (?stevd for a chain, which scales the matrix first).
+matrix is used then (?stevd for a chain, which scales the matrix first, as
+it is when ?stein's vector overflows).
+
+The witness polygon drops witnesses that lie on the chord between their
+neighbours up to COLLINEAR_REL of the witness set's extent, so a flat
+edge's vertex list does not follow the last bits of its witnesses.
 
 Membership and boundary-distance queries run against the outer description.
 The sampled minimum margin equals the distance to the outer region's
@@ -41,6 +59,7 @@ which is what the diagonal-imaginary-part certificates rely on.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,36 +88,42 @@ def _top_eigpair(build) -> tuple[float, np.ndarray]:
 def _lapack_ok(info: int, routine: str) -> None:
     if info != 0:
         raise EigenSolverError(f"LAPACK {routine} returned info = {info}",
-                               where="numrange.tridiagonal")
+                               where="numrange.compute_hull")
 
 
 def _tridiagonal_top(n: int):
-    """(dd, ee) -> top eigenpair of the real symmetric tridiagonal matrix
-    with diagonal dd and sub-diagonal ee, by the LAPACK calls that
-    scipy.linalg.eigh_tridiagonal(dd, ee, select='i',
-    select_range=(n - 1, n - 1)) makes.  The routines are looked up once
+    """(top, full): (dd, ee) -> top eigenpair of the real symmetric
+    tridiagonal matrix with diagonal dd and sub-diagonal ee.  top makes the
+    LAPACK calls that scipy.linalg.eigh_tridiagonal(dd, ee, select='i',
+    select_range=(n - 1, n - 1)) makes; full takes the whole spectrum by
+    ?stevd, which scales the matrix first.  The routines are looked up once
     here; dd and ee must be finite float64 arrays.  A 1 x 1 matrix needs no
     LAPACK call (the wrapper's quick exit)."""
     if n == 1:
-        return lambda dd, ee: (float(dd[0]), np.ones(1))
+        def one(dd, ee):
+            return float(dd[0]), np.ones(1)
+        return one, one
     stebz, stein, stevd = scipy.linalg.get_lapack_funcs(
         ("stebz", "stein", "stevd"), dtype=np.float64)
+
+    def full(dd: np.ndarray, ee: np.ndarray) -> tuple[float, np.ndarray]:
+        w, v, info = stevd(dd, ee)
+        _lapack_ok(info, "stevd")
+        return float(w[-1]), v[:, -1]
 
     def top(dd: np.ndarray, ee: np.ndarray) -> tuple[float, np.ndarray]:
         m, w, iblock, isplit, info = stebz(dd, ee, 2, 0.0, 1.0, n, n, 0.0,
                                            "B")
         _lapack_ok(info, "stebz")
         if m == 0:
-            # its Gershgorin bounds overflowed; ?stevd scales the matrix first
-            w, v, info = stevd(dd, ee)
-            _lapack_ok(info, "stevd")
-            return float(w[-1]), v[:, -1]
+            # its Gershgorin bounds overflowed
+            return full(dd, ee)
         v, info = stein(dd, ee, w[:m], iblock, isplit)
         _lapack_ok(info, "stein")
         # stebz orders by block, not by value
         j = np.argsort(w[:m])[-1] if m > 1 else 0
         return float(w[j]), v[:, j]
-    return top
+    return top, full
 
 
 def _rotation(p: np.ndarray, q: np.ndarray):
@@ -114,11 +139,132 @@ def _rotation(p: np.ndarray, q: np.ndarray):
     return build
 
 
-def _bandwidth_at_most_one(a: np.ndarray) -> bool:
-    """For a symmetric a: every nonzero entry lies on the three central
-    diagonals."""
-    return np.count_nonzero(a) == (np.count_nonzero(np.diagonal(a))
-                                   + 2 * np.count_nonzero(np.diagonal(a, 1)))
+def _bandwidth(a: np.ndarray) -> int:
+    """The largest |i - j| over the nonzero entries a[i, j]."""
+    i, j = np.nonzero(a)
+    return int(np.abs(i - j).max()) if len(i) else 0
+
+
+def _band(m: np.ndarray, kd: int) -> np.ndarray:
+    """The lower triangle of the symmetric m in LAPACK band storage (row d
+    holds the d-th sub-diagonal), Fortran-ordered so that LAPACK works on it
+    in place."""
+    n = m.shape[0]
+    ab = np.zeros((kd + 1, n), order="F")
+    for d in range(kd + 1):
+        ab[d, :n - d] = np.diagonal(m, -d)
+    return ab
+
+
+def _bipartite_signs(rows: np.ndarray, cols: np.ndarray,
+                     n: int) -> np.ndarray | None:
+    """+-1 per index, opposite at the two ends of every pair (rows[k],
+    cols[k]), or None when the pairs close an odd cycle."""
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    sign = [0.0] * n
+    for root in range(n):
+        if sign[root]:
+            continue
+        sign[root] = 1.0
+        todo = [root]
+        while todo:
+            i = todo.pop()
+            for j in neighbours[i]:
+                if not sign[j]:
+                    sign[j] = -sign[i]
+                    todo.append(j)
+    out = np.array(sign)
+    return out if np.all(out[rows] != out[cols]) else None
+
+
+# The certified bracket of the banded solver is [rho, rho + delta] with
+# delta = _BAND_DELTA_ULPS * (kd + 1) * eps * (1 + max row sum |A|): the
+# backward error of a band Cholesky factorisation is a small multiple of
+# (kd + 1) * eps * ||sigma I - H||, and the row sum bounds ||H(theta)||.
+_BAND_DELTA_ULPS = 8.0
+# Band factorisations per angle before the dense solver takes over.
+_BAND_MAX_FACTORS = 60
+
+
+def _banded_solver(a: np.ndarray, kd: int):
+    """theta -> (s(theta), witness) for a symmetric a of bandwidth kd: the
+    top eigenpair of H = cos(theta) Re A - sin(theta) Im A by shifted
+    inverse iteration on H's band, or None when the iteration has not
+    certified it within _BAND_MAX_FACTORS factorisations.
+
+    Each step takes the Rayleigh quotient rho = x^T H x and the residual
+    r = ||H x - rho x|| and factors sigma I - H by ?pbtrf at
+    sigma = rho + max(r, delta), widening sigma until the factorisation
+    succeeds, which proves lambda_max < sigma.  It stops when r <= delta
+    and sigma = rho + delta factors: lambda_max then lies in
+    [rho, rho + delta].  Otherwise ?pbtrs solves (sigma I - H) y = x and
+    x = y / ||y||.  The start depends on theta alone: the off-diagonal of H
+    is cos(theta) times that of Re A, nonnegative for an assembled operator,
+    so the Perron vector of H is positive when cos(theta) >= 0 and carries
+    the bipartite signs of the hopping pattern when cos(theta) < 0; a
+    start of those signs cannot be orthogonal to it."""
+    n = a.shape[0]
+    p, q = _band(a.real, kd), _band(a.imag, kd)
+    # The iteration runs on A / scale, every entry below 2 in modulus, so no
+    # product or norm in it overflows; a power of two scales exactly.
+    scale = np.ldexp(1.0, int(np.frexp(max(np.abs(p).max(),
+                                            np.abs(q).max()))[1]) - 1)
+    p /= scale
+    q /= scale
+    absb = np.hypot(p, q)
+    row_sums = absb.sum(axis=0)
+    for d in range(1, kd + 1):
+        row_sums[d:] += absb[d, :n - d]
+    delta = (_BAND_DELTA_ULPS * (kd + 1) * np.finfo(np.float64).eps
+             * (1.0 / scale + float(row_sums.max())))
+    d, j = np.nonzero(absb[1:])
+    signs = _bipartite_signs(j + d + 1, j, n)
+    ones = np.full(n, n ** -0.5)
+    starts = (ones, ones if signs is None else signs * n ** -0.5)
+    pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
+                                                 dtype=np.float64)
+    sbmv, = scipy.linalg.get_blas_funcs(("sbmv",), dtype=np.float64)
+    h, shifted = np.empty_like(p), np.empty_like(p)
+
+    def factors(sigma: float) -> bool:
+        """Cholesky-factor sigma I - H into `shifted`; True on success."""
+        np.negative(h, out=shifted)
+        shifted[0] += sigma
+        _, info = pbtrf(shifted, lower=1, overwrite_ab=1)
+        return info == 0
+
+    def witness(f: np.ndarray) -> complex:
+        return complex(scale * (f @ sbmv(kd, 1.0, p, f, lower=1)),
+                       scale * (f @ sbmv(kd, 1.0, q, f, lower=1)))
+
+    def banded(theta: float) -> tuple[float, complex] | None:
+        c, s = np.cos(theta), np.sin(theta)
+        np.multiply(p, c, out=h)
+        np.multiply(q, s, out=shifted)
+        np.subtract(h, shifted, out=h)
+        x = starts[int(c < 0)]
+        budget = _BAND_MAX_FACTORS
+        while budget > 0:
+            y = sbmv(kd, 1.0, h, x, lower=1)
+            rho = float(x @ y)
+            y -= rho * x
+            r = float(np.linalg.norm(y))
+            certified, gap = r <= delta, max(r, delta)
+            budget -= 1
+            while not factors(rho + gap):
+                if budget == 0:
+                    return None
+                certified, gap, budget = False, 2.0 * gap, budget - 1
+            if certified:
+                return rho * scale, witness(x)
+            x, info = pbtrs(shifted, x, lower=1)
+            _lapack_ok(info, "pbtrs")
+            x /= np.linalg.norm(x)
+        return None
+    return banded
 
 
 def _sweep_solver(a: np.ndarray):
@@ -134,22 +280,48 @@ def _sweep_solver(a: np.ndarray):
         return dense
 
     n = a.shape[0]
-    if _bandwidth_at_most_one(a):
+    kd = _bandwidth(a)
+    if kd <= 1:
         d, e = np.diagonal(a).copy(), np.diagonal(a, -1).copy()
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise ValueError("array must not contain infs or NaNs")
         # d and e end to end, so one rotation per angle forms both
         re_de = np.concatenate([d.real, e.real])
         im_de = np.concatenate([d.imag, e.imag])
-        top = _tridiagonal_top(n)
+        top, full = _tridiagonal_top(n)
+
+        def witness(f: np.ndarray) -> complex:
+            return complex(d @ f ** 2 + 2.0 * (e @ (f[:-1] * f[1:])))
 
         def tridiagonal(theta: float) -> tuple[float, complex]:
             c, sn = np.cos(theta), np.sin(theta)
             de = c * re_de - sn * im_de
             s, f = top(de[:n], de[n:])
-            return s, complex(d @ f ** 2 + 2.0 * (e @ (f[:-1] * f[1:])))
+            w = witness(f)
+            if not cmath.isfinite(w):
+                # ?stein's vector overflowed (entries beyond about 1e150)
+                s, f = full(de[:n], de[n:])
+                w = witness(f)
+            return s, w
         return tridiagonal
 
+    band = _banded_solver(a, kd)
+    dense = None
+
+    def band_or_dense(theta: float) -> tuple[float, complex]:
+        nonlocal dense
+        sample = band(theta)
+        if sample is None:
+            if dense is None:
+                dense = _real_dense_solver(a)
+            sample = dense(theta)
+        return sample
+    return band_or_dense
+
+
+def _real_dense_solver(a: np.ndarray):
+    """theta -> (s(theta), witness) for a symmetric a by a real dense eigh,
+    its n x n buffers allocated here."""
     re, im = a.real.copy(), a.imag.copy()
     rotated = _rotation(re.T, im.T)  # symmetric: the same entries, F-ordered
 
@@ -166,34 +338,64 @@ def support_function(op, theta: float) -> tuple[float, complex]:
     return _sweep_solver(_as_array(op))(float(theta))
 
 
+# A witness closer than this fraction of the witness set's extent to the
+# chord between its polygon neighbours is not a vertex.  Witnesses on a
+# flat edge are collinear up to rounding (about 1e-14 of the extent), and an
+# exact turn test keeps or drops them with their last bits.  Genuine
+# vertices bulge further: 1e-10 already drops some of a 300-site chain's
+# 720-angle hull, 1e-12 none of the bundled or benchmark hulls.
+COLLINEAR_REL = 1e-12
+
+
 def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
-    """Monotone chain on complex points; counterclockwise vertex order.
-    Degenerate inputs yield 1 (point) or 2 (segment) vertices."""
+    """Monotone chain on complex points; counterclockwise vertex order,
+    nearly collinear points dropped (COLLINEAR_REL).  Degenerate inputs
+    yield 1 (point) or 2 (segment) vertices."""
     pts = np.unique(points)
     pts = pts[np.lexsort((pts.imag, pts.real))]
     if len(pts) <= 2:
         return pts
+    # The tests run on the points scaled by a power of two (exactly, so the
+    # order above holds) into [-1, 1], where their products cannot overflow.
+    big = max(np.abs(pts.real).max(), np.abs(pts.imag).max())
+    scaled = pts * np.ldexp(1.0, -int(np.frexp(big)[1]))
+    tol = COLLINEAR_REL * max(np.ptp(scaled.real), np.ptp(scaled.imag))
+    z = scaled.tolist()
 
-    def half(seq):
-        out: list[complex] = []
-        for p in seq:
-            while len(out) >= 2:
-                o, q = out[-2], out[-1]
-                cross = (q.real - o.real) * (p.imag - o.imag) - \
-                        (q.imag - o.imag) * (p.real - o.real)
-                if cross <= 0.0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
+    def turn(i: int, j: int, k: int) -> float:
+        """|z[k] - z[i]| times the distance of z[j] left of the chord
+        z[i] -> z[k] (negative on its right)."""
+        o, q, p = z[i], z[j], z[k]
+        return (q.real - o.real) * (p.imag - o.imag) - \
+            (q.imag - o.imag) * (p.real - o.real)
+
+    def on_chord(i: int, j: int, k: int) -> bool:
+        """z[j] lies within tol of the chord z[i] -> z[k], between its ends."""
+        chord, rel = z[k] - z[i], z[j] - z[i]
+        along = (rel * chord.conjugate()).real
+        return (turn(i, j, k) <= tol * abs(chord)
+                and 0.0 <= along <= abs(chord) ** 2)
+
+    def half(order):
+        out: list[int] = []
+        for k in order:
+            while len(out) >= 2 and turn(out[-2], out[-1], k) <= 0.0:
+                out.pop()
+            out.append(k)
         return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if not hull:
-        hull = [pts[0]]
-    return np.asarray(hull, dtype=np.complex128)
+    ring = half(range(len(z)))[:-1] + half(range(len(z) - 1, -1, -1))[:-1]
+    # then drop each vertex on the chord between its neighbours, until none
+    # is left: a vertex whose neighbour was dropped has a new chord
+    dropped = True
+    while dropped and len(ring) > 2:
+        dropped = False
+        for j in range(len(ring) - 1, -1, -1):
+            if len(ring) > 2 and on_chord(ring[j - 1], ring[j],
+                                          ring[(j + 1) % len(ring)]):
+                del ring[j]
+                dropped = True
+    return pts[ring]
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,21 @@ def check_site_dim(spec: PotentialSpec, nu: int,
                                   f"{spec.site_dim}, the box has nu = {nu}")
 
 
+def check_carrier_size(spec: PotentialSpec, max_dim: int,
+                       path: str = "$.potential") -> None:
+    """Fail at any seeded_random carrier box, sum terms included, with more
+    sites than the dimension cap max_dim: the carrier's values are drawn
+    site by site on first use, whatever the size of the box analysed."""
+    if isinstance(spec, SumPotential):
+        for i, term in enumerate(spec.terms):
+            check_carrier_size(term, max_dim, f"{path}.params.terms[{i}]")
+    elif (isinstance(spec, SeededRandomPotential)
+          and spec.box.site_count > max_dim):
+        raise _fail(f"{path}.params.box",
+                    f"the carrier box has {spec.box.site_count} sites, "
+                    f"exceeding the dimension cap {max_dim}")
+
+
 def encode_potential(spec: PotentialSpec) -> dict:
     if KINDS.get(spec.kind) is not type(spec):
         raise TypeError(f"cannot encode potential of type {type(spec).__name__}")

@@ -1,16 +1,21 @@
 """Support-function sweeps against geometric oracles."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from specrange import numrange
+from specrange.config import DEFAULT_MAX_DIM
 from specrange.exceptions import HullDomainError
 from specrange.model import (ConstantPotential, GeometricDecayPotential,
                              LatticeBox, OperatorMatrix,
-                             SeededRandomPotential, assemble, imag_part,
-                             real_part)
+                             SeededRandomPotential, SumPotential, assemble,
+                             imag_part, real_part)
 from specrange.numrange import compute_hull, support_function
 from specrange.scenario import load_scenario
 
@@ -164,11 +169,13 @@ def test_support_function_equals_every_hull_sample(matrix):
 
 def solver_calls(monkeypatch, matrix):
     """Run one hull and record which eigensolver each angle went to, with the
-    dtype of the matrix (or diagonal) it was handed: scipy's drivers, and the
-    LAPACK routines that the chain path fetches and calls itself."""
+    dtype of the matrix (or diagonal, or band) it was handed: scipy's
+    drivers, and the LAPACK and BLAS routines that the chain and band paths
+    fetch and call themselves."""
     calls = []
     eigh, eigh_tridiagonal = scipy.linalg.eigh, scipy.linalg.eigh_tridiagonal
     get_lapack_funcs = scipy.linalg.get_lapack_funcs
+    get_blas_funcs = scipy.linalg.get_blas_funcs
 
     def spy_eigh(h, *args, **kw):
         calls.append(("eigh", h.dtype))
@@ -179,18 +186,24 @@ def solver_calls(monkeypatch, matrix):
         return eigh_tridiagonal(d, e, *args, **kw)
 
     def recording(name, routine):
-        def call(d, *args, **kw):
-            calls.append((name, d.dtype))
-            return routine(d, *args, **kw)
+        def call(*args, **kw):
+            first = next(x for x in args if isinstance(x, np.ndarray))
+            calls.append((name, first.dtype))
+            return routine(*args, **kw)
         return call
 
-    def spy_lapack(names, *args, **kw):
-        routines = get_lapack_funcs(names, *args, **kw)
-        return [recording(n, r) for n, r in zip(names, routines)]
+    def spying_on(get_funcs):
+        def get(names, *args, **kw):
+            routines = get_funcs(names, *args, **kw)
+            return [recording(n, r) for n, r in zip(names, routines)]
+        return get
 
     monkeypatch.setattr(scipy.linalg, "eigh", spy_eigh)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy_tridiagonal)
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spy_lapack)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                        spying_on(get_lapack_funcs))
+    monkeypatch.setattr(scipy.linalg, "get_blas_funcs",
+                        spying_on(get_blas_funcs))
     compute_hull(OperatorMatrix(matrix), n_angles=12)
     return set(calls)
 
@@ -206,10 +219,12 @@ def test_solver_path_follows_matrix_structure(monkeypatch):
     assert solver_calls(monkeypatch, general) == complex_dense
     assert solver_calls(monkeypatch, [[0.0, 1.0], [0.0, 0.0]]) == complex_dense
     # complex symmetric with bandwidth 1, then wider: real solves only, the
-    # chain by bisection and inverse iteration with no scipy driver between
+    # chain by bisection and inverse iteration, the box by band Cholesky
+    # inverse iteration, with no scipy driver between
     assert solver_calls(monkeypatch, chain) == {
         ("stebz", np.dtype(np.float64)), ("stein", np.dtype(np.float64))}
-    assert solver_calls(monkeypatch, box) == {("eigh", np.dtype(np.float64))}
+    assert solver_calls(monkeypatch, box) == {
+        (name, np.dtype(np.float64)) for name in ("pbtrf", "pbtrs", "sbmv")}
 
 
 def eigh_tridiagonal_sweep(a, thetas):
@@ -270,6 +285,19 @@ def test_chain_sweep_falls_back_when_bisection_finds_nothing():
     assert np.max(np.abs(on_line - hull.supports)) <= 1e-12 * abs(c)
 
 
+def test_band_sweep_of_entries_near_the_float_limit(monkeypatch):
+    # the band iteration runs on A scaled by a power of two, so its residual
+    # norms do not overflow and no angle needs the dense solver
+    c = 1e308 + 1e308j
+    a = assemble(LatticeBox(2, ((-3, 3), (-3, 3))), ConstantPotential(c)).matrix
+    monkeypatch.setattr(scipy.linalg, "eigh", None)
+    hull = compute_hull(OperatorMatrix(a), n_angles=32)
+    exact = (np.exp(1j * hull.thetas) * c).real
+    assert np.max(np.abs(hull.supports - exact)) <= 1e-12 * abs(c)
+    on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
+    assert np.max(np.abs(on_line - hull.supports)) <= 1e-12 * abs(c)
+
+
 def test_tied_extreme_does_not_crash_either_path():
     # A constant potential makes the top eigenvalue of Re(e^{i theta} A)
     # nearly 64-fold degenerate at theta = pi/2 and 3 pi/2, where the
@@ -320,17 +348,20 @@ def expression_sweep(a, thetas):
 def test_buffered_sweep_reproduces_the_expression_bit_for_bit(monkeypatch):
     # A constant potential ties the top eigenvalue at theta = pi/2, which
     # sends some angles to the full-spectrum fallback after the subset solve
-    # may have overwritten its input.
+    # may have overwritten its input.  A symmetric matrix reaches the real
+    # dense builder only when the band iteration gives up, forced here by a
+    # budget of no band factorisations.
     box = LatticeBox(2, ((0, 7), (0, 7)))
     phases = np.exp(0.7j * np.arange(box.site_count))
     fallbacks = []
 
     def spy(h, *args, **kw):
         if "subset_by_index" not in kw:
-            fallbacks.append(1)
+            fallbacks.append(h.dtype)
         return EIGH(h, *args, **kw)
 
     monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(numrange, "_BAND_MAX_FACTORS", 0)
     for pot in (ConstantPotential(0.3 + 0.4j),
                 GeometricDecayPotential(0.6 + 0.9j, 0.5)):
         a = assemble(box, pot).matrix
@@ -339,4 +370,145 @@ def test_buffered_sweep_reproduces_the_expression_bit_for_bit(monkeypatch):
             ref = expression_sweep(m, hull.thetas)
             assert hull.supports.tolist() == [s for s, _ in ref]
             assert hull.witnesses.tolist() == [w for _, w in ref]
-    assert fallbacks
+    # the real dense builder's full-spectrum fallback ran
+    assert np.dtype(np.float64) in fallbacks
+
+
+def centred_box(nu, side):
+    lo = -(side // 2)
+    return LatticeBox(nu, ((lo, lo + side - 1),) * nu)
+
+
+def seeded_field(box, seed):
+    return SumPotential((
+        SeededRandomPotential(seed, box, (-0.5, 0.5), (0.0, 1.0)),
+        GeometricDecayPotential(0.12 + 0.25j, 0.7)))
+
+
+def random_complex_symmetric(n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m + m.T
+
+
+def band_matrices():
+    """Symmetric matrices of bandwidth > 1, each with the angle grids it is
+    swept at: the boxes of a 2D lattice workload (L = 8, 16, 24, with a
+    geometric and a seeded field), a nu = 3 box and a dense random complex
+    symmetric matrix (bandwidth n - 1).  The larger boxes keep to 32 angles
+    because the complex dense reference costs about 0.1 s per angle there."""
+    cases = []
+    for side in (8, 16, 24):
+        box = centred_box(2, side)
+        grids = (32, 359, 360) if side == 8 else (32,)
+        for label, pot in (("geometric", GeometricDecayPotential(0.45 + 0.6j,
+                                                                 0.7)),
+                           ("field", seeded_field(box, side))):
+            cases.append(pytest.param(assemble(box, pot).matrix, grids,
+                                      id=f"L{side}_{label}"))
+    box3 = centred_box(3, 5)
+    cases.append(pytest.param(assemble(box3, seeded_field(box3, 3)).matrix,
+                              (32, 359, 360), id="nu3_5"))
+    cases.append(pytest.param(random_complex_symmetric(30, 4),
+                              (32, 359, 360), id="random_dense_30"))
+    return cases
+
+
+@pytest.mark.parametrize("matrix, grids", band_matrices())
+def test_band_sweep_matches_the_dense_path(monkeypatch, matrix, grids):
+    dense_calls = []
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda *a, **kw: dense_calls.append(1))
+    hulls = [compute_hull(OperatorMatrix(matrix), n_angles=n) for n in grids]
+    monkeypatch.undo()
+    # every angle was certified on the band, none went to the dense solver
+    assert not dense_calls
+    for hull in hulls:
+        ref = dense_supports(matrix, hull.thetas)
+        assert np.max(np.abs(hull.supports - ref)) < 1e-12, hull.n_angles
+        on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
+        assert np.max(np.abs(on_line - hull.supports)) < 1e-9, hull.n_angles
+
+
+def test_band_iteration_that_gives_up_reaches_the_dense_solver(monkeypatch):
+    # one factorisation cannot both move the start vector and certify it
+    a = assemble(BOX_2D, GeometricDecayPotential(0.6 + 0.9j, 0.5)).matrix
+    dense_calls = []
+
+    def spy(h, *args, **kw):
+        dense_calls.append(h.dtype)
+        return EIGH(h, *args, **kw)
+
+    monkeypatch.setattr(numrange, "_BAND_MAX_FACTORS", 1)
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    hull = compute_hull(OperatorMatrix(a), n_angles=16)
+    monkeypatch.undo()
+    assert dense_calls == [np.dtype(np.float64)] * 16
+    assert np.max(np.abs(hull.supports - dense_supports(a, hull.thetas))) \
+        < 1e-12
+
+
+def test_box_at_the_dimension_cap_sweeps():
+    # a 64 x 64 box is DEFAULT_MAX_DIM sites, the largest a run assembles
+    box = centred_box(2, 64)
+    assert box.site_count == DEFAULT_MAX_DIM
+    op = assemble(box, seeded_field(box, 64))
+    hull = compute_hull(op, n_angles=8)
+    on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
+    assert np.all(np.isfinite(hull.supports))
+    assert np.max(np.abs(on_line - hull.supports)) < 1e-9
+
+
+def test_box_hull_loads_no_sparse_solver():
+    # scipy.sparse.linalg costs the process memory at import; the band path
+    # uses only the LAPACK and BLAS routines scipy.linalg already loads
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "from specrange.model import (GeometricDecayPotential, "
+            "LatticeBox, assemble)\n"
+            "from specrange.numrange import compute_hull\n"
+            "box = LatticeBox(2, ((0, 7), (0, 7)))\n"
+            "compute_hull(assemble(box, GeometricDecayPotential(0.6 + 0.9j, "
+            "0.5)), n_angles=8)\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e160])
+def test_nearly_collinear_witnesses_are_not_vertices(scale):
+    # witnesses along the edges of a rectangle, off their edges by rounding
+    # (a few 1e-15 of the extent) to either side; an exact turn test kept
+    # those on the outer side as vertices, and at 1e160 its products
+    # overflowed
+    corners = np.array([0.0, 4.0, 4.0 + 3.0j, 3.0j])
+    t = np.linspace(0.0, 1.0, 9)[1:-1]
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        edges = [a + t * (b - a) for a, b in zip(corners,
+                                                 np.roll(corners, -1))]
+        noise = rng.uniform(-4e-15, 4e-15, size=(4, len(t)))
+        normals = 1j * (np.roll(corners, -1) - corners) / np.abs(
+            np.roll(corners, -1) - corners)
+        pts = np.concatenate([corners] + [e + n * d for e, n, d in
+                                          zip(edges, noise, normals)])
+        poly = numrange._convex_hull_ccw(scale * pts)
+        assert sorted(poly.tolist(), key=lambda z: (z.real, z.imag)) == \
+            sorted((scale * corners).tolist(), key=lambda z: (z.real, z.imag))
+    # a witness 1e-9 of the extent outside an edge is a vertex
+    bulge = numrange._convex_hull_ccw(
+        scale * np.concatenate([corners, [2.0 - 4e-9j]]))
+    assert len(bulge) == 5
+
+
+def test_flat_hull_reports_its_end_points():
+    # levelset_gap_im2's witnesses lie on one segment up to rounding; its
+    # polygon is that segment, not a sliver whose vertex count follows the
+    # witnesses' last bits
+    sc = load_scenario(SCENARIO_DIR / "levelset_gap_im2.json")
+    hull = compute_hull(assemble(sc.box, sc.potential), n_angles=sc.n_angles)
+    assert len(hull.polygon) == 2

@@ -13,6 +13,7 @@ import pytest
 from specrange import scenario
 from specrange.cli import main
 from specrange.exceptions import SchemaError
+from specrange.model import SeededRandomPotential
 from specrange.scenario import (atomic_write_text, dumps_canonical,
                                 encode_scenario, parse_scenario)
 
@@ -648,6 +649,64 @@ def test_chain_with_entries_near_the_float_limit_runs_its_sweep(tmp_path):
     assert len(rows) == report["results"]["numrange"]["n_angles"]
     assert all(math.isfinite(float(cell))
                for row in rows for cell in row.split(","))
+
+
+HUGE_TABLE = {"kind": "table",
+              "params": {"entries": [{"site": [0], "value": [1e160, 1e160]}]},
+              "decay": {"vanishes_outside_radius": 0}}
+HUGE_CONSTANT = {"kind": "constant", "params": {"c": [1e308, 1e308]}}
+
+
+@pytest.mark.parametrize("box, potential, code", [
+    # ||A||_F is finite, but its plain sum of squares overflows, and so did
+    # the chain's ?stein vectors (NaN witnesses)
+    pytest.param([[-3, 3]], HUGE_TABLE, 0, id="table_1e160"),
+    # ||A||_F itself is beyond the float64 range: no tolerance exists
+    pytest.param([[-3, 3]], HUGE_CONSTANT, 3, id="constant_1e308"),
+    pytest.param([[-3, 3], [-3, 3]], HUGE_CONSTANT, 3, id="constant_1e308_2d"),
+])
+def test_entries_beyond_the_square_root_of_the_float_range(tmp_path, box,
+                                                           potential, code):
+    doc = {"name": "huge", "box": {"nu": len(box), "ranges": box},
+           "potential": potential, "analysis": ["numrange", "classify"]}
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, doc), "--out-dir",
+                 str(out)]) == code
+    if code == 0:
+        res = json.loads((out / "huge.report.json").read_text())["results"]
+        assert math.isfinite(res["classify"]["tol_cert"])
+        assert res["classify"]["tol_cert"] == pytest.approx(
+            1e-6 * (1.0 + math.hypot(1e160, 1e160)), rel=1e-12)
+        assert all(math.isfinite(x) for v in res["numrange"]["polygon"]
+                   for x in v)
+
+
+@pytest.mark.parametrize("verb", ["run", "criteria"])
+def test_carrier_beyond_the_dimension_cap_exits_two_at_once(
+        tmp_path, capsys, monkeypatch, verb):
+    def no_draws(self, site):
+        raise AssertionError("a carrier value was drawn")
+
+    monkeypatch.setattr(SeededRandomPotential, "_site_value", no_draws)
+    doc = dict(small_run_doc(), potential={"kind": "sum", "params": {"terms": [
+        KIND_DOCS["constant"], dict(KIND_DOCS["seeded_random"], params=dict(
+            KIND_DOCS["seeded_random"]["params"],
+            box={"nu": 1, "ranges": [[0, 10000000]]}))]}})
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([verb, path, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(
+        "at $.potential.params.terms[1].params.box")
+    assert not out.exists()
+    # the cap is the run's: --max-dim raises it for every verb
+    assert main([verb, path, "--max-dim", "5", "--out-dir", str(out)]) == 2
+    # a 13-site carrier on a 13-site box
+    doc.update(potential=KIND_DOCS["seeded_random"],
+               box={"nu": 1, "ranges": [[-6, 6]]})
+    path = write_scenario(tmp_path, doc)
+    monkeypatch.undo()
+    assert main([verb, path, "--max-dim", "12", "--out-dir", str(out)]) == 2
+    assert main([verb, path, "--max-dim", "13", "--out-dir", str(out)]) == 0
 
 
 def test_single_site_chain_runs_every_analysis(tmp_path):
