@@ -34,8 +34,9 @@ from .exceptions import (BandRegimeError, BlowupError, CertificationError,
                          SpecrangeError)
 from .linalg import EigenPair, eig_general, eig_hermitian
 from .model import (Alternating1DPotential, ConstantPotential, DecayBound,
-                    GeometricDecayPotential, LatticeBox, OperatorMatrix,
-                    PotentialSpec, PowerDecayPotential, Provenance,
+                    GeometricDecayPotential, LatticeBox, LatticeOperator,
+                    Operator, OperatorMatrix, PotentialSpec,
+                    PowerDecayPotential, Provenance,
                     SeededRandomPotential, SumPotential, TablePotential,
                     TailInfo, assemble, imag_part, potential_bounds,
                     real_part)
@@ -67,7 +68,8 @@ __all__ = [
     "NotHermitianError", "ProvenanceError", "SchemaError", "SpecrangeError",
     "EigenPair", "eig_general", "eig_hermitian",
     "Alternating1DPotential", "ConstantPotential", "DecayBound",
-    "GeometricDecayPotential", "LatticeBox", "OperatorMatrix",
+    "GeometricDecayPotential", "LatticeBox", "LatticeOperator", "Operator",
+    "OperatorMatrix",
     "PotentialSpec", "PowerDecayPotential", "Provenance",
     "SeededRandomPotential", "SumPotential", "TablePotential", "TailInfo",
     "assemble", "imag_part", "potential_bounds", "real_part",

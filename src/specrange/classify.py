@@ -11,6 +11,11 @@ against two independent certificates:
                 and for assembled lattice operators Im(A) is the diagonal
                 Im d, which pins Im d(k) = Im(lambda) on the support.
 
+Both certificates read A only through op.products (rows A f and A* f, a
+stencil for an assembled operator) and op.diagonal; the residual norms are
+formed on A scaled by a power of two, so they are finite whenever ||A||_F
+is.
+
 Interior eigenvalues get verdict not_applicable.  A boundary pair whose
 normality residual exceeds the certification threshold is "violated";
 residuals an order of magnitude above threshold are the typical signature
@@ -28,7 +33,7 @@ from .config import Tolerances, DEFAULT_TOLERANCES
 from .exceptions import (EigenSolverError, EmptySupportError,
                          ProvenanceError)
 from .linalg import EigenPair, eig_general, residual_blocks
-from .model import LatticeBox, OperatorMatrix
+from .model import LatticeBox, Operator
 from .numrange import NumericalRangeHull
 
 
@@ -56,7 +61,7 @@ class EigenClassification:
     box: LatticeBox | None
 
 
-def classify(op: OperatorMatrix, hull: NumericalRangeHull,
+def classify(op: Operator, hull: NumericalRangeHull,
              tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenClassification]:
     """One record per eig_general pair, in the same (Re, Im) order.
 
@@ -64,7 +69,6 @@ def classify(op: OperatorMatrix, hull: NumericalRangeHull,
     minimum margin is the boundary distance (see numrange module notes on
     its direction of error).
     """
-    a = op.matrix
     frob = op.frobenius
     if not np.isfinite(frob):
         raise EigenSolverError(
@@ -74,16 +78,20 @@ def classify(op: OperatorMatrix, hull: NumericalRangeHull,
     tol_boundary = tol.boundary(frob)
     box = op.provenance.box if op.provenance is not None else None
     pairs = eig_general(op, tol)
+    scale = op.scale
     out = []
     for b in residual_blocks(len(pairs)):
         block = pairs[b]
         f = np.array([p.vector for p in block])  # rows f_j
-        lam = np.array([p.value for p in block])[:, None]
-        af = f @ a.T  # rows A f_j
-        ahf = (f.conj() @ a).conj()  # rows A* f_j, without copying A
-        normality = np.linalg.norm(ahf - lam.conj() * f, axis=1)
-        split_re = np.linalg.norm((af + ahf) / 2.0 - lam.real * f, axis=1)
-        split_im = np.linalg.norm((af - ahf) / 2.0j - lam.imag * f, axis=1)
+        lam = np.array([p.value for p in block])[:, None] / scale
+        # rows A f_j / scale and A* f_j / scale: the norms below are formed
+        # on A / scale (exactly), so they overflow only with ||A||_F
+        af, ahf = op.products(f / scale)
+        normality = scale * np.linalg.norm(ahf - lam.conj() * f, axis=1)
+        split_re = scale * np.linalg.norm((af + ahf) / 2.0 - lam.real * f,
+                                          axis=1)
+        split_im = scale * np.linalg.norm((af - ahf) / 2.0j - lam.imag * f,
+                                          axis=1)
         absf = np.abs(f)
         thresh = tol.support_rel * absf.max(axis=1)
         for j, pair in enumerate(block):
@@ -101,7 +109,7 @@ def classify(op: OperatorMatrix, hull: NumericalRangeHull,
     return out
 
 
-def hildebrandt_certificate(op: OperatorMatrix, cls: EigenClassification,
+def hildebrandt_certificate(op: Operator, cls: EigenClassification,
                             tol: Tolerances = DEFAULT_TOLERANCES) -> NormalityVerdict:
     """Normality certificate for a boundary eigenpair.
 
@@ -117,14 +125,14 @@ def hildebrandt_certificate(op: OperatorMatrix, cls: EigenClassification,
     return NormalityVerdict.VIOLATED
 
 
-def split_certificate(op: OperatorMatrix, cls: EigenClassification,
+def split_certificate(op: Operator, cls: EigenClassification,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> SplitVerdict:
     """Re/Im eigen-equation split certificate for a boundary eigenpair.
 
     Requires assembly provenance: on top of the two split residuals, the
     diagonal structure of Im(A) is checked sitewise, |Im d(k) - Im lambda|
-    <= tol_cert for every support site k.  assemble writes d on the
-    diagonal of A, so Im d(k) is read from there.
+    <= tol_cert for every support site k.  Im A is the diagonal Im d of an
+    assembled operator, so Im d(k) is read from op.diagonal.
     """
     if op.provenance is None:
         raise ProvenanceError(
@@ -137,13 +145,13 @@ def split_certificate(op: OperatorMatrix, cls: EigenClassification,
     if cls.split_residual_re > bound or cls.split_residual_im > bound:
         return SplitVerdict.VIOLATED
     if len(cls.support_indices):
-        imvals = np.diagonal(op.matrix).imag[cls.support_indices]
+        imvals = op.diagonal.imag[cls.support_indices]
         if float(np.abs(imvals - cls.pair.value.imag).max()) > bound:
             return SplitVerdict.VIOLATED
     return SplitVerdict.CERTIFIED
 
 
-def certify(op: OperatorMatrix, cls: EigenClassification,
+def certify(op: Operator, cls: EigenClassification,
             tol: Tolerances = DEFAULT_TOLERANCES,
             ) -> tuple[NormalityVerdict, SplitVerdict, bool]:
     """Both certificates of one record, and whether together they certify a

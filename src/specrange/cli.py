@@ -34,7 +34,7 @@ from .criteria import CriteriaParams, evaluate_all
 from .exceptions import (CertificationError, DesignError, EmptySupportError,
                          SchemaError, SpecrangeError)
 from .linalg import EigenPair, eig_general
-from .model import (OperatorMatrix, PotentialSpec, SeededRandomPotential,
+from .model import (Operator, PotentialSpec, SeededRandomPotential,
                     SumPotential, assemble)
 from .numrange import NumericalRangeHull, compute_hull
 from .scenario import (Scenario, atomic_write_text, check_carrier_size,
@@ -107,7 +107,7 @@ class Analysis:
     scenario: Scenario
     stages: tuple[str, ...]
     tol: Tolerances
-    op: OperatorMatrix | None = None
+    op: Operator | None = None
     hull: NumericalRangeHull | None = None
     records: list[EigenClassification] | None = None
     pairs: list[EigenPair] | None = None
@@ -169,7 +169,7 @@ def _hull_json(hull: NumericalRangeHull) -> dict:
     }
 
 
-def _classify_json(op: OperatorMatrix, records: list[EigenClassification],
+def _classify_json(op: Operator, records: list[EigenClassification],
                    tol: Tolerances) -> dict:
     out = []
     certified = 0

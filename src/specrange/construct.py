@@ -25,8 +25,8 @@ from .classify import (EigenClassification, NormalityVerdict, SplitVerdict,
                        certify, classify)
 from .config import RATIO_CAP, Tolerances, DEFAULT_TOLERANCES
 from .exceptions import CertificationError, DesignError
-from .model import (ConstantPotential, LatticeBox, OperatorMatrix,
-                    PotentialSpec, SumPotential, TablePotential, assemble)
+from .model import (ConstantPotential, LatticeBox, Operator, PotentialSpec,
+                    SumPotential, TablePotential, assemble)
 from .numrange import NumericalRangeHull, compute_hull
 
 TINY_ENTRY = 1e-12
@@ -249,7 +249,7 @@ def combined_potential(re_spec: TablePotential, im_spec: PotentialSpec,
 
 @dataclass(frozen=True)
 class CounterexampleBuild:
-    operator: OperatorMatrix
+    operator: Operator
     expected: complex
     eigenfunction: DesignedEigenfunction
     potential: PotentialSpec

@@ -5,6 +5,11 @@ is trusted: unit norms are re-imposed, residuals are recomputed from the
 returned vectors, and the residual contract is enforced here.  Eigenvector
 phases are canonicalized (largest-magnitude entry real positive) so results
 are reproducible run to run.
+
+eig_general takes any model.Operator: the only dense copy of A it makes is
+the buffer LAPACK ?geev overwrites, and its residuals come from the
+operator's own products (a stencil for an assembled operator), formed on A
+scaled by a power of two so that they overflow only with ||A||_F.
 """
 
 from __future__ import annotations
@@ -12,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .config import Tolerances, DEFAULT_TOLERANCES
 from .exceptions import EigenSolverError, NotHermitianError
-from .model import _as_array, frobenius_norm
+from .model import _as_array, as_operator, frobenius_norm
 
 HERMITIAN_TOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -46,31 +52,72 @@ def residual_blocks(n: int):
             for j in range(0, n, RESIDUAL_BLOCK))
 
 
+def _permute_rows(m: np.ndarray, order: np.ndarray) -> None:
+    """m[:] = m[order] in place, following each cycle of the permutation
+    with one row of scratch instead of a second copy of m."""
+    done = np.zeros(len(order), dtype=bool)
+    for start in range(len(order)):
+        if done[start]:
+            continue
+        row, j = m[start].copy(), start
+        while not done[j]:
+            done[j] = True
+            k = int(order[j])
+            m[j] = row if k == start else m[k]
+            j = k
+
+
 def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
-    """All eigenpairs of a general complex matrix.
+    """All eigenpairs of a general complex matrix (an Operator or an array).
 
     Deterministic order: ascending by (Re, Im).  Every residual
     ||A v - lambda v||_2 is recomputed and must satisfy
     residual <= tol.eig * (1 + ||A||_F); otherwise this raises, carrying
     the worst residual achieved.
+
+    LAPACK ?geev (the routine and workspace size np.linalg.eig uses, so the
+    same bits with the same BLAS) overwrites the one dense copy of A that
+    op.fill writes into its Fortran-ordered buffer, divided by
+    op.lapack_scale, and the eigenvector matrix it returns is sorted in
+    place: two n x n arrays at most.  The residuals come from op.products
+    on f / op.scale, exactly scaled, so they stay finite whenever ||A||_F
+    is.
     """
-    a = _as_array(op)
-    frob = frobenius_norm(a)
-    try:
-        vals, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
+    op = as_operator(op)
+    if not op.finite:
+        raise EigenSolverError("matrix has entries beyond the float64 range",
+                               where="linalg.eig_general")
+    n = op.dim
+    if n == 0:
+        return []
+    frob = op.frobenius
+    geev, geev_lwork = scipy.linalg.get_lapack_funcs(
+        ("geev", "geev_lwork"), dtype=np.complex128)
+    work, info = geev_lwork(n, compute_vl=0, compute_vr=1)
+    buf = np.empty((n, n), dtype=np.complex128, order="F")
+    op.fill(buf)
+    solve_scale = op.lapack_scale
+    if solve_scale != 1.0:
+        buf /= solve_scale
+    vals, _, vr, info = geev(buf, compute_vl=0, compute_vr=1,
+                             lwork=int(work.real), overwrite_a=1)
+    del buf
+    vals *= solve_scale
+    if info != 0:
         raise EigenSolverError(
-            f"eigensolver did not converge: {exc}",
+            f"eigensolver did not converge: LAPACK geev returned info = "
+            f"{info}",
             worst_residual=float("nan"),
             where="linalg.eig_general",
-        ) from exc
+        )
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     # One contiguous row per eigenvector, normalised in place: each pair's
     # vector is a view of this one block rather than a separate small array,
     # so n pairs do not scatter n allocations (and their temporaries) over
     # the heap, and a run of rows is one operand of the residual product.
-    vecs = vecs.T[order]
+    vecs = vr.T
+    _permute_rows(vecs, order)
     for v in vecs:
         nrm = np.linalg.norm(v)
         if nrm == 0:
@@ -78,10 +125,13 @@ def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
                                    where="linalg.eig_general")
         v /= nrm
         _canonical_phase(v)
+    scale = op.scale
     res = np.empty(len(vals))
     for b in residual_blocks(len(vals)):
-        f = vecs[b]  # rows f_j; row j of f @ A^T is A f_j
-        res[b] = np.linalg.norm(f @ a.T - vals[b, None] * f, axis=1)
+        f = vecs[b]
+        af, _ = op.products(f / scale)  # rows A f_j / scale
+        res[b] = scale * np.linalg.norm(af - (vals[b, None] / scale) * f,
+                                        axis=1)
     worst = float(res.max()) if len(res) else 0.0
     pairs = list(map(EigenPair, vals.tolist(), vecs, res.tolist()))
     bound = tol.eig * (1.0 + frob)

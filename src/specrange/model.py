@@ -6,6 +6,13 @@ diagonal potential, cut down to a finite box with Dirichlet truncation
 so that infinite-lattice facts (decay, level-set structure, parity of the
 imaginary part's support) remain certifiable after truncation; each kind
 implements a small certificate protocol consumed by the criteria module.
+
+Operators (the Operator interface) are read through their diagonal, norm,
+products A f and A* f of blocks of vectors, and a dense copy written into a
+caller's buffer.  `assemble` returns a LatticeOperator, which stores the box
+and the diagonal d alone (A = J + diag(d), O(n) memory, stencil products);
+explicit matrices, the only storage for input that was not assembled on a
+box, are OperatorMatrix and keep their dense array.
 """
 
 from __future__ import annotations
@@ -119,7 +126,10 @@ class DecayBound:
         if self.amplitude == 0.0:
             return 0.0
         if self.form == "power":
-            return self.amplitude / (1.0 + s ** self.rate)
+            try:
+                return self.amplitude / (1.0 + s ** self.rate)
+            except OverflowError:  # s**rate beyond the float64 range
+                return 0.0
         return self.amplitude * self.rate ** s
 
 
@@ -695,12 +705,77 @@ class Provenance:
     potential: PotentialSpec
 
 
+# Operators whose scale lies in this range are handed to LAPACK as they are.
+LAPACK_UNSCALED = (2.0 ** -64, 2.0 ** 64)
+
+
+class Operator(abc.ABC):
+    """A square complex matrix A as the rest of the package reads it: its
+    size, diagonal and norm, the products A f and A* f of blocks of vectors,
+    and a dense copy written into a caller's buffer.  `diagonal` is A's
+    diagonal (complex128, n), `matrix` is A as an n x n array and
+    `provenance` the box and potential A was assembled from (None for an
+    explicit matrix)."""
+
+    provenance: Provenance | None
+    diagonal: np.ndarray
+
+    @property
+    @abc.abstractmethod
+    def dim(self) -> int:
+        """n, the number of rows and columns."""
+
+    @property
+    @abc.abstractmethod
+    def frobenius(self) -> float:
+        """||A||_F, inf only when the norm itself exceeds the float64 range."""
+
+    @property
+    @abc.abstractmethod
+    def hermitian(self) -> bool:
+        """A == A* exactly, entry by entry."""
+
+    @property
+    @abc.abstractmethod
+    def finite(self) -> bool:
+        """Every entry of A is finite."""
+
+    @property
+    @abc.abstractmethod
+    def scale(self) -> float:
+        """The power of two s with max |Re a_ij|, |Im a_ij| over A in
+        [s, 2 s) (pow2_floor): A / s has no entry part beyond 2, so no
+        product or norm formed on it overflows while ||A||_F is finite, and
+        dividing by s is exact."""
+
+    @property
+    def lapack_scale(self) -> float:
+        """The power of two that LAPACK's iterative solvers divide A by: 1
+        while scale lies in [2^-64, 2^64], so their answers keep the bits of
+        A's own solve, scale itself beyond.  LAPACK's ?geev scales a matrix
+        whose largest entry lies outside about [1e-138, 1e138] by itself,
+        and the ?geev of the OpenBLAS 0.3.30 that scipy bundles does not
+        undo it (it returns the eigenvalues of 1e160 as 1.5e138); ?stebz
+        and ?stein fail on large chains (see numrange)."""
+        s = self.scale
+        return 1.0 if LAPACK_UNSCALED[0] <= s <= LAPACK_UNSCALED[1] else s
+
+    @abc.abstractmethod
+    def products(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A f_j, A* f_j) as rows, for the rows f_j of the (k, n) block f."""
+
+    @abc.abstractmethod
+    def fill(self, buf: np.ndarray) -> None:
+        """Write A into the n x n complex128 array buf, in its own order."""
+
+
 @dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex matrix plus assembly provenance.
+class OperatorMatrix(Operator):
+    """Explicit dense complex matrix, with optional provenance: the storage
+    of every operator that is not assembled on a box.
 
     hermitian is an exact (zero-tolerance) entrywise check against the
-    conjugate transpose, performed once at construction.
+    conjugate transpose, performed once on first use.
     """
 
     matrix: np.ndarray
@@ -717,6 +792,10 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def diagonal(self) -> np.ndarray:
+        return np.diagonal(self.matrix)
+
     @cached_property
     def hermitian(self) -> bool:
         return bool(np.array_equal(self.matrix, self.matrix.conj().T))
@@ -725,34 +804,165 @@ class OperatorMatrix:
     def frobenius(self) -> float:
         return frobenius_norm(self.matrix)
 
+    @cached_property
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.matrix).all())
+
+    @cached_property
+    def scale(self) -> float:
+        return pow2_floor(float(np.abs(self.matrix.view(np.float64)).max()))
+
+    def products(self, f):
+        a = self.matrix
+        return f @ a.T, (f.conj() @ a).conj()  # A* f without copying A
+
+    def fill(self, buf):
+        buf[...] = self.matrix
+
+
+@dataclass(frozen=True)
+class LatticeOperator(Operator):
+    """A = J + diag(d) on a box, stored as the box and d alone: J is the
+    box's nearest-neighbour hopping (entry 1 for each pair of sites at
+    l1-distance one, hops leaving the box dropped), real and symmetric, so
+    A* = J + diag(conj d).  Products are a stencil over box.shape, O(n nu)
+    per vector; `matrix` is built on each read and not kept."""
+
+    provenance: Provenance
+    diagonal: np.ndarray
+
+    def __post_init__(self):
+        d = np.array(self.diagonal, dtype=np.complex128)
+        if d.shape != (self.box.site_count,):
+            raise ValueError(f"diagonal of shape {d.shape} given, the box "
+                             f"has {self.box.site_count} sites")
+        d.setflags(write=False)
+        object.__setattr__(self, "diagonal", d)
+
+    @property
+    def box(self) -> LatticeBox:
+        return self.provenance.box
+
+    @property
+    def dim(self) -> int:
+        return self.box.site_count
+
+    @cached_property
+    def edges(self) -> int:
+        """The number of hopping pairs: n (L_j - 1) / L_j along axis j."""
+        n = self.dim
+        return sum(n // side * (side - 1) for side in self.box.shape)
+
+    @cached_property
+    def hermitian(self) -> bool:
+        return not self.diagonal.imag.any()
+
+    @cached_property
+    def frobenius(self) -> float:
+        return frobenius_norm(np.concatenate([self.diagonal,
+                                              np.ones(2 * self.edges)]))
+
+    @cached_property
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.diagonal).all())
+
+    @cached_property
+    def scale(self) -> float:
+        d = float(np.abs(self.diagonal.view(np.float64)).max())
+        return pow2_floor(max(d, 1.0) if self.edges else d)
+
+    @cached_property
+    def bandwidth(self) -> int:
+        """The largest |i - j| over the hopping pairs (i, j): the largest
+        stride among the axes longer than 1 (0 for a single site), so an
+        L x 1 box is a chain."""
+        return max((s for s, side in zip(self.box.strides, self.box.shape)
+                    if side > 1), default=0)
+
+    def _hops(self):
+        """(stride, i) per axis longer than 1: i are the sites whose
+        neighbour i + stride along that axis is in the box."""
+        idx = np.arange(self.dim).reshape(self.box.shape)
+        for axis, (stride, side) in enumerate(zip(self.box.strides,
+                                                  self.box.shape)):
+            if side > 1:
+                yield stride, np.moveaxis(idx, axis, 0)[:-1].ravel()
+
+    def hopping_band(self) -> np.ndarray:
+        """J in LAPACK lower band storage (row s holds the s-th
+        sub-diagonal), float64 (bandwidth + 1, n), Fortran-ordered."""
+        ab = np.zeros((self.bandwidth + 1, self.dim), order="F")
+        for stride, i in self._hops():
+            ab[stride, i] = 1.0
+        return ab
+
+    def products(self, f):
+        g = f.reshape((len(f),) + self.box.shape)
+        jf = np.zeros_like(g)
+        for axis in range(1, g.ndim):
+            head = (slice(None),) * axis
+            jf[head + (slice(None, -1),)] += g[head + (slice(1, None),)]
+            jf[head + (slice(1, None),)] += g[head + (slice(None, -1),)]
+        jf = jf.reshape(f.shape)
+        return jf + self.diagonal * f, jf + self.diagonal.conj() * f
+
+    def fill(self, buf):
+        buf[...] = 0.0
+        for stride, i in self._hops():
+            buf[i, i + stride] = 1.0
+            buf[i + stride, i] = 1.0
+        k = np.arange(self.dim)
+        buf[k, k] = self.diagonal
+
+    @property
+    def matrix(self) -> np.ndarray:
+        m = np.empty((self.dim, self.dim), dtype=np.complex128)
+        self.fill(m)
+        m.setflags(write=False)
+        return m
+
+
+def pow2_floor(x: float) -> float:
+    """The power of two s with s <= x < 2 s, for finite x > 0 (0.5 at 0)."""
+    return float(np.ldexp(1.0, int(np.frexp(x)[1]) - 1))
+
 
 def frobenius_norm(m: np.ndarray) -> float:
-    """||m||_F, inf only when the norm itself exceeds the float64 range.  The
-    plain sum of squares overflows once an entry passes about 1e154; the
-    norm of m scaled by its largest modulus does not."""
+    """The 2-norm of m's entries (||m||_F for a matrix), inf only when the
+    norm itself exceeds the float64 range.  The plain sum of squares
+    overflows once an entry passes about 1e154; the norm of m scaled by its
+    largest modulus does not."""
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(m, "fro"))
+        norm = float(np.linalg.norm(m))
     if norm == np.inf:
         scale = float(np.abs(m).max())
         if scale < np.inf:
-            norm = scale * float(np.linalg.norm(m / scale, "fro"))
+            norm = scale * float(np.linalg.norm(m / scale))
     return norm
 
 
+def as_operator(op) -> Operator:
+    """op itself if it is an Operator, else an explicit OperatorMatrix of
+    the array-like op."""
+    return op if isinstance(op, Operator) else OperatorMatrix(op)
+
+
 def _as_array(op) -> np.ndarray:
-    """The matrix of an OperatorMatrix, or any array-like as complex128."""
-    if isinstance(op, OperatorMatrix):
+    """The matrix of an Operator, or any array-like as complex128."""
+    if isinstance(op, Operator):
         return op.matrix
     return np.asarray(op, dtype=np.complex128)
 
 
 def assemble(box: LatticeBox, potential: PotentialSpec,
-             max_dim: int | None = None) -> OperatorMatrix:
+             max_dim: int | None = None) -> LatticeOperator:
     """Dirichlet truncation of hopping + diagonal potential to the box.
 
     Off-diagonal entries are 1 exactly for site pairs at l1-distance one
-    inside the box; hops leaving the box are dropped.  Refuses to build
-    matrices larger than max_dim (default DEFAULT_MAX_DIM).
+    inside the box; hops leaving the box are dropped.  The operator keeps
+    the box and the potential's values d on it, O(n) storage; no n x n
+    array is formed.  Refuses boxes of more than max_dim sites (default
+    DEFAULT_MAX_DIM).
     """
     if potential.site_dim not in (None, box.nu):
         raise ValueError(f"{potential.kind} potential is declared on "
@@ -765,16 +975,8 @@ def assemble(box: LatticeBox, potential: PotentialSpec,
             f"raise max_dim explicitly to proceed",
             where="core_model.assemble",
         )
-    m = np.zeros((n, n), dtype=np.complex128)
-    idx = np.arange(n).reshape(box.shape)
-    for axis in range(box.nu):
-        a = np.moveaxis(idx, axis, 0)[:-1].ravel()
-        b = np.moveaxis(idx, axis, 0)[1:].ravel()
-        m[a, b] = 1.0
-        m[b, a] = 1.0
-    diag = potential.values(box.sites)
-    m[np.arange(n), np.arange(n)] = diag
-    return OperatorMatrix(m, provenance=Provenance(box, potential))
+    return LatticeOperator(Provenance(box, potential),
+                           potential.values(box.sites))
 
 
 def real_part(op) -> OperatorMatrix:

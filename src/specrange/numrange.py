@@ -6,43 +6,49 @@ half-plane {z : Re(e^{i theta} z) <= s(theta)} and one inner witness point
 and the half-plane intersection (outer region) sandwich the true numerical
 range; the gap shrinks like 1/n_angles^2 on smooth boundary arcs.
 
-The per-angle solver is chosen once per matrix from its entries:
+The per-angle solver is chosen once per operator from its structure.  An
+assembled operator (model.LatticeOperator) gives it directly: its diagonal
+d, and its bandwidth and hopping band from the box, with no n x n array and
+no O(n^2) scan.  An explicit matrix is scanned: A == A^T, then the
+bandwidth of its nonzeros, then its bands.
 
   A = A^T (every assembled lattice operator, A = J + diag(V) with J real):
       Re(e^{i theta} A) = cos(theta) Re A - sin(theta) Im A is real
       symmetric, and the witness is f^T A f for the real unit vector f.
-      - bandwidth 1 (1D chains): LAPACK ?stebz (bisection for the top
-        eigenvalue) and ?stein (inverse iteration for its vector) on the
-        diagonal and sub-diagonal, witness in O(n).  These are the calls
+      - bandwidth 1 (1D chains, and boxes with one axis longer than 1):
+        LAPACK ?stebz (bisection for the top eigenvalue) and ?stein
+        (inverse iteration for its vector) on the diagonal and
+        sub-diagonal, witness in O(n).  These are the calls
         scipy.linalg.eigh_tridiagonal(select='i') makes, with its answers
         bit for bit, but made directly: on the chains of a sweep (tens to
         hundreds of sites) that wrapper's per-call argument handling cost
-        more than the two LAPACK calls.  Finiteness is checked once per
-        matrix instead of once per angle; a rotation that overflows
-        (entries near the float64 limit) makes ?stebz fail, which raises
-        EigenSolverError;
+        more than the two LAPACK calls.  A chain whose entries leave
+        [2^-64, 2^64] is solved divided by its power-of-two scale
+        (Operator.lapack_scale), which keeps ?stebz's bounds and ?stein's
+        vectors finite up to the float64 limit; bisection that finds no
+        eigenvalue raises EigenSolverError;
       - bandwidth kd > 1 (boxes with nu >= 2: kd = L on an L x L box,
         L^2 on L^3): shifted inverse iteration on the band of
         H = cos(theta) Re A - sin(theta) Im A, LAPACK ?pbtrf/?pbtrs and
         BLAS ?sbmv, O(n kd^2) per step and about eight steps per angle.
-        Re A and Im A are stored in band form once per matrix.  Each
-        shift sigma is certified to lie above lambda_max by a successful
-        band Cholesky factorisation of sigma I - H, and the iteration stops
-        when the Rayleigh quotient rho has residual at most delta and
-        sigma = rho + delta factors, so s(theta) = rho with lambda_max in
-        the certified bracket [rho, rho + delta].  delta is a fixed multiple
-        of kd * eps * (1 + max row sum |A|), Cholesky's backward error, not
-        a setting.  An angle the iteration has not certified within
+        Re A and Im A are stored in band form once per matrix, divided by
+        their power-of-two scale.  Each shift sigma is certified to lie
+        above lambda_max by a successful band Cholesky factorisation of
+        sigma I - H, and the iteration stops when the Rayleigh quotient
+        rho has residual at most delta and sigma = rho + delta factors, so
+        s(theta) = rho with lambda_max in the certified bracket
+        [rho, rho + delta].  delta is a fixed multiple of
+        kd * eps * (1 + max row sum |A|), Cholesky's backward error, not a
+        setting.  An angle the iteration has not certified within
         _BAND_MAX_FACTORS factorisations goes to a real dense
         scipy.linalg.eigh, whose n x n buffers are allocated only then.
   any other matrix (a Jordan block, a random matrix): a complex Hermitian
-      dense scipy.linalg.eigh of Re(e^{i theta} A).
+      dense scipy.linalg.eigh of Re(e^{i theta} A).  Its subset solve can
+      return no eigenpair when the top eigenvalue is highly degenerate;
+      the full spectrum of the same matrix is used then.
 
-A subset solve can return no eigenpair: the dense one when the top
-eigenvalue is highly degenerate, bisection when its Gershgorin bounds
-overflow (entries near the float64 limit).  The full spectrum of the same
-matrix is used then (?stevd for a chain, which scales the matrix first, as
-it is when ?stein's vector overflows).
+Non-finite entries, and a support value or witness beyond the float64 range
+once unscaled (entries near 1.7e308), raise EigenSolverError.
 
 The witness polygon drops witnesses that lie on the chord between their
 neighbours up to COLLINEAR_REL of the witness set's extent, so a flat
@@ -59,7 +65,6 @@ which is what the diagonal-imaginary-part certificates rely on.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,7 +73,8 @@ import scipy.linalg
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_N_ANGLES
 from .exceptions import EigenSolverError, HullDomainError
-from .model import _as_array, imag_part, real_part
+from .model import (LatticeOperator, Operator, as_operator, imag_part,
+                    real_part)
 
 
 def _top_eigpair(build) -> tuple[float, np.ndarray]:
@@ -92,38 +98,30 @@ def _lapack_ok(info: int, routine: str) -> None:
 
 
 def _tridiagonal_top(n: int):
-    """(top, full): (dd, ee) -> top eigenpair of the real symmetric
-    tridiagonal matrix with diagonal dd and sub-diagonal ee.  top makes the
-    LAPACK calls that scipy.linalg.eigh_tridiagonal(dd, ee, select='i',
-    select_range=(n - 1, n - 1)) makes; full takes the whole spectrum by
-    ?stevd, which scales the matrix first.  The routines are looked up once
+    """(dd, ee) -> top eigenpair of the real symmetric tridiagonal matrix
+    with diagonal dd and sub-diagonal ee, by the LAPACK calls that
+    scipy.linalg.eigh_tridiagonal(dd, ee, select='i',
+    select_range=(n - 1, n - 1)) makes.  The routines are looked up once
     here; dd and ee must be finite float64 arrays.  A 1 x 1 matrix needs no
     LAPACK call (the wrapper's quick exit)."""
     if n == 1:
-        def one(dd, ee):
-            return float(dd[0]), np.ones(1)
-        return one, one
-    stebz, stein, stevd = scipy.linalg.get_lapack_funcs(
-        ("stebz", "stein", "stevd"), dtype=np.float64)
-
-    def full(dd: np.ndarray, ee: np.ndarray) -> tuple[float, np.ndarray]:
-        w, v, info = stevd(dd, ee)
-        _lapack_ok(info, "stevd")
-        return float(w[-1]), v[:, -1]
+        return lambda dd, ee: (float(dd[0]), np.ones(1))
+    stebz, stein = scipy.linalg.get_lapack_funcs(("stebz", "stein"),
+                                                 dtype=np.float64)
 
     def top(dd: np.ndarray, ee: np.ndarray) -> tuple[float, np.ndarray]:
         m, w, iblock, isplit, info = stebz(dd, ee, 2, 0.0, 1.0, n, n, 0.0,
                                            "B")
         _lapack_ok(info, "stebz")
         if m == 0:
-            # its Gershgorin bounds overflowed
-            return full(dd, ee)
+            raise EigenSolverError("LAPACK stebz found no eigenvalue",
+                                   where="numrange.compute_hull")
         v, info = stein(dd, ee, w[:m], iblock, isplit)
         _lapack_ok(info, "stein")
         # stebz orders by block, not by value
         j = np.argsort(w[:m])[-1] if m > 1 else 0
         return float(w[j]), v[:, j]
-    return top, full
+    return top
 
 
 def _rotation(p: np.ndarray, q: np.ndarray):
@@ -154,6 +152,16 @@ def _band(m: np.ndarray, kd: int) -> np.ndarray:
     for d in range(kd + 1):
         ab[d, :n - d] = np.diagonal(m, -d)
     return ab
+
+
+def _unband(ab: np.ndarray) -> np.ndarray:
+    """The symmetric n x n matrix whose lower band is ab (C-ordered)."""
+    n = ab.shape[1]
+    m = np.zeros((n, n))
+    for d in range(ab.shape[0]):
+        i = np.arange(n - d)
+        m[i + d, i] = m[i, i + d] = ab[d, :n - d]
+    return m
 
 
 def _bipartite_signs(rows: np.ndarray, cols: np.ndarray,
@@ -189,11 +197,12 @@ _BAND_DELTA_ULPS = 8.0
 _BAND_MAX_FACTORS = 60
 
 
-def _banded_solver(a: np.ndarray, kd: int):
-    """theta -> (s(theta), witness) for a symmetric a of bandwidth kd: the
-    top eigenpair of H = cos(theta) Re A - sin(theta) Im A by shifted
-    inverse iteration on H's band, or None when the iteration has not
-    certified it within _BAND_MAX_FACTORS factorisations.
+def _banded_solver(p: np.ndarray, q: np.ndarray, kd: int, scale: float):
+    """theta -> (s(theta), witness) for the symmetric A = P + i Q whose lower
+    bands (Re A and Im A in LAPACK band storage) are p and q: the top
+    eigenpair of H = cos(theta) Re A - sin(theta) Im A by shifted inverse
+    iteration on H's band, or None when the iteration has not certified it
+    within _BAND_MAX_FACTORS factorisations.
 
     Each step takes the Rayleigh quotient rho = x^T H x and the residual
     r = ||H x - rho x|| and factors sigma I - H by ?pbtrf at
@@ -206,14 +215,11 @@ def _banded_solver(a: np.ndarray, kd: int):
     so the Perron vector of H is positive when cos(theta) >= 0 and carries
     the bipartite signs of the hopping pattern when cos(theta) < 0; a
     start of those signs cannot be orthogonal to it."""
-    n = a.shape[0]
-    p, q = _band(a.real, kd), _band(a.imag, kd)
-    # The iteration runs on A / scale, every entry below 2 in modulus, so no
-    # product or norm in it overflows; a power of two scales exactly.
-    scale = np.ldexp(1.0, int(np.frexp(max(np.abs(p).max(),
-                                            np.abs(q).max()))[1]) - 1)
-    p /= scale
-    q /= scale
+    n = p.shape[1]
+    # The iteration runs on A / scale, each entry's parts below 2 in
+    # modulus, so no product or norm in it overflows; a power of two scales
+    # exactly.
+    p, q = p / scale, q / scale
     absb = np.hypot(p, q)
     row_sums = absb.sum(axis=0)
     for d in range(1, kd + 1):
@@ -267,9 +273,66 @@ def _banded_solver(a: np.ndarray, kd: int):
     return banded
 
 
-def _sweep_solver(a: np.ndarray):
-    """The per-angle solver theta -> (s(theta), witness) for matrix a, chosen
-    once from a's structure (see the module notes)."""
+def _chain_solver(d: np.ndarray, e: np.ndarray, scale: float):
+    """theta -> (s(theta), witness) for the complex symmetric tridiagonal A
+    with diagonal d and sub-diagonal e, by _tridiagonal_top on A / scale
+    (Operator.lapack_scale).  Unscaled, ?stein's vectors of a 7-site chain
+    overflow to NaN once an entry passes about 2^339, and ?stebz's
+    Gershgorin bounds near the float64 limit; the scaled chain's stay
+    finite for every finite A, and a power of two scales exactly.  Chains
+    of moderate entries are left unscaled: ?stein's pivot floor is eps, not
+    eps times the norm, so scaling would move the last bits of the answers
+    scipy.linalg.eigh_tridiagonal gives."""
+    n = len(d)
+    d, e = d / scale, e / scale
+    # d and e end to end, so one rotation per angle forms both
+    re_de = np.concatenate([d.real, e.real])
+    im_de = np.concatenate([d.imag, e.imag])
+    top = _tridiagonal_top(n)
+
+    def tridiagonal(theta: float) -> tuple[float, complex]:
+        c, sn = np.cos(theta), np.sin(theta)
+        de = c * re_de - sn * im_de
+        s, f = top(de[:n], de[n:])
+        w = d @ f ** 2 + 2.0 * (e @ (f[:-1] * f[1:]))
+        return s * scale, complex(scale * w.real, scale * w.imag)
+    return tridiagonal
+
+
+def _band_solver(p: np.ndarray, q: np.ndarray, kd: int, scale: float):
+    """The banded solver of the bands p, q, with the real dense solver of
+    the same matrix for the angles it gives up on, built on first use."""
+    band = _banded_solver(p, q, kd, scale)
+    dense = None
+
+    def band_or_dense(theta: float) -> tuple[float, complex]:
+        nonlocal dense
+        sample = band(theta)
+        if sample is None:
+            if dense is None:
+                dense = _real_dense_solver(_unband(p), _unband(q))
+            sample = dense(theta)
+        return sample
+    return band_or_dense
+
+
+def _sweep_solver(op: Operator):
+    """The per-angle solver theta -> (s(theta), witness) for op, chosen once
+    from its structure (see the module notes): an assembled operator's from
+    its box, an explicit matrix's from its entries."""
+    if not op.finite:
+        raise EigenSolverError("matrix has entries beyond the float64 range",
+                               where="numrange.compute_hull")
+    if isinstance(op, LatticeOperator):
+        kd, n = op.bandwidth, op.dim
+        if kd <= 1:
+            return _chain_solver(op.diagonal, np.ones(n - 1, complex),
+                                 op.lapack_scale)
+        p = op.hopping_band()
+        q = np.zeros_like(p)
+        p[0], q[0] = op.diagonal.real, op.diagonal.imag
+        return _band_solver(p, q, kd, op.scale)
+    a = op.matrix
     if not np.array_equal(a, a.T):
         rotated = _rotation(np.asfortranarray(real_part(a).matrix),
                             np.asfortranarray(imag_part(a).matrix))
@@ -278,51 +341,16 @@ def _sweep_solver(a: np.ndarray):
             s, f = _top_eigpair(lambda: rotated(theta))
             return s, complex(np.vdot(f, a @ f))
         return dense
-
-    n = a.shape[0]
     kd = _bandwidth(a)
     if kd <= 1:
-        d, e = np.diagonal(a).copy(), np.diagonal(a, -1).copy()
-        if not (np.isfinite(d).all() and np.isfinite(e).all()):
-            raise ValueError("array must not contain infs or NaNs")
-        # d and e end to end, so one rotation per angle forms both
-        re_de = np.concatenate([d.real, e.real])
-        im_de = np.concatenate([d.imag, e.imag])
-        top, full = _tridiagonal_top(n)
-
-        def witness(f: np.ndarray) -> complex:
-            return complex(d @ f ** 2 + 2.0 * (e @ (f[:-1] * f[1:])))
-
-        def tridiagonal(theta: float) -> tuple[float, complex]:
-            c, sn = np.cos(theta), np.sin(theta)
-            de = c * re_de - sn * im_de
-            s, f = top(de[:n], de[n:])
-            w = witness(f)
-            if not cmath.isfinite(w):
-                # ?stein's vector overflowed (entries beyond about 1e150)
-                s, f = full(de[:n], de[n:])
-                w = witness(f)
-            return s, w
-        return tridiagonal
-
-    band = _banded_solver(a, kd)
-    dense = None
-
-    def band_or_dense(theta: float) -> tuple[float, complex]:
-        nonlocal dense
-        sample = band(theta)
-        if sample is None:
-            if dense is None:
-                dense = _real_dense_solver(a)
-            sample = dense(theta)
-        return sample
-    return band_or_dense
+        return _chain_solver(np.diagonal(a), np.diagonal(a, -1),
+                             op.lapack_scale)
+    return _band_solver(_band(a.real, kd), _band(a.imag, kd), kd, op.scale)
 
 
-def _real_dense_solver(a: np.ndarray):
-    """theta -> (s(theta), witness) for a symmetric a by a real dense eigh,
-    its n x n buffers allocated here."""
-    re, im = a.real.copy(), a.imag.copy()
+def _real_dense_solver(re: np.ndarray, im: np.ndarray):
+    """theta -> (s(theta), witness) for the symmetric re + i im by a real
+    dense eigh, its n x n buffers allocated here."""
     rotated = _rotation(re.T, im.T)  # symmetric: the same entries, F-ordered
 
     def real_symmetric(theta: float) -> tuple[float, complex]:
@@ -335,7 +363,7 @@ def support_function(op, theta: float) -> tuple[float, complex]:
     """Support value s(theta) = lambda_max(Re(e^{i theta} A)) and the witness
     <A f, f> for a maximizing unit vector f.  Re(e^{i theta} witness) equals
     the support value up to eigensolver accuracy."""
-    return _sweep_solver(_as_array(op))(float(theta))
+    return _sweep_solver(as_operator(op))(float(theta))
 
 
 # A witness closer than this fraction of the witness set's extent to the
@@ -447,12 +475,16 @@ def compute_hull(op, n_angles: int = DEFAULT_N_ANGLES) -> NumericalRangeHull:
     """Sweep theta_m = 2 pi m / n_angles, m = 0..n_angles-1."""
     if n_angles < 3:
         raise ValueError("n_angles must be >= 3")
-    solve = _sweep_solver(_as_array(op))
+    solve = _sweep_solver(as_operator(op))
     ts = np.array([2.0 * np.pi * m / n_angles for m in range(n_angles)],
                   dtype=np.float64)
     samples = [solve(t) for t in ts]
     sup = np.array([s for s, _ in samples], dtype=np.float64)
     wit = np.array([w for _, w in samples], dtype=np.complex128)
+    if not (np.isfinite(sup).all() and np.isfinite(wit).all()):
+        raise EigenSolverError(
+            "a support value or witness is beyond the float64 range",
+            where="numrange.compute_hull")
     poly = _convex_hull_ccw(wit)
     return NumericalRangeHull(thetas=ts, supports=sup, witnesses=wit,
                               polygon=poly, n_angles=n_angles)

@@ -1,5 +1,10 @@
 """Eigensolver wrappers: residual contracts and closed-form oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,3 +135,79 @@ def test_jordan_block_defective_case_still_certified():
     for p in pairs:
         assert abs(p.value) < 1e-7
         assert p.residual <= 1e-7
+
+
+# assembled operators on nu = 1, 2, 3 boxes, sides of length 1 included
+ASSEMBLED = [
+    assemble(LatticeBox(1, ((-20, 20),)),
+             GeometricDecayPotential(0.4 - 0.7j, 0.6)),
+    assemble(LatticeBox(2, ((-4, 4), (-7, 7))),
+             GeometricDecayPotential(0.4 + 0.7j, 0.6)),
+    assemble(LatticeBox(2, ((0, 0), (-6, 6))),
+             GeometricDecayPotential(0.4 + 0.7j, 0.6)),
+    assemble(LatticeBox(3, ((-2, 2), (0, 0), (-3, 2))),
+             GeometricDecayPotential(-1.3 + 0.9j, 0.5)),
+]
+
+
+@pytest.mark.parametrize("op", ASSEMBLED, ids=lambda op: "x".join(
+    map(str, op.provenance.box.shape)))
+def test_assembled_operator_solves_like_its_dense_matrix(op):
+    # the same ?geev on the same buffer contents, so the same pairs; the
+    # residuals come from the stencil instead of a dense product
+    pairs, dense = eig_general(op), eig_general(op.matrix)
+    assert len(pairs) == len(dense) == op.dim
+    for p, q in zip(pairs, dense):
+        assert abs(p.value - q.value) <= 1e-12
+        assert np.abs(p.vector - q.vector).max() <= 1e-12
+        assert abs(p.residual - q.residual) <= 1e-12
+
+
+BIT_FOR_BIT = """
+from specrange.linalg import eig_general
+from specrange.model import GeometricDecayPotential, LatticeBox, assemble
+for ranges in (((-20, 20),), ((-4, 4), (-7, 7)), ((-2, 2), (0, 0), (-3, 2))):
+    op = assemble(LatticeBox(len(ranges), ranges),
+                  GeometricDecayPotential(0.4 + 0.7j, 0.6))
+    pairs, dense = eig_general(op), eig_general(op.matrix)
+    assert [p.value for p in pairs] == [q.value for q in dense]
+    for p, q in zip(pairs, dense):
+        assert p.vector.tobytes() == q.vector.tobytes()
+print("ok")
+"""
+
+
+def test_assembled_operator_solves_bit_for_bit_with_one_blas_thread():
+    # fill writes the entries the dense matrix holds, so ?geev returns the
+    # same bits for both
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                 if p]))
+    proc = subprocess.run([sys.executable, "-c", BIT_FOR_BIT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("value", [1e-150, 1e-300, 1e160, 1e300])
+def test_eigenvalues_beyond_lapacks_unscaled_range(value):
+    # ?geev scales a matrix whose largest entry lies outside about
+    # [1e-138, 1e138] itself, and a LAPACK that does not undo it returns
+    # 6.7e-139 for the eigenvalue of [[1e-150]]
+    (p,) = eig_general(OperatorMatrix([[value]]))
+    assert p.value == value
+    m = value * np.array([[1.0, 1.0 / 3.0], [0.2, 1.0 / 7.0]])
+    got = [p.value for p in eig_general(OperatorMatrix(m))]
+    ref = np.sort_complex(np.linalg.eigvals(m / value)) * value
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("value", [1e160, 1e300])
+def test_huge_site_of_a_chain_is_its_largest_eigenvalue(value):
+    chain = assemble(LatticeBox(1, ((-3, 3),)),
+                     TablePotential({(0,): value * (1 + 1j)}))
+    top = max(eig_general(chain), key=lambda p: abs(p.value))
+    assert abs(top.value - value * (1 + 1j)) <= 1e-12 * value
+

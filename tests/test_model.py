@@ -91,6 +91,67 @@ def test_operator_matrix_rejects_nonsquare():
         OperatorMatrix(np.zeros((2, 3)))
 
 
+def dense_assembly(box, pot):
+    """Reference: the hopping pairs and the diagonal written into an n x n
+    array, as assembly stored the operator before it kept only d."""
+    n = box.site_count
+    m = np.zeros((n, n), dtype=np.complex128)
+    idx = np.arange(n).reshape(box.shape)
+    for axis in range(box.nu):
+        a = np.moveaxis(idx, axis, 0)[:-1].ravel()
+        b = np.moveaxis(idx, axis, 0)[1:].ravel()
+        m[a, b] = m[b, a] = 1.0
+    m[np.arange(n), np.arange(n)] = pot.values(box.sites)
+    return m
+
+
+STENCIL_BOXES = [((-3, 3),), ((0, 0),), ((0, 4), (2, 2)), ((2, 2), (0, 4)),
+                 ((-2, 2), (0, 6)), ((0, 2), (5, 5), (-1, 2)),
+                 ((0, 2), (0, 1), (-1, 2)), ((0, 0), (0, 0), (0, 0))]
+
+
+@pytest.mark.parametrize("ranges", STENCIL_BOXES,
+                         ids=lambda r: "x".join(str(hi - lo + 1)
+                                                for lo, hi in r))
+def test_lattice_operator_is_the_dense_assembly(ranges):
+    # the operator keeps the box and d; every member agrees with the dense
+    # matrix, the stencil products with f A^T and A* f to 1e-15 relative
+    box = LatticeBox(len(ranges), ranges)
+    pot = SumPotential((SeededRandomPotential(7, box, (-1.5, 1.5), (0.0, 1.0)),
+                        ConstantPotential(0.25 - 0.5j)))
+    op = assemble(box, pot)
+    m = dense_assembly(box, pot)
+    assert np.array_equal(op.matrix, m)
+    assert op.matrix is not op.matrix  # built on each read, not kept
+    buf = np.full((op.dim, op.dim), np.nan + 0j, order="F")
+    op.fill(buf)
+    assert np.array_equal(buf, m)
+    assert np.array_equal(op.diagonal, np.diagonal(m))
+    assert op.frobenius == pytest.approx(np.linalg.norm(m), rel=1e-15)
+    assert not op.hermitian and not np.array_equal(m, m.conj().T)
+    i, j = np.nonzero(np.triu(m, 1))
+    assert op.bandwidth == (int((j - i).max()) if len(i) else 0)
+    band = op.hopping_band()
+    for d in range(op.bandwidth + 1):
+        sub = np.diagonal(m, -d).real if d else np.zeros(op.dim)
+        assert np.array_equal(band[d, :op.dim - d], sub)
+    rng = np.random.default_rng(len(ranges))
+    f = rng.normal(size=(5, op.dim)) + 1j * rng.normal(size=(5, op.dim))
+    af, ahf = op.products(f)
+    for got, ref in ((af, f @ m.T), (ahf, f @ m.conj())):
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_lattice_operator_with_real_potential_is_hermitian():
+    box = LatticeBox(2, ((0, 3), (0, 2)))
+    op = assemble(box, ConstantPotential(-0.7))
+    assert op.hermitian
+    assert op.scale == 1.0
+    assert op.frobenius == pytest.approx(
+        np.linalg.norm(dense_assembly(box, ConstantPotential(-0.7))),
+        rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # potential kinds
 

@@ -272,9 +272,10 @@ def test_chain_sweep_equals_eigh_tridiagonal_bit_for_bit(matrix):
 
 def test_chain_sweep_falls_back_when_bisection_finds_nothing():
     # Entries near the float64 limit overflow ?stebz's Gershgorin bounds,
-    # and it returns no eigenvalue at most angles; the full spectrum of the
-    # same chain is used then.  Next to 1e308 the hopping is lost to
-    # rounding, so s(theta) is Re(e^{i theta} c) to that accuracy.
+    # and it returns no eigenvalue at most angles; the chain is solved
+    # divided by its power-of-two scale instead.  Next to 1e308 the hopping
+    # is lost to rounding, so s(theta) is Re(e^{i theta} c) to that
+    # accuracy.
     c = 1e308 + 1e308j
     a = assemble(LatticeBox(1, ((-3, 3),)), ConstantPotential(c)).matrix
     hull = compute_hull(OperatorMatrix(a), n_angles=360)

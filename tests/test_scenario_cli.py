@@ -6,14 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from specrange import scenario
-from specrange.cli import main
+from specrange.cli import analyse, main
 from specrange.exceptions import SchemaError
-from specrange.model import SeededRandomPotential
+from specrange.model import LatticeOperator, SeededRandomPotential
 from specrange.scenario import (atomic_write_text, dumps_canonical,
                                 encode_scenario, parse_scenario)
 
@@ -637,7 +638,7 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
 
 def test_chain_with_entries_near_the_float_limit_runs_its_sweep(tmp_path):
     # ?stebz finds no eigenvalue on this chain at most angles (its bounds
-    # overflow); the sweep falls back to the chain's full spectrum
+    # overflow) unless the chain is scaled, as the sweep does
     doc = {"name": "huge", "box": {"nu": 1, "ranges": [[-3, 3]]},
            "potential": {"kind": "constant", "params": {"c": [1e308, 1e308]}},
            "analysis": ["numrange"]}
@@ -679,6 +680,93 @@ def test_entries_beyond_the_square_root_of_the_float_range(tmp_path, box,
             1e-6 * (1.0 + math.hypot(1e160, 1e160)), rel=1e-12)
         assert all(math.isfinite(x) for v in res["numrange"]["polygon"]
                    for x in v)
+
+
+def huge_table(site, value):
+    return {"kind": "table",
+            "params": {"entries": [{"site": site, "value": [value, value]}]},
+            "decay": {"vanishes_outside_radius": 0}}
+
+
+@pytest.mark.parametrize("box, potential, analysis, code", [
+    # ||A||_F is finite, but the residuals' plain sums of squares overflowed
+    # (a breached residual contract, exit 3): they are formed on A scaled by
+    # a power of two
+    pytest.param([[-3, 3]], huge_table([0], 1e200), ANALYSIS, 0,
+                 id="table_1e200"),
+    pytest.param([[-3, 3], [-3, 3]], huge_table([0, 0], 1e200), ANALYSIS, 0,
+                 id="table_1e200_2d"),
+    # ?stevd failed on this chain (info = 3); the chain is swept scaled
+    pytest.param([[-3, 3]], huge_table([0], 1e300), ["numrange"], 0,
+                 id="table_1e300"),
+    # s(theta) reaches |1.7e308 (1 + i)| = 2.4e308 once unscaled
+    pytest.param([[-3, 3]], huge_table([0], 1.7e308), ["numrange"], 3,
+                 id="table_1.7e308"),
+    pytest.param([[-3, 3], [-3, 3]], huge_table([0, 0], 1.7e308),
+                 ["numrange"], 3, id="table_1.7e308_2d"),
+    # two finite terms whose sum overflows: a traceback before
+    pytest.param([[-3, 3]], {"kind": "sum", "params": {"terms": [
+        HUGE_CONSTANT, HUGE_CONSTANT]}}, ["numrange"], 3, id="sum_to_inf"),
+    pytest.param([[-3, 3]], {"kind": "sum", "params": {"terms": [
+        HUGE_CONSTANT, HUGE_CONSTANT]}}, ["spectrum"], 3,
+        id="sum_to_inf_spectrum"),
+    # the criteria's tail envelope 1 / (1 + s**1e150) raised OverflowError
+    pytest.param([[0, 0]], {"kind": "decay_power", "params": {
+        "amplitude": [0.3, 0.4], "exponent": 1e150}}, ANALYSIS, 0,
+        id="power_exponent_1e150"),
+])
+def test_entries_near_the_float_limit_run_or_exit_three(
+        tmp_path, box, potential, analysis, code):
+    doc = {"name": "huge", "box": {"nu": len(box), "ranges": box},
+           "potential": potential, "analysis": analysis}
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, doc), "--out-dir",
+                 str(out)]) == code
+    if code == 0:
+        res = json.loads((out / "huge.report.json").read_text())["results"]
+        assert all(math.isfinite(x) for v in res["numrange"]["polygon"]
+                   for x in v)
+
+
+def box_doc(ranges):
+    doc = doc_for("decay_geometric")
+    doc.update(name="box", box={"nu": len(ranges), "ranges": ranges},
+               analysis=ANALYSIS, params={"n_angles": 32})
+    doc["potential"]["params"].pop("parity")
+    return doc
+
+
+@pytest.mark.parametrize("ranges", [[[-8, 7]], [[-3, 4], [-2, 3]]])
+def test_run_path_never_reads_the_dense_matrix(tmp_path, monkeypatch,
+                                               ranges):
+    # an assembled operator is the box and d: the one dense copy of A is
+    # the buffer eig_general hands to ?geev, written by fill
+    def no_matrix(self):
+        raise AssertionError("the dense matrix was read")
+
+    fills = []
+    fill = LatticeOperator.fill
+    monkeypatch.setattr(LatticeOperator, "matrix", property(no_matrix))
+    monkeypatch.setattr(LatticeOperator, "fill",
+                        lambda self, buf: fills.append(1) or fill(self, buf))
+    path = write_scenario(tmp_path, box_doc(ranges))
+    assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 0
+    assert fills == [1]
+
+
+def test_analysis_peak_memory_is_two_dense_arrays(tmp_path):
+    # the ?geev buffer and the eigenvector block; the parent's assembled
+    # matrix and np.linalg.eig's copies read 3.2 n x n arrays here
+    sc = parse_scenario(box_doc([[0, 23], [0, 23]]))
+    n = sc.box.site_count
+    analyse(sc)
+    tracemalloc.start()
+    try:
+        analyse(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 16 * n * n
 
 
 @pytest.mark.parametrize("verb", ["run", "criteria"])

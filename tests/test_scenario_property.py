@@ -2,10 +2,11 @@
 path-qualified error, exit code 2, 3 or 4; none ends in a traceback.
 
 Documents are mutations of the round-trip documents of every kind: values
-of the wrong type or range, non-finite numbers, sites and carrier boxes of
-the wrong dimension, dropped and unknown fields, and sums of kinds.  Every
-box, the carriers included, has at most 12 sites, so each example runs in
-milliseconds.
+of the wrong type or range, non-finite numbers, finite magnitudes up to the
+float64 limit (whose squares, sums and rotations overflow), sites and
+carrier boxes of the wrong dimension, dropped and unknown fields, and sums
+of kinds.  Every box, the carriers included, has at most 12 sites, so each
+example runs in milliseconds.
 """
 
 import json
@@ -19,12 +20,17 @@ from test_scenario_cli import KIND_DOCS
 
 ANALYSES = ["spectrum", "numrange", "classify", "criteria"]
 
+# finite magnitudes whose squares (1e150 on), sums or rotations (1.7e308)
+# leave the float64 range
+HUGE = st.sampled_from([1e150, 1e200, 1e300, 1.7e308]).flatmap(
+    lambda x: st.sampled_from([x, -x]))
+
 # values that a field of some other type, range or finiteness may receive;
 # the integers stay small or beyond int64, never large enough to allocate
 JUNK = st.one_of(
     st.none(), st.booleans(), st.sampled_from(["", "even", "x", "sum"]),
     st.integers(-8, 8), st.sampled_from([2 ** 70, -(2 ** 70), 10 ** 400]),
-    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0), HUGE,
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
     st.builds(list), st.builds(dict), st.lists(st.integers(-3, 3), max_size=3),
 )
@@ -53,7 +59,8 @@ def potential(draw, depth=0):
         dim = draw(st.integers(1, 3))
         params["entries"] = [
             {"site": [draw(st.integers(-6, 6)) for _ in range(dim)],
-             "value": [draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))]}
+             "value": [draw(st.floats(-2.0, 2.0) | HUGE),
+                       draw(st.floats(-2.0, 2.0) | HUGE)]}
             for _ in range(draw(st.integers(0, 3)))]
         if draw(st.booleans()):
             doc.pop("decay", None)
@@ -102,11 +109,18 @@ def mutated_document(draw):
                       "criteria": {"b_values": [0.5], "a_values": [-2.5],
                                    "scan_radius": draw(st.integers(1, 30))}}}
     for _ in range(draw(st.integers(0, 3))):
-        how = draw(st.sampled_from(["replace", "drop", "add"]))
+        how = draw(st.sampled_from(["replace", "drop", "add", "huge"]))
         if how == "replace":
             path = draw(st.sampled_from(list(leaves(doc))))
             if path:
                 at(doc, path[:-1])[path[-1]] = draw(JUNK)
+        elif how == "huge":
+            # a number of the document (a potential value, a range, a
+            # criteria target) made huge
+            floats = [p for p in leaves(doc) if isinstance(at(doc, p), float)]
+            if floats:
+                path = draw(st.sampled_from(floats))
+                at(doc, path[:-1])[path[-1]] = draw(HUGE)
         else:
             obj = at(doc, draw(st.sampled_from(list(containers(doc)))))
             if how == "drop" and obj:
