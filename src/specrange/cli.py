@@ -38,8 +38,9 @@ from .model import (Operator, PotentialSpec, SeededRandomPotential,
                     SumPotential, assemble)
 from .numrange import NumericalRangeHull, compute_hull
 from .scenario import (Scenario, atomic_write_text, check_carrier_size,
-                       check_seed, dumps_canonical, encode_potential,
-                       encode_scenario, load_scenario, parse_scenario)
+                       check_n_angles, check_seed, dumps_canonical,
+                       encode_potential, encode_scenario, load_scenario,
+                       parse_scenario)
 
 
 def resolve_max_dim(flag: int | None) -> int:
@@ -64,12 +65,9 @@ def _override_seed(spec: PotentialSpec, seed: int) -> PotentialSpec:
 
 
 def _angles_flag(args) -> int | None:
-    """The --angles value, held to the schema's n_angles >= 3."""
+    """The --angles value, held to the schema's n_angles range."""
     n = getattr(args, "angles", None)
-    if n is not None and n < 3:
-        raise SchemaError(f"--angles must be >= 3, got {n}", path="--angles",
-                          where="cli.angles")
-    return n
+    return None if n is None else check_n_angles(n, "--angles")
 
 
 def _apply_flags(sc: Scenario, args) -> Scenario:

@@ -11,6 +11,9 @@ SCAN_RADIUS_1D = 1000
 SCAN_RADIUS_ND = 100
 
 DEFAULT_N_ANGLES = 720
+# one support solve per angle: 2^16 angles of a 64 x 64 box take about an
+# hour, and the angle arrays stay a few MB
+MAX_N_ANGLES = 2 ** 16
 
 # one_dim propagation magnitudes
 RESCALE_AT = 1e150

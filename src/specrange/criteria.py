@@ -99,11 +99,23 @@ class CriterionResult:
 
 
 def _capped_radius(nu: int, radius: int) -> int:
-    """Largest usable scan radius with at most MAX_SCAN_SITES grid sites."""
+    """Largest usable scan radius with at most MAX_SCAN_SITES grid sites,
+    and 1 at the least: a check that scans refuses that grid too when it is
+    over the cap (_over_scan_cap)."""
     r = int(radius)
     while r > 1 and (2 * r + 1) ** nu > MAX_SCAN_SITES:
         r = int(((MAX_SCAN_SITES ** (1.0 / nu)) - 1.0) // 2)
     return max(r, 1)
+
+
+def _over_scan_cap(nu: int, radius: int) -> str | None:
+    """Why the grid of _scan_grid(nu, radius) is not built, or None: even
+    radius 1 has 3^nu sites, over MAX_SCAN_SITES once nu >= 14."""
+    sites = (2 * radius + 1) ** nu
+    if sites <= MAX_SCAN_SITES:
+        return None
+    return (f"the scan grid of radius {radius} in nu = {nu} has {sites} "
+            f"sites, over the scan cap of {MAX_SCAN_SITES}")
 
 
 def _scan_grid(nu: int, radius: int) -> np.ndarray:
@@ -166,6 +178,10 @@ def check_level_set_empty(potential: PotentialSpec, b: float, nu: int = 1,
             "no usable tail certificate (missing, or its radius exceeds "
             "the scan cap): the level set is undecidable beyond any finite "
             "scan", detail)
+    over = _over_scan_cap(nu, radius)
+    if over is not None:
+        return CriterionResult("level_set_empty", target, INCONCLUSIVE,
+                               over, detail)
     sites, im = (im_scan or ImScan(potential))(nu, radius)
     dist = np.abs(im - b)
     hit = int(np.argmin(dist))
@@ -214,6 +230,10 @@ def check_halfspace_support(potential: PotentialSpec, b: float, axis: int = 0,
             "halfspace_support", target, INCONCLUSIVE,
             f"the tail certificate cannot separate Im d from b = {b}, so "
             "the level set may extend to infinity on both sides", detail)
+    over = _over_scan_cap(nu, radius)
+    if over is not None:
+        return CriterionResult("halfspace_support", target, INCONCLUSIVE,
+                               over, detail)
     sites, im = (im_scan or ImScan(potential))(nu, radius)
     hits = np.abs(im - b) <= margin
     word = "sup" if side == "sup_finite" else "inf"

@@ -504,8 +504,11 @@ class Alternating1DPotential(PotentialSpec):
     def re_decays_to_zero(self):
         return True
 
-    def im_decays_to_zero(self):
-        return self.b_even == 0.0 and self.b_odd == 0.0
+    def tail_info(self):
+        # with both values zero d is identically zero: the exact zero tail
+        if self.b_even == 0.0 and self.b_odd == 0.0:
+            return TailInfo(radius=0, base=0j)
+        return None
 
 
 SEED_LIMIT = 2 ** 128
@@ -732,11 +735,6 @@ class Operator(abc.ABC):
 
     @property
     @abc.abstractmethod
-    def hermitian(self) -> bool:
-        """A == A* exactly, entry by entry."""
-
-    @property
-    @abc.abstractmethod
     def finite(self) -> bool:
         """Every entry of A is finite."""
 
@@ -744,9 +742,10 @@ class Operator(abc.ABC):
     @abc.abstractmethod
     def scale(self) -> float:
         """The power of two s with max |Re a_ij|, |Im a_ij| over A in
-        [s, 2 s) (pow2_floor): A / s has no entry part beyond 2, so no
-        product or norm formed on it overflows while ||A||_F is finite, and
-        dividing by s is exact."""
+        [s, 2 s) (pow2_floor; 2^-1022 when that max is subnormal): A / s
+        has no entry part beyond 2 and f / s is finite for |f| <= 1, so no
+        product or norm formed on them overflows while ||A||_F is finite,
+        and dividing by s is exact."""
 
     @property
     def lapack_scale(self) -> float:
@@ -772,11 +771,7 @@ class Operator(abc.ABC):
 @dataclass(frozen=True)
 class OperatorMatrix(Operator):
     """Explicit dense complex matrix, with optional provenance: the storage
-    of every operator that is not assembled on a box.
-
-    hermitian is an exact (zero-tolerance) entrywise check against the
-    conjugate transpose, performed once on first use.
-    """
+    of every operator that is not assembled on a box."""
 
     matrix: np.ndarray
     provenance: Provenance | None = None
@@ -795,10 +790,6 @@ class OperatorMatrix(Operator):
     @property
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.matrix)
-
-    @cached_property
-    def hermitian(self) -> bool:
-        return bool(np.array_equal(self.matrix, self.matrix.conj().T))
 
     @cached_property
     def frobenius(self) -> float:
@@ -852,10 +843,6 @@ class LatticeOperator(Operator):
         """The number of hopping pairs: n (L_j - 1) / L_j along axis j."""
         n = self.dim
         return sum(n // side * (side - 1) for side in self.box.shape)
-
-    @cached_property
-    def hermitian(self) -> bool:
-        return not self.diagonal.imag.any()
 
     @cached_property
     def frobenius(self) -> float:
@@ -923,8 +910,10 @@ class LatticeOperator(Operator):
 
 
 def pow2_floor(x: float) -> float:
-    """The power of two s with s <= x < 2 s, for finite x > 0 (0.5 at 0)."""
-    return float(np.ldexp(1.0, int(np.frexp(x)[1]) - 1))
+    """The power of two s with s <= x < 2 s, for finite x >= 2^-1022 (0.5
+    at 0).  A subnormal x gets 2^-1022, the smallest normal power of two,
+    whose reciprocal is finite: 1 / x overflows for x below 2^-1024."""
+    return float(np.ldexp(1.0, max(int(np.frexp(x)[1]) - 1, -1022)))
 
 
 def frobenius_norm(m: np.ndarray) -> float:

@@ -6,15 +6,14 @@ half-plane {z : Re(e^{i theta} z) <= s(theta)} and one inner witness point
 and the half-plane intersection (outer region) sandwich the true numerical
 range; the gap shrinks like 1/n_angles^2 on smooth boundary arcs.
 
-The per-angle solver is chosen once per operator from its structure.  An
-assembled operator (model.LatticeOperator) gives it directly: its diagonal
-d, and its bandwidth and hopping band from the box, with no n x n array and
-no O(n^2) scan.  An explicit matrix is scanned: A == A^T, then the
-bandwidth of its nonzeros, then its bands.
+The per-angle solver is chosen once per operator from its type.
 
-  A = A^T (every assembled lattice operator, A = J + diag(V) with J real):
+  an assembled operator (model.LatticeOperator, A = J + diag(d) with J the
+  box's real hopping, so A = A^T):
       Re(e^{i theta} A) = cos(theta) Re A - sin(theta) Im A is real
       symmetric, and the witness is f^T A f for the real unit vector f.
+      d, the bandwidth and the hopping band come from the box, with no
+      n x n array.
       - bandwidth 1 (1D chains, and boxes with one axis longer than 1):
         LAPACK ?stebz (bisection for the top eigenvalue) and ?stein
         (inverse iteration for its vector) on the diagonal and
@@ -31,8 +30,8 @@ bandwidth of its nonzeros, then its bands.
         L^2 on L^3): shifted inverse iteration on the band of
         H = cos(theta) Re A - sin(theta) Im A, LAPACK ?pbtrf/?pbtrs and
         BLAS ?sbmv, O(n kd^2) per step and about eight steps per angle.
-        Re A and Im A are stored in band form once per matrix, divided by
-        their power-of-two scale.  Each shift sigma is certified to lie
+        Re A and Im A are stored in band form once per operator, divided
+        by their power-of-two scale.  Each shift sigma is certified to lie
         above lambda_max by a successful band Cholesky factorisation of
         sigma I - H, and the iteration stops when the Rayleigh quotient
         rho has residual at most delta and sigma = rho + delta factors, so
@@ -42,10 +41,10 @@ bandwidth of its nonzeros, then its bands.
         setting.  An angle the iteration has not certified within
         _BAND_MAX_FACTORS factorisations goes to a real dense
         scipy.linalg.eigh, whose n x n buffers are allocated only then.
-  any other matrix (a Jordan block, a random matrix): a complex Hermitian
-      dense scipy.linalg.eigh of Re(e^{i theta} A).  Its subset solve can
-      return no eigenpair when the top eigenvalue is highly degenerate;
-      the full spectrum of the same matrix is used then.
+  any other operator (an explicit matrix, whatever its entries): a complex
+      Hermitian dense scipy.linalg.eigh of Re(e^{i theta} A).  Its subset
+      solve can return no eigenpair when the top eigenvalue is highly
+      degenerate; the full spectrum of the same matrix is used then.
 
 Non-finite entries, and a support value or witness beyond the float64 range
 once unscaled (entries near 1.7e308), raise EigenSolverError.
@@ -137,23 +136,6 @@ def _rotation(p: np.ndarray, q: np.ndarray):
     return build
 
 
-def _bandwidth(a: np.ndarray) -> int:
-    """The largest |i - j| over the nonzero entries a[i, j]."""
-    i, j = np.nonzero(a)
-    return int(np.abs(i - j).max()) if len(i) else 0
-
-
-def _band(m: np.ndarray, kd: int) -> np.ndarray:
-    """The lower triangle of the symmetric m in LAPACK band storage (row d
-    holds the d-th sub-diagonal), Fortran-ordered so that LAPACK works on it
-    in place."""
-    n = m.shape[0]
-    ab = np.zeros((kd + 1, n), order="F")
-    for d in range(kd + 1):
-        ab[d, :n - d] = np.diagonal(m, -d)
-    return ab
-
-
 def _unband(ab: np.ndarray) -> np.ndarray:
     """The symmetric n x n matrix whose lower band is ab (C-ordered)."""
     n = ab.shape[1]
@@ -162,30 +144,6 @@ def _unband(ab: np.ndarray) -> np.ndarray:
         i = np.arange(n - d)
         m[i + d, i] = m[i, i + d] = ab[d, :n - d]
     return m
-
-
-def _bipartite_signs(rows: np.ndarray, cols: np.ndarray,
-                     n: int) -> np.ndarray | None:
-    """+-1 per index, opposite at the two ends of every pair (rows[k],
-    cols[k]), or None when the pairs close an odd cycle."""
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    sign = [0.0] * n
-    for root in range(n):
-        if sign[root]:
-            continue
-        sign[root] = 1.0
-        todo = [root]
-        while todo:
-            i = todo.pop()
-            for j in neighbours[i]:
-                if not sign[j]:
-                    sign[j] = -sign[i]
-                    todo.append(j)
-    out = np.array(sign)
-    return out if np.all(out[rows] != out[cols]) else None
 
 
 # The certified bracket of the banded solver is [rho, rho + delta] with
@@ -197,7 +155,8 @@ _BAND_DELTA_ULPS = 8.0
 _BAND_MAX_FACTORS = 60
 
 
-def _banded_solver(p: np.ndarray, q: np.ndarray, kd: int, scale: float):
+def _banded_solver(p: np.ndarray, q: np.ndarray, kd: int, scale: float,
+                   signs: np.ndarray):
     """theta -> (s(theta), witness) for the symmetric A = P + i Q whose lower
     bands (Re A and Im A in LAPACK band storage) are p and q: the top
     eigenpair of H = cos(theta) Re A - sin(theta) Im A by shifted inverse
@@ -211,10 +170,10 @@ def _banded_solver(p: np.ndarray, q: np.ndarray, kd: int, scale: float):
     and sigma = rho + delta factors: lambda_max then lies in
     [rho, rho + delta].  Otherwise ?pbtrs solves (sigma I - H) y = x and
     x = y / ||y||.  The start depends on theta alone: the off-diagonal of H
-    is cos(theta) times that of Re A, nonnegative for an assembled operator,
-    so the Perron vector of H is positive when cos(theta) >= 0 and carries
-    the bipartite signs of the hopping pattern when cos(theta) < 0; a
-    start of those signs cannot be orthogonal to it."""
+    is cos(theta) times the hopping, nonnegative, so the Perron vector of H
+    is positive when cos(theta) >= 0 and carries the hopping's +-1 `signs`
+    (opposite at the ends of every hop) when cos(theta) < 0; a start of
+    those signs cannot be orthogonal to it."""
     n = p.shape[1]
     # The iteration runs on A / scale, each entry's parts below 2 in
     # modulus, so no product or norm in it overflows; a power of two scales
@@ -226,10 +185,7 @@ def _banded_solver(p: np.ndarray, q: np.ndarray, kd: int, scale: float):
         row_sums[d:] += absb[d, :n - d]
     delta = (_BAND_DELTA_ULPS * (kd + 1) * np.finfo(np.float64).eps
              * (1.0 / scale + float(row_sums.max())))
-    d, j = np.nonzero(absb[1:])
-    signs = _bipartite_signs(j + d + 1, j, n)
-    ones = np.full(n, n ** -0.5)
-    starts = (ones, ones if signs is None else signs * n ** -0.5)
+    starts = (np.full(n, n ** -0.5), signs * n ** -0.5)
     pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
                                                  dtype=np.float64)
     sbmv, = scipy.linalg.get_blas_funcs(("sbmv",), dtype=np.float64)
@@ -299,10 +255,11 @@ def _chain_solver(d: np.ndarray, e: np.ndarray, scale: float):
     return tridiagonal
 
 
-def _band_solver(p: np.ndarray, q: np.ndarray, kd: int, scale: float):
+def _band_solver(p: np.ndarray, q: np.ndarray, kd: int, scale: float,
+                 signs: np.ndarray):
     """The banded solver of the bands p, q, with the real dense solver of
     the same matrix for the angles it gives up on, built on first use."""
-    band = _banded_solver(p, q, kd, scale)
+    band = _banded_solver(p, q, kd, scale, signs)
     dense = None
 
     def band_or_dense(theta: float) -> tuple[float, complex]:
@@ -318,22 +275,13 @@ def _band_solver(p: np.ndarray, q: np.ndarray, kd: int, scale: float):
 
 def _sweep_solver(op: Operator):
     """The per-angle solver theta -> (s(theta), witness) for op, chosen once
-    from its structure (see the module notes): an assembled operator's from
-    its box, an explicit matrix's from its entries."""
+    from its type (see the module notes): an assembled operator's from its
+    box, the complex dense solver for any other."""
     if not op.finite:
         raise EigenSolverError("matrix has entries beyond the float64 range",
                                where="numrange.compute_hull")
-    if isinstance(op, LatticeOperator):
-        kd, n = op.bandwidth, op.dim
-        if kd <= 1:
-            return _chain_solver(op.diagonal, np.ones(n - 1, complex),
-                                 op.lapack_scale)
-        p = op.hopping_band()
-        q = np.zeros_like(p)
-        p[0], q[0] = op.diagonal.real, op.diagonal.imag
-        return _band_solver(p, q, kd, op.scale)
-    a = op.matrix
-    if not np.array_equal(a, a.T):
+    if not isinstance(op, LatticeOperator):
+        a = op.matrix
         rotated = _rotation(np.asfortranarray(real_part(a).matrix),
                             np.asfortranarray(imag_part(a).matrix))
 
@@ -341,11 +289,17 @@ def _sweep_solver(op: Operator):
             s, f = _top_eigpair(lambda: rotated(theta))
             return s, complex(np.vdot(f, a @ f))
         return dense
-    kd = _bandwidth(a)
+    kd, n = op.bandwidth, op.dim
     if kd <= 1:
-        return _chain_solver(np.diagonal(a), np.diagonal(a, -1),
+        return _chain_solver(op.diagonal, np.ones(n - 1, complex),
                              op.lapack_scale)
-    return _band_solver(_band(a.real, kd), _band(a.imag, kd), kd, op.scale)
+    p = op.hopping_band()
+    q = np.zeros_like(p)
+    p[0], q[0] = op.diagonal.real, op.diagonal.imag
+    # the box's checkerboard: +1 on the sites whose offsets from its first
+    # site have an even sum, -1 on the others
+    signs = 1.0 - 2.0 * (np.indices(op.box.shape).sum(axis=0).ravel() % 2)
+    return _band_solver(p, q, kd, op.scale, signs)
 
 
 def _real_dense_solver(re: np.ndarray, im: np.ndarray):

@@ -21,7 +21,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_N_ANGLES
+from .config import DEFAULT_N_ANGLES, MAX_N_ANGLES
 from .criteria import CriteriaParams
 from .exceptions import SchemaError
 from .model import (Alternating1DPotential, ConstantPotential,
@@ -129,6 +129,13 @@ def parse_box(data, path: str = "$.box") -> LatticeBox:
         return LatticeBox(nu=nu, ranges=tuple(ranges))
     except ValueError as exc:
         raise _fail(f"{path}.ranges", str(exc))
+
+
+def check_n_angles(n_angles: int, path: str) -> int:
+    """An angle count, held to 3 <= n_angles <= MAX_N_ANGLES."""
+    if not 3 <= n_angles <= MAX_N_ANGLES:
+        raise _fail(path, f"n_angles must be between 3 and {MAX_N_ANGLES}")
+    return n_angles
 
 
 def check_seed(seed: int, path: str) -> int:
@@ -346,9 +353,8 @@ def parse_scenario(data) -> Scenario:
         p = _object(obj["params"], "$.params", required=(),
                     optional=("n_angles", "tolerances", "criteria", "seed"))
         if "n_angles" in p:
-            n_angles = _int(p["n_angles"], "$.params.n_angles")
-            if n_angles < 3:
-                raise _fail("$.params.n_angles", "n_angles must be >= 3")
+            n_angles = check_n_angles(_int(p["n_angles"], "$.params.n_angles"),
+                                      "$.params.n_angles")
         if "tolerances" in p:
             t = _object(p["tolerances"], "$.params.tolerances", required=(),
                         optional=TOLERANCE_KEYS)

@@ -1,7 +1,11 @@
 """Absence criteria: every check's certifying branch and its refusals."""
 
+import json
+
 import pytest
 
+from specrange import criteria
+from specrange.cli import main
 from specrange.criteria import (CriteriaParams, Target, check_alternating,
                                 check_direction_decay, check_full_decay,
                                 check_halfspace_support, check_level_set_empty,
@@ -243,3 +247,60 @@ def test_evaluate_all_evaluates_the_potential_once_per_grid(monkeypatch):
         radius = rep.entries[0].detail["scan_radius"]
         # level sets, half-spaces, pairs and summability share one scan
         assert grids == [((2 * radius + 1) ** nu, nu)]
+
+
+
+def criteria_entries(tmp_path, verb, doc):
+    """The criteria entries that main() writes for doc: in the report of
+    run, or in the file of the criteria verb."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([verb, str(path), "--out-dir", str(out)]) == 0
+    if verb == "run":
+        report = json.loads((out / f"{doc['name']}.report.json").read_text())
+        return report["results"]["criteria"]["entries"]
+    report = json.loads((out / f"{doc['name']}.criteria.json").read_text())
+    return report["criteria"]["entries"]
+
+
+@pytest.mark.parametrize("nu", [14, 16])
+@pytest.mark.parametrize("verb", ["run", "criteria"])
+def test_scan_over_the_cap_is_inconclusive_and_builds_no_grid(
+        monkeypatch, tmp_path, verb, nu):
+    # the scan radius never goes below 1, whose grid has 3^nu sites: over
+    # MAX_SCAN_SITES from nu = 14 on (43 M sites at nu = 16)
+    scan_grid = criteria._scan_grid
+
+    def guarded(grid_nu, radius):
+        sites = (2 * radius + 1) ** grid_nu
+        assert sites <= criteria.MAX_SCAN_SITES, f"grid of {sites} sites"
+        return scan_grid(grid_nu, radius)
+
+    monkeypatch.setattr(criteria, "_scan_grid", guarded)
+    doc = {"name": "cap", "box": {"nu": nu, "ranges": [[0, 0]] * nu},
+           "potential": {"kind": "table",
+                         "params": {"entries": [{"site": [0] * nu,
+                                                 "value": [0.0, 1.0]}]},
+                         "decay": {"vanishes_outside_radius": 0}},
+           "analysis": ["spectrum", "numrange", "classify", "criteria"],
+           "params": {"criteria": {"b_values": [0.5]}}}
+    scans = [e for e in criteria_entries(tmp_path, verb, doc)
+             if e["criterion"] in ("level_set_empty", "halfspace_support")]
+    assert len(scans) == 1 + 2 * nu
+    for e in scans:
+        assert e["verdict"] == INCONCLUSIVE
+        assert f"{3 ** nu} sites, over the scan cap of 2000000" in e["witness"]
+
+
+@pytest.mark.parametrize("verb", ["run", "criteria"])
+def test_zero_alternating_potential_certifies_its_decay(tmp_path, verb):
+    # b_even = b_odd = 0 is the zero potential: its imaginary part decays,
+    # and the decay checks read the kind's exact zero tail (there was none)
+    doc = {"name": "zero", "box": {"nu": 1, "ranges": [[-3, 3]]},
+           "potential": {"kind": "alternating_1d",
+                         "params": {"b_even": 0.0, "b_odd": 0.0}},
+           "analysis": ["numrange", "criteria"]}
+    decay = [e for e in criteria_entries(tmp_path, verb, doc)
+             if e["criterion"] in ("direction_decay", "full_decay")]
+    assert len(decay) == 3 and all(e["verdict"] == ABSENT for e in decay)

@@ -46,7 +46,6 @@ def test_assemble_free_1d_is_tridiagonal():
     op = assemble(box, TablePotential({}))
     expected = np.diag(np.ones(4), 1) + np.diag(np.ones(4), -1)
     assert np.array_equal(op.matrix, expected.astype(np.complex128))
-    assert op.hermitian
 
 
 def test_assemble_2d_adjacency():
@@ -128,7 +127,6 @@ def test_lattice_operator_is_the_dense_assembly(ranges):
     assert np.array_equal(buf, m)
     assert np.array_equal(op.diagonal, np.diagonal(m))
     assert op.frobenius == pytest.approx(np.linalg.norm(m), rel=1e-15)
-    assert not op.hermitian and not np.array_equal(m, m.conj().T)
     i, j = np.nonzero(np.triu(m, 1))
     assert op.bandwidth == (int((j - i).max()) if len(i) else 0)
     band = op.hopping_band()
@@ -145,7 +143,6 @@ def test_lattice_operator_is_the_dense_assembly(ranges):
 def test_lattice_operator_with_real_potential_is_hermitian():
     box = LatticeBox(2, ((0, 3), (0, 2)))
     op = assemble(box, ConstantPotential(-0.7))
-    assert op.hermitian
     assert op.scale == 1.0
     assert op.frobenius == pytest.approx(
         np.linalg.norm(dense_assembly(box, ConstantPotential(-0.7))),

@@ -14,7 +14,8 @@ from specrange.config import DEFAULT_MAX_DIM
 from specrange.exceptions import HullDomainError
 from specrange.model import (ConstantPotential, GeometricDecayPotential,
                              LatticeBox, OperatorMatrix,
-                             SeededRandomPotential, SumPotential, assemble,
+                             SeededRandomPotential, SumPotential,
+                             TablePotential, as_operator, assemble,
                              imag_part, real_part)
 from specrange.numrange import compute_hull, support_function
 from specrange.scenario import load_scenario
@@ -154,24 +155,25 @@ def test_structured_sweep_matches_dense_complex_path(op):
         assert np.max(np.abs(on_line - hull.supports)) < 1e-9, hull.n_angles
 
 
+# an explicit matrix, an assembled chain and an assembled box: each solver
 @pytest.mark.parametrize("matrix", [
     np.array([[0.0, 1.0], [0.0, 0.0]]),
     assemble(LatticeBox(1, ((-6, 6),)),
-             GeometricDecayPotential(0.4 - 0.7j, 0.6)).matrix,
-    assemble(BOX_2D, GeometricDecayPotential(0.6 + 0.9j, 0.5)).matrix,
+             GeometricDecayPotential(0.4 - 0.7j, 0.6)),
+    assemble(BOX_2D, GeometricDecayPotential(0.6 + 0.9j, 0.5)),
 ])
 def test_support_function_equals_every_hull_sample(matrix):
-    op = OperatorMatrix(matrix)
+    op = as_operator(matrix)
     hull = compute_hull(op, n_angles=24)
     for t, s, w in zip(hull.thetas, hull.supports, hull.witnesses):
         assert support_function(op, t) == (s, w)
 
 
-def solver_calls(monkeypatch, matrix):
-    """Run one hull and record which eigensolver each angle went to, with the
-    dtype of the matrix (or diagonal, or band) it was handed: scipy's
-    drivers, and the LAPACK and BLAS routines that the chain and band paths
-    fetch and call themselves."""
+def solver_calls(monkeypatch, op):
+    """Run one hull of op (an operator or a matrix) and record which
+    eigensolver each angle went to, with the dtype of the matrix (or
+    diagonal, or band) it was handed: scipy's drivers, and the LAPACK and
+    BLAS routines that the chain and band paths fetch and call themselves."""
     calls = []
     eigh, eigh_tridiagonal = scipy.linalg.eigh, scipy.linalg.eigh_tridiagonal
     get_lapack_funcs = scipy.linalg.get_lapack_funcs
@@ -204,7 +206,7 @@ def solver_calls(monkeypatch, matrix):
                         spying_on(get_lapack_funcs))
     monkeypatch.setattr(scipy.linalg, "get_blas_funcs",
                         spying_on(get_blas_funcs))
-    compute_hull(OperatorMatrix(matrix), n_angles=12)
+    compute_hull(op, n_angles=12)
     return set(calls)
 
 
@@ -212,13 +214,13 @@ def test_solver_path_follows_matrix_structure(monkeypatch):
     rng = np.random.default_rng(3)
     general = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     chain = assemble(LatticeBox(1, ((-6, 6),)),
-                     GeometricDecayPotential(0.4 - 0.7j, 0.6)).matrix
-    box = assemble(BOX_2D, GeometricDecayPotential(0.6 + 0.9j, 0.5)).matrix
+                     GeometricDecayPotential(0.4 - 0.7j, 0.6))
+    box = assemble(BOX_2D, GeometricDecayPotential(0.6 + 0.9j, 0.5))
     complex_dense = {("eigh", np.dtype(np.complex128))}
-    # not complex symmetric: the dense complex path
-    assert solver_calls(monkeypatch, general) == complex_dense
-    assert solver_calls(monkeypatch, [[0.0, 1.0], [0.0, 0.0]]) == complex_dense
-    # complex symmetric with bandwidth 1, then wider: real solves only, the
+    # an explicit matrix, whatever its structure: the dense complex path
+    for m in (general, [[0.0, 1.0], [0.0, 0.0]], chain.matrix, box.matrix):
+        assert solver_calls(monkeypatch, m) == complex_dense
+    # an assembled chain, then an assembled box: real solves only, the
     # chain by bisection and inverse iteration, the box by band Cholesky
     # inverse iteration, with no scipy driver between
     assert solver_calls(monkeypatch, chain) == {
@@ -245,26 +247,25 @@ def eigh_tridiagonal_sweep(a, thetas):
 
 
 def random_chain(n, seed):
+    """A chain of n sites with a random complex table potential."""
     rng = np.random.default_rng(seed)
-    a = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
-    k = np.arange(n - 1)
-    a[k, k + 1] = a[k + 1, k] = rng.normal(size=n - 1)
-    return a
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return assemble(LatticeBox(1, ((0, n - 1),)),
+                    TablePotential({(k,): v for k, v in enumerate(values)}))
 
 
-def chain_matrices():
-    ops = [(p.values[0].matrix, p.id) for p in structured_operators()]
-    chains = [pytest.param(m, id=name) for m, name in ops
-              if np.count_nonzero(np.triu(m, 2)) == 0]
+def chain_operators():
+    chains = [p for p in structured_operators() if p.values[0].bandwidth <= 1]
     chains += [pytest.param(random_chain(n, n), id=f"random_{n}")
                for n in (1, 2, 3, 40, 301)]
     return chains
 
 
-@pytest.mark.parametrize("matrix", chain_matrices())
-def test_chain_sweep_equals_eigh_tridiagonal_bit_for_bit(matrix):
+@pytest.mark.parametrize("op", chain_operators())
+def test_chain_sweep_equals_eigh_tridiagonal_bit_for_bit(op):
+    matrix = op.matrix
     for n_angles in (359, 360, 720):
-        hull = compute_hull(OperatorMatrix(matrix), n_angles=n_angles)
+        hull = compute_hull(op, n_angles=n_angles)
         ref = eigh_tridiagonal_sweep(matrix, hull.thetas)
         assert hull.supports.tolist() == [s for s, _ in ref], n_angles
         assert hull.witnesses.tolist() == [w for _, w in ref], n_angles
@@ -277,8 +278,8 @@ def test_chain_sweep_falls_back_when_bisection_finds_nothing():
     # is lost to rounding, so s(theta) is Re(e^{i theta} c) to that
     # accuracy.
     c = 1e308 + 1e308j
-    a = assemble(LatticeBox(1, ((-3, 3),)), ConstantPotential(c)).matrix
-    hull = compute_hull(OperatorMatrix(a), n_angles=360)
+    op = assemble(LatticeBox(1, ((-3, 3),)), ConstantPotential(c))
+    hull = compute_hull(op, n_angles=360)
     exact = (np.exp(1j * hull.thetas) * c).real
     assert np.all(np.isfinite(hull.supports))
     assert np.max(np.abs(hull.supports - exact)) <= 1e-12 * abs(c)
@@ -290,9 +291,9 @@ def test_band_sweep_of_entries_near_the_float_limit(monkeypatch):
     # the band iteration runs on A scaled by a power of two, so its residual
     # norms do not overflow and no angle needs the dense solver
     c = 1e308 + 1e308j
-    a = assemble(LatticeBox(2, ((-3, 3), (-3, 3))), ConstantPotential(c)).matrix
+    op = assemble(LatticeBox(2, ((-3, 3), (-3, 3))), ConstantPotential(c))
     monkeypatch.setattr(scipy.linalg, "eigh", None)
-    hull = compute_hull(OperatorMatrix(a), n_angles=32)
+    hull = compute_hull(op, n_angles=32)
     exact = (np.exp(1j * hull.thetas) * c).real
     assert np.max(np.abs(hull.supports - exact)) <= 1e-12 * abs(c)
     on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
@@ -311,11 +312,14 @@ def test_tied_extreme_does_not_crash_either_path():
     pots += [ConstantPotential(c) for c in (1j, 0.3 + 0.4j, -0.2 + 0.7j)]
     phases = np.exp(0.7j * np.arange(box.site_count))
     for pot in pots:
-        a = assemble(box, pot).matrix
-        # a diagonal unitary similarity keeps Num(A) but breaks A = A^T,
-        # which sends the same spectrum through the dense complex path
-        for m in (a, phases[:, None] * a * phases.conj()[None, :]):
-            hull = compute_hull(OperatorMatrix(m), n_angles=32)
+        op = assemble(box, pot)
+        a = op.matrix
+        # the assembled operator takes the band path; a diagonal unitary
+        # similarity keeps Num(A), and as an explicit matrix takes the
+        # dense complex path
+        phased = phases[:, None] * a * phases.conj()[None, :]
+        for x, m in ((op, a), (phased, phased)):
+            hull = compute_hull(x, n_angles=32)
             ref = dense_supports(m, hull.thetas)
             assert np.max(np.abs(hull.supports - ref)) < 1e-12, pot
             on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
@@ -349,9 +353,10 @@ def expression_sweep(a, thetas):
 def test_buffered_sweep_reproduces_the_expression_bit_for_bit(monkeypatch):
     # A constant potential ties the top eigenvalue at theta = pi/2, which
     # sends some angles to the full-spectrum fallback after the subset solve
-    # may have overwritten its input.  A symmetric matrix reaches the real
+    # may have overwritten its input.  An assembled box reaches the real
     # dense builder only when the band iteration gives up, forced here by a
-    # budget of no band factorisations.
+    # budget of no band factorisations; a phased explicit matrix takes the
+    # complex dense path.
     box = LatticeBox(2, ((0, 7), (0, 7)))
     phases = np.exp(0.7j * np.arange(box.site_count))
     fallbacks = []
@@ -365,9 +370,11 @@ def test_buffered_sweep_reproduces_the_expression_bit_for_bit(monkeypatch):
     monkeypatch.setattr(numrange, "_BAND_MAX_FACTORS", 0)
     for pot in (ConstantPotential(0.3 + 0.4j),
                 GeometricDecayPotential(0.6 + 0.9j, 0.5)):
-        a = assemble(box, pot).matrix
-        for m in (a, phases[:, None] * a * phases.conj()[None, :]):
-            hull = compute_hull(OperatorMatrix(m), n_angles=32)
+        op = assemble(box, pot)
+        a = op.matrix
+        phased = phases[:, None] * a * phases.conj()[None, :]
+        for x, m in ((op, a), (phased, phased)):
+            hull = compute_hull(x, n_angles=32)
             ref = expression_sweep(m, hull.thetas)
             assert hull.supports.tolist() == [s for s, _ in ref]
             assert hull.witnesses.tolist() == [w for _, w in ref]
@@ -386,18 +393,13 @@ def seeded_field(box, seed):
         GeometricDecayPotential(0.12 + 0.25j, 0.7)))
 
 
-def random_complex_symmetric(n, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return m + m.T
-
-
-def band_matrices():
-    """Symmetric matrices of bandwidth > 1, each with the angle grids it is
+def band_operators():
+    """Assembled operators of bandwidth > 1, each with the angle grids it is
     swept at: the boxes of a 2D lattice workload (L = 8, 16, 24, with a
-    geometric and a seeded field), a nu = 3 box and a dense random complex
-    symmetric matrix (bandwidth n - 1).  The larger boxes keep to 32 angles
-    because the complex dense reference costs about 0.1 s per angle there."""
+    geometric and a seeded field), a nu = 3 box and a 2 x 3 x 5 box whose
+    band is half its size (kd = 15 of n = 30).  The larger boxes keep to 32
+    angles because the complex dense reference costs about 0.1 s per angle
+    there."""
     cases = []
     for side in (8, 16, 24):
         box = centred_box(2, side)
@@ -405,25 +407,27 @@ def band_matrices():
         for label, pot in (("geometric", GeometricDecayPotential(0.45 + 0.6j,
                                                                  0.7)),
                            ("field", seeded_field(box, side))):
-            cases.append(pytest.param(assemble(box, pot).matrix, grids,
+            cases.append(pytest.param(assemble(box, pot), grids,
                                       id=f"L{side}_{label}"))
     box3 = centred_box(3, 5)
-    cases.append(pytest.param(assemble(box3, seeded_field(box3, 3)).matrix,
+    cases.append(pytest.param(assemble(box3, seeded_field(box3, 3)),
                               (32, 359, 360), id="nu3_5"))
-    cases.append(pytest.param(random_complex_symmetric(30, 4),
+    box235 = LatticeBox(3, ((0, 1), (0, 2), (0, 4)))
+    cases.append(pytest.param(assemble(box235, seeded_field(box235, 4)),
                               (32, 359, 360), id="random_dense_30"))
     return cases
 
 
-@pytest.mark.parametrize("matrix, grids", band_matrices())
-def test_band_sweep_matches_the_dense_path(monkeypatch, matrix, grids):
+@pytest.mark.parametrize("op, grids", band_operators())
+def test_band_sweep_matches_the_dense_path(monkeypatch, op, grids):
     dense_calls = []
     monkeypatch.setattr(scipy.linalg, "eigh",
                         lambda *a, **kw: dense_calls.append(1))
-    hulls = [compute_hull(OperatorMatrix(matrix), n_angles=n) for n in grids]
+    hulls = [compute_hull(op, n_angles=n) for n in grids]
     monkeypatch.undo()
     # every angle was certified on the band, none went to the dense solver
     assert not dense_calls
+    matrix = op.matrix
     for hull in hulls:
         ref = dense_supports(matrix, hull.thetas)
         assert np.max(np.abs(hull.supports - ref)) < 1e-12, hull.n_angles
@@ -433,7 +437,7 @@ def test_band_sweep_matches_the_dense_path(monkeypatch, matrix, grids):
 
 def test_band_iteration_that_gives_up_reaches_the_dense_solver(monkeypatch):
     # one factorisation cannot both move the start vector and certify it
-    a = assemble(BOX_2D, GeometricDecayPotential(0.6 + 0.9j, 0.5)).matrix
+    op = assemble(BOX_2D, GeometricDecayPotential(0.6 + 0.9j, 0.5))
     dense_calls = []
 
     def spy(h, *args, **kw):
@@ -442,11 +446,11 @@ def test_band_iteration_that_gives_up_reaches_the_dense_solver(monkeypatch):
 
     monkeypatch.setattr(numrange, "_BAND_MAX_FACTORS", 1)
     monkeypatch.setattr(scipy.linalg, "eigh", spy)
-    hull = compute_hull(OperatorMatrix(a), n_angles=16)
+    hull = compute_hull(op, n_angles=16)
     monkeypatch.undo()
     assert dense_calls == [np.dtype(np.float64)] * 16
-    assert np.max(np.abs(hull.supports - dense_supports(a, hull.thetas))) \
-        < 1e-12
+    assert np.max(np.abs(hull.supports
+                         - dense_supports(op.matrix, hull.thetas))) < 1e-12
 
 
 def test_box_at_the_dimension_cap_sweeps():

@@ -13,6 +13,7 @@ import pytest
 
 from specrange import scenario
 from specrange.cli import analyse, main
+from specrange.config import MAX_N_ANGLES
 from specrange.exceptions import SchemaError
 from specrange.model import LatticeOperator, SeededRandomPotential
 from specrange.scenario import (atomic_write_text, dumps_canonical,
@@ -386,6 +387,23 @@ def test_angles_below_three_exit_two(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["document", "flag"])
+def test_angles_above_the_cap_exit_two(tmp_path, capsys, where):
+    # 2^70 angles passed the schema, and the hull's angle list then grew
+    # until memory ran out
+    doc = small_run_doc()
+    flags = []
+    if where == "document":
+        doc.setdefault("params", {})["n_angles"] = 2 ** 70
+    else:
+        flags = ["--angles", str(2 ** 70)]
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, doc), *flags,
+                 "--out-dir", str(out)]) == 2
+    assert str(MAX_N_ANGLES) in capsys.readouterr().err
+    assert not out.exists()
+
+
 TABLE_2D = {"kind": "table",
             "params": {"entries": [{"site": [1], "value": [0.0, 0.5]},
                                    {"site": [0, 0], "value": [0.0, 1.0]}]}}
@@ -714,6 +732,11 @@ def huge_table(site, value):
     pytest.param([[0, 0]], {"kind": "decay_power", "params": {
         "amplitude": [0.3, 0.4], "exponent": 1e150}}, ANALYSIS, 0,
         id="power_exponent_1e150"),
+    # the other end: the operator's scale was the subnormal 2^-1074, whose
+    # reciprocal overflows, so the sweep's witnesses left the float64 range
+    # (exit 3) and the residuals came out NaN
+    pytest.param([[0, 0]], huge_table([0], 5e-324), ANALYSIS, 0,
+                 id="table_5e-324"),
 ])
 def test_entries_near_the_float_limit_run_or_exit_three(
         tmp_path, box, potential, analysis, code):

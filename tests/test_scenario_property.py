@@ -1,16 +1,22 @@
 """Property: every scenario document either runs or fails with a
 path-qualified error, exit code 2, 3 or 4; none ends in a traceback.
 
-Documents are mutations of the round-trip documents of every kind: values
-of the wrong type or range, non-finite numbers, finite magnitudes up to the
-float64 limit (whose squares, sums and rotations overflow), sites and
-carrier boxes of the wrong dimension, dropped and unknown fields, and sums
-of kinds.  Every box, the carriers included, has at most 12 sites, so each
-example runs in milliseconds.
+Documents are drawn from the round-trip documents of every kind, with
+each kind's value fields (c, amplitude, exponent, b_even/b_odd, the ranges
+and table values) drawn moderate or huge, then mutated: values of the wrong
+type or range, non-finite numbers, finite magnitudes up to the float64
+limit (whose squares, sums and rotations overflow), sites and carrier boxes
+of the wrong dimension, dropped and unknown fields, and sums of kinds.
+Every box has at most 12 sites, so each example runs in milliseconds: boxes
+on one or two axes, and single sites on 14 to 16 axes, whose radius-1
+criteria scan (3^nu sites) is over the scan cap.  Carriers have at most 12
+sites too, or more than the dimension cap, which exit 2 before any of their
+sites is drawn.
 """
 
 import json
 import math
+from functools import partial
 
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -24,6 +30,16 @@ ANALYSES = ["spectrum", "numrange", "classify", "criteria"]
 # leave the float64 range
 HUGE = st.sampled_from([1e150, 1e200, 1e300, 1.7e308]).flatmap(
     lambda x: st.sampled_from([x, -x]))
+
+# a number of a potential: moderate or huge
+VALUE = st.floats(-2.0, 2.0) | HUGE
+COMPLEX = st.lists(VALUE, min_size=2, max_size=2)
+
+# seeded_random carriers over the dimension cap (4096 sites), built afresh
+# for each document since mutations change them in place
+BIG_CARRIER = st.sampled_from([((0, 4096),), ((-5000, 5000),),
+                               ((0, 64), (0, 63))]).map(
+    lambda ranges: {"nu": len(ranges), "ranges": [list(r) for r in ranges]})
 
 # values that a field of some other type, range or finiteness may receive;
 # the integers stay small or beyond int64, never large enough to allocate
@@ -49,24 +65,48 @@ def small_box(draw, nu=None):
 
 
 @st.composite
-def potential(draw, depth=0):
-    kind = draw(st.sampled_from(sorted(KIND_DOCS)))
+def single_site_box(draw):
+    nu = draw(st.integers(14, 16))
+    return {"nu": nu, "ranges": [[k, k] for k in
+                                 draw(st.lists(st.integers(-6, 6),
+                                               min_size=nu, max_size=nu))]}
+
+
+@st.composite
+def potential(draw, nu, depth=0):
+    # the kinds declared on one lattice dimension only are drawn on the
+    # small boxes, where a mismatch with the box is a case of its own
+    kinds = [k for k in sorted(KIND_DOCS)
+             if nu <= 2 or k not in ("alternating_1d", "seeded_random")]
+    kind = draw(st.sampled_from(kinds))
     doc = json.loads(json.dumps(KIND_DOCS[kind]))
     params = doc["params"]
-    if kind == "seeded_random":
-        params["box"] = draw(small_box())
+    if kind == "constant":
+        params["c"] = draw(COMPLEX)
+    elif kind in ("decay_power", "decay_geometric"):
+        params["amplitude"] = draw(COMPLEX)
+        if kind == "decay_power":
+            params["exponent"] = draw(st.floats(0.5, 4.0) | HUGE)
+    elif kind == "alternating_1d":
+        params["b_even"], params["b_odd"] = draw(VALUE), draw(VALUE)
+    elif kind == "seeded_random":
+        params["box"] = draw(small_box() | BIG_CARRIER)
+        params["re_range"] = sorted(draw(COMPLEX))
+        params["im_range"] = sorted(draw(COMPLEX))
     elif kind == "table":
-        dim = draw(st.integers(1, 3))
+        dim = draw(st.integers(1, 3) | st.just(nu))
         params["entries"] = [
             {"site": [draw(st.integers(-6, 6)) for _ in range(dim)],
-             "value": [draw(st.floats(-2.0, 2.0) | HUGE),
-                       draw(st.floats(-2.0, 2.0) | HUGE)]}
+             "value": draw(COMPLEX)}
             for _ in range(draw(st.integers(0, 3)))]
         if draw(st.booleans()):
             doc.pop("decay", None)
+        else:
+            doc["decay"]["vanishes_outside_radius"] = draw(
+                st.integers(0, 6 * dim))
     elif kind == "sum" and depth < 2:
-        params["terms"] = draw(st.lists(potential(depth + 1), min_size=1,
-                                        max_size=3))
+        params["terms"] = draw(st.lists(potential(nu, depth + 1),
+                                        min_size=1, max_size=3))
     return doc
 
 
@@ -101,8 +141,8 @@ def at(doc, path):
 
 @st.composite
 def mutated_document(draw):
-    doc = {"name": "prop", "box": draw(small_box(draw(st.integers(1, 2)))),
-           "potential": draw(potential()),
+    box = draw(small_box(draw(st.integers(1, 2))) | single_site_box())
+    doc = {"name": "prop", "box": box, "potential": draw(potential(box["nu"])),
            "analysis": draw(st.lists(st.sampled_from(ANALYSES), min_size=1,
                                      max_size=4, unique=True)),
            "params": {"n_angles": draw(st.integers(1, 24)),
@@ -139,4 +179,7 @@ def test_every_document_runs_or_exits_with_a_code(tmp_path, doc, verb):
     path.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
     code = main([verb, str(path), "--out-dir", str(tmp_path / "out")])
     event(f"exit code {code}")
+    if any(abs(x) >= 1e150 for x in map(partial(at, doc), leaves(doc))
+           if isinstance(x, float)):
+        event("a number of 1e150 or more")
     assert code in (0, 2, 3, 4)
