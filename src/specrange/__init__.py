@@ -38,8 +38,7 @@ from .model import (Alternating1DPotential, ConstantPotential, DecayBound,
                     Operator, OperatorMatrix, PotentialSpec,
                     PowerDecayPotential, Provenance,
                     SeededRandomPotential, SumPotential, TablePotential,
-                    TailInfo, assemble, imag_part, potential_bounds,
-                    real_part)
+                    TailInfo, assemble, imag_part, real_part)
 from .numrange import NumericalRangeHull, compute_hull, support_function
 from .onedim import (ContinuationResult, ShootingResult, SolutionTrace,
                      propagate, shooting_l2_test, trace_from_vector,
@@ -72,7 +71,7 @@ __all__ = [
     "OperatorMatrix",
     "PotentialSpec", "PowerDecayPotential", "Provenance",
     "SeededRandomPotential", "SumPotential", "TablePotential", "TailInfo",
-    "assemble", "imag_part", "potential_bounds", "real_part",
+    "assemble", "imag_part", "real_part",
     "NumericalRangeHull", "compute_hull", "support_function",
     "ContinuationResult", "ShootingResult", "SolutionTrace", "propagate",
     "shooting_l2_test", "trace_from_vector", "unique_continuation_check",

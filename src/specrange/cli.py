@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from . import __version__
 from .classify import (EigenClassification, box_limited, certify, classify,
                        support_extent)
-from .config import (DEFAULT_MAX_DIM, DEFAULT_TOLERANCES, MAX_DIM_ENV,
-                     Tolerances)
+from .config import (DEFAULT_MAX_DIM, DEFAULT_N_ANGLES, DEFAULT_TOLERANCES,
+                     MAX_DIM_ENV, Tolerances)
 from .construct import build_counterexample
 from .criteria import CriteriaParams, evaluate_all
 from .exceptions import (CertificationError, DesignError, EmptySupportError,
@@ -38,22 +38,28 @@ from .model import (Operator, PotentialSpec, SeededRandomPotential,
                     SumPotential, assemble)
 from .numrange import NumericalRangeHull, compute_hull
 from .scenario import (Scenario, atomic_write_text, check_carrier_size,
-                       check_n_angles, check_seed, dumps_canonical,
-                       encode_potential, encode_scenario, load_scenario,
-                       parse_scenario)
+                       check_n_angles, check_name, check_real, check_seed,
+                       check_tolerance, dumps_canonical, encode_potential,
+                       encode_scenario, load_scenario, parse_scenario)
 
 
 def resolve_max_dim(flag: int | None) -> int:
-    if flag is not None:
-        return int(flag)
-    env = os.environ.get(MAX_DIM_ENV)
-    if env is None:
-        return DEFAULT_MAX_DIM
-    try:
-        return int(env)
-    except ValueError:
-        raise SchemaError(f"{MAX_DIM_ENV} must be an integer, got {env!r}",
-                          path=MAX_DIM_ENV, where="cli.resolve_max_dim")
+    """The dimension cap: --max-dim, else $SPECRANGE_MAX_DIM, else the
+    default; at least 1."""
+    path, value = "--max-dim", flag
+    if flag is None:
+        path, env = MAX_DIM_ENV, os.environ.get(MAX_DIM_ENV)
+        if env is None:
+            return DEFAULT_MAX_DIM
+        try:
+            value = int(env)
+        except ValueError:
+            raise SchemaError(f"{MAX_DIM_ENV} must be an integer, got {env!r}",
+                              path=MAX_DIM_ENV, where="cli.resolve_max_dim")
+    if value < 1:
+        raise SchemaError(f"{path} must be >= 1, got {value}", path=path,
+                          where="cli.resolve_max_dim")
+    return value
 
 
 def _override_seed(spec: PotentialSpec, seed: int) -> PotentialSpec:
@@ -70,17 +76,22 @@ def _angles_flag(args) -> int | None:
     return None if n is None else check_n_angles(n, "--angles")
 
 
+def _tolerance_flags(args) -> dict[str, float]:
+    """The --tol-boundary and --tol-cert overrides given, each held to the
+    schema's tolerance range, by their tolerance keys."""
+    flags = {"boundary_abs": (args.tol_boundary, "--tol-boundary"),
+             "cert_abs": (args.tol_cert, "--tol-cert")}
+    return {key: check_tolerance(v, path)
+            for key, (v, path) in flags.items() if v is not None}
+
+
 def _apply_flags(sc: Scenario, args) -> Scenario:
     changes: dict = {}
     if _angles_flag(args) is not None:
         changes["n_angles"] = args.angles
     if getattr(args, "seed", None) is not None:
         changes["seed"] = check_seed(args.seed, "--seed")
-    overrides = dict(sc.tolerance_overrides)
-    if getattr(args, "tol_boundary", None) is not None:
-        overrides["boundary_abs"] = args.tol_boundary
-    if getattr(args, "tol_cert", None) is not None:
-        overrides["cert_abs"] = args.tol_cert
+    overrides = {**dict(sc.tolerance_overrides), **_tolerance_flags(args)}
     if overrides != dict(sc.tolerance_overrides):
         changes["tolerance_overrides"] = tuple(sorted(overrides.items()))
     return dataclasses.replace(sc, **changes) if changes else sc
@@ -298,21 +309,24 @@ def _parse_zeros(text: str) -> list[int]:
 
 def _cmd_construct(args) -> int:
     zeros = _parse_zeros(args.zeros)
-    tol = DEFAULT_TOLERANCES.with_overrides(
-        boundary_abs=args.tol_boundary, cert_abs=args.tol_cert)
-    n_angles = _angles_flag(args) or 720
+    check_real(args.a, "--a")
+    check_real(args.b, "--b")
+    if args.n < 1:
+        raise SchemaError("--n must be >= 1", path="--n",
+                          where="cli.construct")
+    overrides = _tolerance_flags(args)
+    tol = DEFAULT_TOLERANCES.with_overrides(**overrides)
+    name = check_name(args.name or f"counterexample_a{args.a:g}_b{args.b:g}",
+                      "--name")
+    n_angles = _angles_flag(args) or DEFAULT_N_ANGLES
     build = build_counterexample(
         a=args.a, b=args.b, zero_sites=zeros, n_sites=args.n,
         n_angles=n_angles, tol=tol, max_dim=resolve_max_dim(args.max_dim))
-    name = args.name or f"counterexample_a{args.a:g}_b{args.b:g}"
     sc = Scenario(
         name=name, box=build.box, potential=build.potential,
         analysis=("spectrum", "numrange", "classify", "criteria"),
         n_angles=n_angles,
-        tolerance_overrides=tuple(sorted(
-            {k: v for k, v in (("boundary_abs", args.tol_boundary),
-                               ("cert_abs", args.tol_cert))
-             if v is not None}.items())),
+        tolerance_overrides=tuple(sorted(overrides.items())),
         criteria=CriteriaParams(b_values=(args.b,), a_values=(args.a,)),
     )
     ex = build_report(Analysis(

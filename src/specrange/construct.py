@@ -33,8 +33,11 @@ TINY_ENTRY = 1e-12
 
 
 def contractive_tail_ratio(a: float) -> float:
-    """The root of r^2 - a r + 1 = 0 with |r| < 1; needs |a| > 2."""
+    """The root of r^2 - a r + 1 = 0 with |r| < 1; needs finite |a| > 2."""
     a = float(a)
+    if not math.isfinite(a):
+        raise DesignError(f"eigenvalue {a} is not finite",
+                          where="construct.design_eigenfunction")
     if abs(a) <= 2.0:
         raise DesignError(
             f"no decaying tail ratio exists for eigenvalue {a}: r + 1/r = a "
@@ -208,14 +211,15 @@ def imag_potential_from_support(u: DesignedEigenfunction, b: float,
     """Imaginary diagonal b on supp(u) (tails included), 0 at the zeros.
 
     Then the imaginary part acts on u as multiplication by b exactly.
-    Encoded as constant ib plus a finite table of -ib corrections, whose
-    declared ranges give the exact imaginary interval [0, b].
+    Encoded as constant ib plus a finite table of -ib corrections: b is
+    nonzero at all but finitely many sites, and a constant plus finitely
+    many corrections is a finite description of it.
     """
     b = float(b)
-    if b <= 0.0:
+    if not (math.isfinite(b) and b > 0.0):
         raise DesignError(
-            f"b must be positive (got {b}); the strip construction places "
-            "the numerical range in 0 <= Im z <= b",
+            f"b must be finite and positive (got {b}); the strip "
+            "construction places the numerical range in 0 <= Im z <= b",
             where="construct.imag_potential_from_support",
         )
     if not u.zeros:
@@ -232,9 +236,10 @@ def imag_potential_from_support(u: DesignedEigenfunction, b: float,
 
 def combined_potential(re_spec: TablePotential, im_spec: PotentialSpec,
                        ) -> PotentialSpec:
-    """Merge the designed real and imaginary diagonals into one spec whose
-    declared ranges stay exact: one table (real entries plus the -ib zero
-    corrections) plus the constant ib."""
+    """Merge the designed real and imaginary diagonals into one spec: one
+    table (real entries plus the -ib zero corrections) plus the constant ib,
+    the finite description of a potential whose imaginary part is nonzero
+    at all but finitely many sites."""
     if isinstance(im_spec, ConstantPotential):
         if not re_spec.entries:
             return im_spec

@@ -570,8 +570,7 @@ def evaluate_all(potential: PotentialSpec, nu: int,
         if e.absent and e.target.kind == "re"}))
 
     notes: list[str] = []
-    _, _, i_lo, i_hi = potential.global_range()
-    if i_lo == 0.0 and i_hi == 0.0:
+    if potential.im_support_parity() == "zero":
         notes.append(
             "imaginary part is identically zero: the operator is "
             "selfadjoint, its numerical range degenerates to a real "

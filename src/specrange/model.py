@@ -21,7 +21,7 @@ import abc
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -170,15 +170,6 @@ def _norm1(sites: np.ndarray) -> np.ndarray:
     return np.abs(sites).sum(axis=1)
 
 
-def _hull4(
-    values: Iterable[complex],
-) -> tuple[float, float, float, float]:
-    vs = list(values)
-    re = [v.real for v in vs]
-    im = [v.imag for v in vs]
-    return (min(re), max(re), min(im), max(im))
-
-
 class PotentialSpec(abc.ABC):
     """Symbolic complex potential d on Z^nu.
 
@@ -202,14 +193,6 @@ class PotentialSpec(abc.ABC):
         """The lattice dimension nu the kind is declared on, or None when it
         is defined on Z^nu for every nu."""
         return None
-
-    @abc.abstractmethod
-    def sup_abs(self) -> float:
-        """Finite upper bound for sup_k |d(k)| over all of Z^nu."""
-
-    @abc.abstractmethod
-    def global_range(self) -> tuple[float, float, float, float]:
-        """(Rmin, Rmax, Imin, Imax) containing Re d and Im d over all of Z^nu."""
 
     # --- certificate protocol (conservative defaults) ---
 
@@ -290,12 +273,6 @@ class TablePotential(PotentialSpec):
         return np.array([m.get(tuple(int(c) for c in s), 0.0) for s in sites],
                         dtype=np.complex128)
 
-    def sup_abs(self) -> float:
-        return max((abs(v) for _, v in self.entries), default=0.0)
-
-    def global_range(self):
-        return _hull4([0j] + [v for _, v in self.entries])
-
     def tail_info(self):
         return TailInfo(radius=self.support_radius, base=0j)
 
@@ -326,12 +303,6 @@ class ConstantPotential(PotentialSpec):
 
     def values(self, sites):
         return np.full(len(sites), self.c, dtype=np.complex128)
-
-    def sup_abs(self):
-        return abs(self.c)
-
-    def global_range(self):
-        return (self.c.real, self.c.real, self.c.imag, self.c.imag)
 
     def tail_info(self):
         return TailInfo(radius=0, base=self.c)
@@ -374,13 +345,6 @@ class PowerDecayPotential(PotentialSpec):
         if mask is not None:
             out = np.where(mask, out, 0.0)
         return out.astype(np.complex128)
-
-    def sup_abs(self):
-        return abs(self.amplitude)
-
-    def global_range(self):
-        a = self.amplitude
-        return (min(0.0, a.real), max(0.0, a.real), min(0.0, a.imag), max(0.0, a.imag))
 
     def tail_info(self):
         a = self.amplitude
@@ -426,15 +390,6 @@ class GeometricDecayPotential(PotentialSpec):
             out = np.where(mask, out, 0.0)
         return out.astype(np.complex128)
 
-    def sup_abs(self):
-        return abs(self.amplitude)
-
-    def global_range(self):
-        a, r = self.amplitude, self.ratio
-        # ratio < 0 alternates sign with ||k||_1; hull over {a r^s : s >= 0} U {0}
-        vals = [0j, a, a * r]
-        return _hull4(vals)
-
     def tail_info(self):
         a, r = self.amplitude, abs(self.ratio)
         return TailInfo(
@@ -475,13 +430,6 @@ class Alternating1DPotential(PotentialSpec):
             raise ValueError("alternating_1d only defined for nu=1")
         even = np.mod(sites[:, 0], 2) == 0
         return 1j * np.where(even, self.b_even, self.b_odd).astype(np.float64)
-
-    def sup_abs(self):
-        return max(abs(self.b_even), abs(self.b_odd))
-
-    def global_range(self):
-        lo, hi = sorted((self.b_even, self.b_odd))
-        return (0.0, 0.0, lo, hi)
 
     def im_alternating(self):
         return (self.b_even, self.b_odd)
@@ -575,14 +523,6 @@ class SeededRandomPotential(PotentialSpec):
         out[inside] = self._carrier_values[tuple((sites[inside] - lo).T)]
         return out
 
-    def sup_abs(self):
-        return float(np.abs(self._carrier_values).max())
-
-    def global_range(self):
-        v = self._carrier_values
-        return (min(0.0, float(v.real.min())), max(0.0, float(v.real.max())),
-                min(0.0, float(v.imag.min())), max(0.0, float(v.imag.max())))
-
     @cached_property
     def support_radius(self) -> int:
         corners = self.box.sites
@@ -627,21 +567,6 @@ class SumPotential(PotentialSpec):
         for t in self.terms:
             out += t.values(sites)
         return out
-
-    def sup_abs(self):
-        return sum(t.sup_abs() for t in self.terms)
-
-    def global_range(self):
-        lo_r = hi_r = lo_i = hi_i = 0.0
-        first = True
-        for t in self.terms:
-            a, b, c, d = t.global_range()
-            if first:
-                lo_r, hi_r, lo_i, hi_i = a, b, c, d
-                first = False
-            else:
-                lo_r, hi_r, lo_i, hi_i = lo_r + a, hi_r + b, lo_i + c, hi_i + d
-        return (lo_r, hi_r, lo_i, hi_i)
 
     def tail_info(self):
         tails = [t.tail_info() for t in self.terms]
@@ -978,17 +903,3 @@ def imag_part(op) -> OperatorMatrix:
     """(A - A*)/(2i) as a fresh hermitian OperatorMatrix."""
     m = _as_array(op)
     return OperatorMatrix((m - m.conj().T) / 2.0j)
-
-
-def potential_bounds(potential: PotentialSpec, box: LatticeBox,
-                     ) -> tuple[float, float, float, float]:
-    """(Rmin, Rmax, Imin, Imax): hull of the potential over the box, widened
-    by the kind's global range so that every off-box value is also covered."""
-    vals = potential.values(box.sites)
-    g = potential.global_range()
-    return (
-        min(float(vals.real.min()), g[0]),
-        max(float(vals.real.max()), g[1]),
-        min(float(vals.imag.min()), g[2]),
-        max(float(vals.imag.max()), g[3]),
-    )

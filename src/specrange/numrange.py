@@ -70,7 +70,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_N_ANGLES
+from .config import DEFAULT_N_ANGLES
 from .exceptions import EigenSolverError, HullDomainError
 from .model import (LatticeOperator, Operator, as_operator, imag_part,
                     real_part)

@@ -69,7 +69,8 @@ def _int(data, path: str) -> int:
     return data
 
 
-def _real(data, path: str) -> float:
+def check_real(data, path: str) -> float:
+    """A finite number; also the reader of the CLI's real-valued flags."""
     if isinstance(data, bool) or not isinstance(data, (int, float)):
         raise _fail(path, f"expected a number, got {type(data).__name__}")
     try:
@@ -92,7 +93,7 @@ def _items(data, path: str, read, min_len: int = 0) -> tuple:
                  for i, v in enumerate(_array(data, path, min_len)))
 
 
-def _pair(data, path: str, form: str, read=_real) -> tuple:
+def _pair(data, path: str, form: str, read=check_real) -> tuple:
     arr = _array(data, path)
     if len(arr) != 2:
         raise _fail(path, f"expected {form}")
@@ -145,6 +146,25 @@ def check_seed(seed: int, path: str) -> int:
     return seed
 
 
+def check_tolerance(value, path: str) -> float:
+    """A tolerance or tolerance override: finite and >= 0."""
+    value = check_real(value, path)
+    if value < 0.0:
+        raise _fail(path, f"a tolerance must be >= 0, got {value!r}")
+    return value
+
+
+def check_name(name, path: str) -> str:
+    """An output basename: a nonempty plain file name, without '/' or NUL,
+    so that every output file lands in the output directory."""
+    name = _string(name, path)
+    if not name:
+        raise _fail(path, "name must be nonempty")
+    if "/" in name or "\0" in name:
+        raise _fail(path, "name must be a plain file name, without '/' or NUL")
+    return name
+
+
 def encode_box(box: LatticeBox) -> dict:
     return {"nu": box.nu, "ranges": [[lo, hi] for lo, hi in box.ranges]}
 
@@ -178,7 +198,8 @@ def _entry(data, path: str) -> tuple:
 _READ = {
     "entries": lambda v, path: _items(v, path, _entry),
     "c": _complex, "amplitude": _complex,
-    "exponent": _real, "ratio": _real, "b_even": _real, "b_odd": _real,
+    "exponent": check_real, "ratio": check_real,
+    "b_even": check_real, "b_odd": check_real,
     "parity": lambda v, path: None if v is None else _string(v, path),
     "seed": _int,
     "box": parse_box,
@@ -287,8 +308,8 @@ def check_decay(data, spec: PotentialSpec, path: str) -> None:
     form = _string(mb["form"], f"{mb_path}.form")
     if form not in ("power", "geometric"):
         raise _fail(f"{mb_path}.form", "form must be 'power' or 'geometric'")
-    amplitude = _real(mb["amplitude"], f"{mb_path}.amplitude")
-    rate = _real(mb["rate"], f"{mb_path}.rate")
+    amplitude = check_real(mb["amplitude"], f"{mb_path}.amplitude")
+    rate = check_real(mb["rate"], f"{mb_path}.rate")
     if spec.kind not in ("decay_power", "decay_geometric"):
         raise _fail(path, f"monotone_bound declarations apply to decaying "
                           f"kinds, not {spec.kind!r}")
@@ -296,7 +317,7 @@ def check_decay(data, spec: PotentialSpec, path: str) -> None:
     if form != natural:
         raise _fail(f"{mb_path}.form",
                     f"kind {spec.kind!r} has a {natural!r} envelope")
-    amp = spec.sup_abs()
+    amp = abs(spec.amplitude)
     if amplitude < amp:
         raise _fail(f"{mb_path}.amplitude",
                     f"declared amplitude {amplitude} does not dominate "
@@ -329,9 +350,7 @@ class Scenario:
 def parse_scenario(data) -> Scenario:
     obj = _object(data, "$", required=("name", "box", "potential", "analysis"),
                   optional=("params",))
-    name = _string(obj["name"], "$.name")
-    if not name:
-        raise _fail("$.name", "name must be nonempty")
+    name = check_name(obj["name"], "$.name")
     box = parse_box(obj["box"])
     potential = parse_potential(obj["potential"])
     check_site_dim(potential, box.nu)
@@ -360,15 +379,15 @@ def parse_scenario(data) -> Scenario:
                         optional=TOLERANCE_KEYS)
             for key in TOLERANCE_KEYS:
                 if key in t:
-                    overrides.append(
-                        (key, _real(t[key], f"$.params.tolerances.{key}")))
+                    overrides.append((key, check_tolerance(
+                        t[key], f"$.params.tolerances.{key}")))
         if "criteria" in p:
             cpath = "$.params.criteria"
             c = _object(p["criteria"], cpath, required=(),
                         optional=("b_values", "a_values", "axes",
                                   "scan_radius"))
-            bs = _items(c.get("b_values", []), f"{cpath}.b_values", _real)
-            as_ = _items(c.get("a_values", []), f"{cpath}.a_values", _real)
+            bs = _items(c.get("b_values", []), f"{cpath}.b_values", check_real)
+            as_ = _items(c.get("a_values", []), f"{cpath}.a_values", check_real)
             axes = None
             if c.get("axes") is not None:
                 axes = _items(c["axes"], f"{cpath}.axes", _int)

@@ -59,6 +59,15 @@ def test_design_rejects_bad_zero_placement():
         design_eigenfunction(-2.5, [9], window=(-5, 5))  # outside
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_design_refuses_non_finite_input(x):
+    u = design_eigenfunction(-2.5, [0], window=(-10, 10))
+    with pytest.raises(DesignError):
+        contractive_tail_ratio(x)
+    with pytest.raises(DesignError):
+        imag_potential_from_support(u, x)
+
+
 def test_real_potential_lives_on_zero_neighbors_only():
     u = design_eigenfunction(-2.5, [0], window=(-10, 10))
     re_spec = real_potential_from_eigenfunction(u, -2.5)
@@ -80,8 +89,8 @@ def test_imag_potential_structure_and_degenerate_warning():
     u = design_eigenfunction(-2.5, [0], window=(-10, 10))
     spec = imag_potential_from_support(u, 1.0)
     assert isinstance(spec, SumPotential)
-    lo_r, hi_r, lo_i, hi_i = spec.global_range()
-    assert (lo_i, hi_i) == (0.0, 1.0)
+    sites = np.array([[-50], [-1], [0], [1], [50]])
+    assert list(spec.values(sites)) == [1j, 1j, 0j, 1j, 1j]
     with pytest.raises(DesignError):
         imag_potential_from_support(u, 0.0)
     flat = design_eigenfunction(-2.5, [], window=(-6, 6))

@@ -12,7 +12,8 @@ from specrange.criteria import (CriteriaParams, Target, check_alternating,
                                 check_pair_condition, check_real_window,
                                 check_summability, evaluate_all)
 from specrange.model import (Alternating1DPotential, ConstantPotential,
-                             GeometricDecayPotential, PowerDecayPotential,
+                             GeometricDecayPotential, LatticeBox,
+                             PowerDecayPotential, SeededRandomPotential,
                              SumPotential, TablePotential)
 
 ABSENT = "absence_guaranteed"
@@ -215,6 +216,28 @@ def test_evaluate_all_notes_selfadjoint_degeneracy():
     assert any("selfadjoint" in n for n in rep.notes)
     assert rep.nonreal_excluded
     assert not rep.no_boundary_eigenvalues
+
+
+CARRIER = LatticeBox(1, ((-4, 4),))
+
+
+# (real-valued instance, complex-valued instance) of each kind
+@pytest.mark.parametrize("real,complex_", [
+    (TablePotential({(0,): 0.5, (2,): -0.3}), TablePotential({(0,): 0.5j})),
+    (ConstantPotential(0.7), ConstantPotential(0.7 + 0.1j)),
+    (PowerDecayPotential(0.5, 1.5), PowerDecayPotential(0.5 + 0.2j, 1.5)),
+    (GeometricDecayPotential(0.5, -0.6), GeometricDecayPotential(0.5j, 0.6)),
+    (Alternating1DPotential(0.0, 0.0), Alternating1DPotential(0.25, -1.0)),
+    (SeededRandomPotential(3, CARRIER, (-0.5, 0.5), (0.0, 0.0)),
+     SeededRandomPotential(3, CARRIER, (-0.5, 0.5), (0.0, 0.5))),
+    (SumPotential((ConstantPotential(1.0), TablePotential({(0,): -0.5}))),
+     SumPotential((ConstantPotential(1j), TablePotential({(0,): -1j})))),
+], ids=lambda pot: pot.kind)
+def test_selfadjoint_note_follows_the_parity_certificate(real, complex_):
+    params = CriteriaParams(b_values=(0.5,), scan_radius=20)
+    for pot, noted in ((real, True), (complex_, False)):
+        rep = evaluate_all(pot, nu=1, params=params)
+        assert any("selfadjoint" in n for n in rep.notes) == noted, pot
 
 
 def test_report_json_shape():

@@ -154,6 +154,18 @@ def test_decay_declarations_checked_against_kind():
         "form": "power", "amplitude": 0.5, "rate": 2.0}
     with pytest.raises(SchemaError):
         parse_scenario(doc)
+    for kind, form, rate in (("decay_power", "power", 2.5),
+                             ("decay_geometric", "geometric", 0.6)):
+        doc = doc_for(kind)
+        amp = abs(complex(*doc["potential"]["params"]["amplitude"]))
+        bound = {"form": form, "amplitude": amp, "rate": rate}
+        doc["potential"]["decay"] = {"monotone_bound": bound}
+        parse_scenario(doc)  # the kind's own amplitude dominates
+        bound["amplitude"] = 0.99 * amp
+        with pytest.raises(SchemaError) as e:
+            parse_scenario(doc)
+        assert e.value.path == "$.potential.decay.monotone_bound.amplitude"
+        assert "does not dominate" in str(e.value)
     doc = doc_for("constant")
     doc["potential"]["decay"] = {"vanishes_outside_radius": 3}
     with pytest.raises(SchemaError):
@@ -177,6 +189,19 @@ def test_tolerance_keys_are_validated():
     doc["params"] = {"tolerances": {"bogus": 1e-9}}
     with pytest.raises(SchemaError):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("key", scenario.TOLERANCE_KEYS)
+def test_negative_tolerances_exit_two_with_their_path(tmp_path, capsys, key):
+    doc = small_run_doc()
+    doc["params"]["tolerances"] = {key: -1.0}
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, doc),
+                 "--out-dir", str(out)]) == 2
+    assert f"at $.params.tolerances.{key}:" in capsys.readouterr().err
+    assert not out.exists()
+    doc["params"]["tolerances"] = {key: 0.0}
+    parse_scenario(doc)  # zero is a tolerance
 
 
 def test_analysis_names_checked_and_unique():
@@ -521,6 +546,72 @@ def test_non_integer_max_dim_variable_exits_two(tmp_path, monkeypatch,
     path = write_scenario(tmp_path, small_run_doc())
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
     assert "SPECRANGE_MAX_DIM" in capsys.readouterr().err
+
+
+SWEEP_ARGS = ["--param", "potential.params.entries.0.value.1",
+              "--from", "0.5", "--to", "0.5", "--steps", "1"]
+CONSTRUCT = ["construct", "--a", "-2.5", "--b", "1.0", "--n", "41",
+             "--angles", "120"]
+
+
+@pytest.mark.parametrize("argv,where", [
+    (["run", "{path}", "--tol-boundary", "nan"], "--tol-boundary"),
+    (["criteria", "{path}", "--tol-cert", "inf"], "--tol-cert"),
+    (["run", "{path}", "--tol-boundary", "-1"], "--tol-boundary"),
+    (["sweep", "{path}", *SWEEP_ARGS, "--tol-cert", "-0.001"], "--tol-cert"),
+    (["construct", "--a", "nan", "--b", "1"], "--a"),
+    (["construct", "--a", "inf", "--b", "1"], "--a"),
+    (["construct", "--a", "-2.5", "--b", "nan"], "--b"),
+    (["construct", "--a", "-2.5", "--b", "inf"], "--b"),
+    ([*CONSTRUCT, "--tol-cert", "nan"], "--tol-cert"),
+    ([*CONSTRUCT, "--tol-boundary", "-1"], "--tol-boundary"),
+    ([*CONSTRUCT[:-4], "--n", "0"], "--n"),
+    ([*CONSTRUCT[:-4], "--n", "-5"], "--n"),
+    (["run", "{path}", "--max-dim", "-1"], "--max-dim"),
+    ([*CONSTRUCT, "--max-dim", "0"], "--max-dim"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_flags_are_held_to_their_schema_fields(tmp_path, capsys, argv, where):
+    path = write_scenario(tmp_path, small_run_doc())
+    out = tmp_path / "out"
+    assert main([a.format(path=path) for a in argv]
+                + ["--out-dir", str(out)]) == 2
+    assert f"at {where}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_dim_variable_below_one_exits_two(tmp_path, monkeypatch, capsys,
+                                              value):
+    monkeypatch.setenv("SPECRANGE_MAX_DIM", value)
+    path = write_scenario(tmp_path, small_run_doc())
+    out = tmp_path / "out"
+    assert main(["run", path, "--out-dir", str(out)]) == 2
+    assert "at SPECRANGE_MAX_DIM:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def tree(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("name", ["../escaped", "/abs", "sub/dir", "nul\0"],
+                         ids=["parent", "absolute", "subdir", "nul"])
+@pytest.mark.parametrize("verb", ["run", "criteria", "sweep", "construct"])
+def test_output_names_stay_inside_the_out_dir(tmp_path, capsys, verb, name):
+    if name == "/abs":
+        name = str(tmp_path / "abs")
+    out = tmp_path / "nested" / "out"
+    if verb == "construct":
+        argv, where = [*CONSTRUCT, "--name", name], "--name"
+    else:
+        doc = dict(small_run_doc(), name=name)
+        path = write_scenario(tmp_path, doc)
+        argv = [verb, path, *(SWEEP_ARGS if verb == "sweep" else [])]
+        where = "$.name"
+    before = tree(tmp_path)
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert f"at {where}:" in capsys.readouterr().err
+    assert tree(tmp_path) == before
 
 
 def test_construct_takes_no_seed_flag(tmp_path, capsys):
