@@ -36,13 +36,11 @@ from .linalg import EigenPair, eig_general, eig_hermitian
 from .model import (Alternating1DPotential, ConstantPotential, DecayBound,
                     GeometricDecayPotential, LatticeBox, LatticeOperator,
                     Operator, OperatorMatrix, PotentialSpec,
-                    PowerDecayPotential, Provenance,
-                    SeededRandomPotential, SumPotential, TablePotential,
-                    TailInfo, assemble, imag_part, real_part)
-from .numrange import NumericalRangeHull, compute_hull, support_function
-from .onedim import (ContinuationResult, ShootingResult, SolutionTrace,
-                     propagate, shooting_l2_test, trace_from_vector,
-                     unique_continuation_check)
+                    PowerDecayPotential, SeededRandomPotential,
+                    SumPotential, TablePotential, TailInfo, assemble)
+from .numrange import NumericalRangeHull, compute_hull
+from .onedim import (ShootingResult, SolutionTrace, propagate,
+                     shooting_l2_test)
 from .scenario import (Scenario, dumps_canonical, encode_potential,
                        encode_scenario, load_scenario, loads_scenario,
                        parse_potential, parse_scenario)
@@ -69,12 +67,10 @@ __all__ = [
     "Alternating1DPotential", "ConstantPotential", "DecayBound",
     "GeometricDecayPotential", "LatticeBox", "LatticeOperator", "Operator",
     "OperatorMatrix",
-    "PotentialSpec", "PowerDecayPotential", "Provenance",
-    "SeededRandomPotential", "SumPotential", "TablePotential", "TailInfo",
-    "assemble", "imag_part", "real_part",
-    "NumericalRangeHull", "compute_hull", "support_function",
-    "ContinuationResult", "ShootingResult", "SolutionTrace", "propagate",
-    "shooting_l2_test", "trace_from_vector", "unique_continuation_check",
+    "PotentialSpec", "PowerDecayPotential", "SeededRandomPotential",
+    "SumPotential", "TablePotential", "TailInfo", "assemble",
+    "NumericalRangeHull", "compute_hull",
+    "ShootingResult", "SolutionTrace", "propagate", "shooting_l2_test",
     "Scenario", "dumps_canonical", "encode_potential", "encode_scenario",
     "load_scenario", "loads_scenario", "parse_potential", "parse_scenario",
 ]

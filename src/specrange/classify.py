@@ -76,7 +76,6 @@ def classify(op: Operator, hull: NumericalRangeHull,
             f"and the tolerances scaled by it are undefined",
             where="classify.classify")
     tol_boundary = tol.boundary(frob)
-    box = op.provenance.box if op.provenance is not None else None
     pairs = eig_general(op, tol)
     scale = op.scale
     out = []
@@ -104,7 +103,7 @@ def classify(op: Operator, hull: NumericalRangeHull,
                 split_residual_re=float(split_re[j]),
                 split_residual_im=float(split_im[j]),
                 support_indices=np.flatnonzero(absf[j] > thresh[j]),
-                box=box,
+                box=op.box,
             ))
     return out
 
@@ -129,14 +128,15 @@ def split_certificate(op: Operator, cls: EigenClassification,
                       tol: Tolerances = DEFAULT_TOLERANCES) -> SplitVerdict:
     """Re/Im eigen-equation split certificate for a boundary eigenpair.
 
-    Requires assembly provenance: on top of the two split residuals, the
-    diagonal structure of Im(A) is checked sitewise, |Im d(k) - Im lambda|
-    <= tol_cert for every support site k.  Im A is the diagonal Im d of an
-    assembled operator, so Im d(k) is read from op.diagonal.
+    Requires an assembled operator (op.box): on top of the two split
+    residuals, the diagonal structure of Im(A) is checked sitewise,
+    |Im d(k) - Im lambda| <= tol_cert for every support site k.  Im A is
+    the diagonal Im d of an assembled operator, so Im d(k) is read from
+    op.diagonal.
     """
-    if op.provenance is None:
+    if op.box is None:
         raise ProvenanceError(
-            "split certificate needs assembly provenance (box + potential)",
+            "split certificate needs assembly provenance (a lattice box)",
             where="boundary_classifier.split_certificate",
         )
     if not cls.is_boundary:

@@ -182,7 +182,7 @@ def _classify_json(op: Operator, records: list[EigenClassification],
                    tol: Tolerances) -> dict:
     out = []
     certified = 0
-    nu = op.provenance.box.nu if op.provenance is not None else 1
+    nu = op.box.nu if op.box is not None else 1
     for cls in records:
         normality, split, ok = certify(op, cls, tol)
         certified += ok
@@ -363,6 +363,8 @@ def _set_path(doc, dotted: str, value: float) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    check_real(args.start, "--from")
+    check_real(args.stop, "--to")
     sc0 = _apply_flags(load_scenario(args.scenario), args)
     raw = encode_scenario(sc0)
     steps = args.steps

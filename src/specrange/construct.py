@@ -44,8 +44,16 @@ def contractive_tail_ratio(a: float) -> float:
             "has no root with |r| < 1 when |a| <= 2",
             where="construct.design_eigenfunction",
         )
+    # r = (a - s sqrt(a^2 - 4)) / 2 = 2 / (a + s sqrt(a^2 - 4)): the second
+    # form adds terms of one sign, where the first cancels to 0 for large |a|
     s = 1.0 if a > 0 else -1.0
-    return (a - s * math.sqrt(a * a - 4.0)) / 2.0
+    r = 2.0 / (a + s * math.sqrt(a * a - 4.0))
+    if r == 0.0 or not math.isfinite(r):
+        raise DesignError(
+            f"eigenvalue {a}: its tail ratio r (r + 1/r = a) is not "
+            "representable in float64",
+            where="construct.design_eigenfunction")
+    return r
 
 
 @dataclass(frozen=True)

@@ -59,16 +59,6 @@ class Target:
         if (self.kind in ("im", "re")) != (self.value is not None):
             raise ValueError("targets 'im'/'re' carry a value; others do not")
 
-    def matches(self, z: complex, tol: float = 1e-6) -> bool:
-        z = complex(z)
-        if self.kind == "all":
-            return True
-        if self.kind == "im":
-            return abs(z.imag - self.value) <= tol
-        if self.kind == "nonreal":
-            return abs(z.imag) > tol
-        return abs(z.real - self.value) <= tol
-
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.value is not None:

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .config import Tolerances, DEFAULT_TOLERANCES
 from .exceptions import EigenSolverError, NotHermitianError
-from .model import _as_array, as_operator, frobenius_norm
+from .model import as_operator, frobenius_norm
 
 HERMITIAN_TOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -152,7 +152,7 @@ def eig_hermitian(op, tol: Tolerances = DEFAULT_TOLERANCES,
     Input must be hermitian within 1e-12 entrywise; pairwise orthogonality
     of the returned basis is enforced to 1e-10.
     """
-    a = _as_array(op)
+    a = as_operator(op).matrix
     dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
     if dev > HERMITIAN_TOL:
         raise NotHermitianError(

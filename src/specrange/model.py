@@ -7,12 +7,14 @@ so that infinite-lattice facts (decay, level-set structure, parity of the
 imaginary part's support) remain certifiable after truncation; each kind
 implements a small certificate protocol consumed by the criteria module.
 
-Operators (the Operator interface) are read through their diagonal, norm,
-products A f and A* f of blocks of vectors, and a dense copy written into a
-caller's buffer.  `assemble` returns a LatticeOperator, which stores the box
-and the diagonal d alone (A = J + diag(d), O(n) memory, stencil products);
-explicit matrices, the only storage for input that was not assembled on a
-box, are OperatorMatrix and keep their dense array.
+Operators (the Operator interface) are read through their box (None for
+an explicit matrix), diagonal, norm, products A f and A* f of blocks of
+vectors, and a dense copy written into a caller's buffer.  `assemble`
+returns a LatticeOperator, which stores the box and the diagonal d alone
+(A = J + diag(d), O(n) memory, stencil products); explicit matrices, the
+only storage for input that was not assembled on a box, are OperatorMatrix
+and keep their dense array.  Re A and Im A are not stored: the sweep in
+numrange forms them, and the certificates read them through the products.
 """
 
 from __future__ import annotations
@@ -89,15 +91,6 @@ class LatticeBox:
             idx += (k - lo) * s
         return idx
 
-    def index_site(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.site_count:
-            raise ValueError("index out of range")
-        out = []
-        for (lo, _), s in zip(self.ranges, self.strides):
-            out.append(lo + index // s)
-            index %= s
-        return tuple(out)
-
     @cached_property
     def sites(self) -> np.ndarray:
         """(site_count, nu) int64 array in enumeration order."""
@@ -154,9 +147,6 @@ class TailInfo:
     @property
     def exact(self) -> bool:
         return not self.re_dev and not self.im_dev
-
-    def re_sup_beyond(self, s: float) -> float:
-        return sum(b.at(s) for b in self.re_dev)
 
     def im_sup_beyond(self, s: float) -> float:
         return sum(b.at(s) for b in self.im_dev)
@@ -627,12 +617,6 @@ class SumPotential(PotentialSpec):
 # assembled operator
 
 
-@dataclass(frozen=True)
-class Provenance:
-    box: LatticeBox
-    potential: PotentialSpec
-
-
 # Operators whose scale lies in this range are handed to LAPACK as they are.
 LAPACK_UNSCALED = (2.0 ** -64, 2.0 ** 64)
 
@@ -641,11 +625,10 @@ class Operator(abc.ABC):
     """A square complex matrix A as the rest of the package reads it: its
     size, diagonal and norm, the products A f and A* f of blocks of vectors,
     and a dense copy written into a caller's buffer.  `diagonal` is A's
-    diagonal (complex128, n), `matrix` is A as an n x n array and
-    `provenance` the box and potential A was assembled from (None for an
-    explicit matrix)."""
+    diagonal (complex128, n), `matrix` is A as an n x n array and `box`
+    the lattice box A was assembled on (None for an explicit matrix)."""
 
-    provenance: Provenance | None
+    box: LatticeBox | None
     diagonal: np.ndarray
 
     @property
@@ -695,11 +678,11 @@ class Operator(abc.ABC):
 
 @dataclass(frozen=True)
 class OperatorMatrix(Operator):
-    """Explicit dense complex matrix, with optional provenance: the storage
-    of every operator that is not assembled on a box."""
+    """Explicit dense complex matrix: the storage of every operator that is
+    not assembled on a box."""
 
     matrix: np.ndarray
-    provenance: Provenance | None = None
+    box = None
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.complex128, order="C")
@@ -744,7 +727,7 @@ class LatticeOperator(Operator):
     A* = J + diag(conj d).  Products are a stencil over box.shape, O(n nu)
     per vector; `matrix` is built on each read and not kept."""
 
-    provenance: Provenance
+    box: LatticeBox
     diagonal: np.ndarray
 
     def __post_init__(self):
@@ -754,10 +737,6 @@ class LatticeOperator(Operator):
                              f"has {self.box.site_count} sites")
         d.setflags(write=False)
         object.__setattr__(self, "diagonal", d)
-
-    @property
-    def box(self) -> LatticeBox:
-        return self.provenance.box
 
     @property
     def dim(self) -> int:
@@ -861,13 +840,6 @@ def as_operator(op) -> Operator:
     return op if isinstance(op, Operator) else OperatorMatrix(op)
 
 
-def _as_array(op) -> np.ndarray:
-    """The matrix of an Operator, or any array-like as complex128."""
-    if isinstance(op, Operator):
-        return op.matrix
-    return np.asarray(op, dtype=np.complex128)
-
-
 def assemble(box: LatticeBox, potential: PotentialSpec,
              max_dim: int | None = None) -> LatticeOperator:
     """Dirichlet truncation of hopping + diagonal potential to the box.
@@ -889,17 +861,4 @@ def assemble(box: LatticeBox, potential: PotentialSpec,
             f"raise max_dim explicitly to proceed",
             where="core_model.assemble",
         )
-    return LatticeOperator(Provenance(box, potential),
-                           potential.values(box.sites))
-
-
-def real_part(op) -> OperatorMatrix:
-    """(A + A*)/2 as a fresh hermitian OperatorMatrix."""
-    m = _as_array(op)
-    return OperatorMatrix((m + m.conj().T) / 2.0)
-
-
-def imag_part(op) -> OperatorMatrix:
-    """(A - A*)/(2i) as a fresh hermitian OperatorMatrix."""
-    m = _as_array(op)
-    return OperatorMatrix((m - m.conj().T) / 2.0j)
+    return LatticeOperator(box, potential.values(box.sites))

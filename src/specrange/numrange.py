@@ -42,9 +42,10 @@ The per-angle solver is chosen once per operator from its type.
         _BAND_MAX_FACTORS factorisations goes to a real dense
         scipy.linalg.eigh, whose n x n buffers are allocated only then.
   any other operator (an explicit matrix, whatever its entries): a complex
-      Hermitian dense scipy.linalg.eigh of Re(e^{i theta} A).  Its subset
-      solve can return no eigenpair when the top eigenvalue is highly
-      degenerate; the full spectrum of the same matrix is used then.
+      Hermitian dense scipy.linalg.eigh of Re(e^{i theta} A), rotated from
+      Re A = (A + A*)/2 and Im A = (A - A*)/2i, formed once per operator.
+      Its subset solve can return no eigenpair when the top eigenvalue is
+      highly degenerate; the full spectrum of the same matrix is used then.
 
 Non-finite entries, and a support value or witness beyond the float64 range
 once unscaled (entries near 1.7e308), raise EigenSolverError.
@@ -72,8 +73,7 @@ import scipy.linalg
 
 from .config import DEFAULT_N_ANGLES
 from .exceptions import EigenSolverError, HullDomainError
-from .model import (LatticeOperator, Operator, as_operator, imag_part,
-                    real_part)
+from .model import LatticeOperator, Operator, as_operator
 
 
 def _top_eigpair(build) -> tuple[float, np.ndarray]:
@@ -282,8 +282,9 @@ def _sweep_solver(op: Operator):
                                where="numrange.compute_hull")
     if not isinstance(op, LatticeOperator):
         a = op.matrix
-        rotated = _rotation(np.asfortranarray(real_part(a).matrix),
-                            np.asfortranarray(imag_part(a).matrix))
+        ah = a.conj().T
+        rotated = _rotation(np.asfortranarray((a + ah) / 2.0),
+                            np.asfortranarray((a - ah) / 2.0j))
 
         def dense(theta: float) -> tuple[float, complex]:
             s, f = _top_eigpair(lambda: rotated(theta))
@@ -311,13 +312,6 @@ def _real_dense_solver(re: np.ndarray, im: np.ndarray):
         s, f = _top_eigpair(lambda: rotated(theta))
         return s, complex(f @ re @ f, f @ im @ f)
     return real_symmetric
-
-
-def support_function(op, theta: float) -> tuple[float, complex]:
-    """Support value s(theta) = lambda_max(Re(e^{i theta} A)) and the witness
-    <A f, f> for a maximizing unit vector f.  Re(e^{i theta} witness) equals
-    the support value up to eigensolver accuracy."""
-    return _sweep_solver(as_operator(op))(float(theta))
 
 
 # A witness closer than this fraction of the witness set's extent to the

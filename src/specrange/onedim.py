@@ -1,5 +1,5 @@
-"""Second-order transfer recurrence on Z: propagation, unique continuation,
-and the two-sided shooting compatibility test.
+"""Second-order transfer recurrence on Z: propagation and the two-sided
+shooting compatibility test.
 
 The eigen-equation u(n-1) + d(n) u(n) + u(n+1) = lambda u(n) rearranges to
 u(n+1) = (lambda - d(n)) u(n) - u(n-1); a trace is determined by the pair
@@ -19,9 +19,8 @@ import numpy as np
 
 from .config import (OVERFLOW_AT, RESCALE_AT, Tolerances, DEFAULT_TOLERANCES)
 from .exceptions import BandRegimeError, BlowupError, DecayCertificateError
-from .model import LatticeBox, PotentialSpec
+from .model import PotentialSpec
 
-CONSECUTIVE_ZERO_REL = 1e-13
 BAND_EDGE_MARGIN = 1e-12
 
 
@@ -38,8 +37,6 @@ class SolutionTrace:
     values: np.ndarray
     log_scale: np.ndarray
     lam: complex
-    anchor: int
-    seed: tuple[complex, complex]
 
     def index(self, n: int) -> int:
         if not self.n_lo <= n <= self.n_hi:
@@ -72,14 +69,6 @@ class SolutionTrace:
                       + self.values[i + 1])
             worst = max(worst, res / peak)
         return worst
-
-    def to_csv_text(self) -> str:
-        lines = ["n,u_re,u_im,log_scale"]
-        for i, n in enumerate(range(self.n_lo, self.n_hi + 1)):
-            v = self.values[i]
-            lines.append(f"{n},{float(v.real)!r},{float(v.imag)!r},"
-                         f"{float(self.log_scale[i])!r}")
-        return "\n".join(lines) + "\n"
 
 
 def three_term_scan(coeff, x0: complex, x1: complex, normalize: bool,
@@ -172,35 +161,7 @@ def propagate(potential: PotentialSpec, lam: complex,
         scales[i] = sc_b[j]
 
     return SolutionTrace(n_lo=n_lo, n_hi=n_hi, values=values, log_scale=scales,
-                         lam=lam, anchor=anchor,
-                         seed=(complex(seed[0]), complex(seed[1])))
-
-
-@dataclass(frozen=True)
-class ContinuationResult:
-    ok: bool
-    forced_zero_site: int | None = None
-
-
-def unique_continuation_check(trace: SolutionTrace) -> ContinuationResult:
-    """Flag two consecutive near-zeros inside a not-identically-zero trace.
-
-    A genuine second-order recurrence solution vanishing at two adjacent
-    sites is identically zero, so such a pattern certifies the trace as
-    numerically inconsistent (forced zero).  Threshold: 1e-13 relative to
-    the largest magnitude, compared in log scale.
-    """
-    logmags = np.array([trace.log_magnitude(n)
-                        for n in range(trace.n_lo, trace.n_hi + 1)])
-    finite = logmags[np.isfinite(logmags)]
-    if len(finite) == 0:
-        return ContinuationResult(ok=True)
-    cutoff = float(finite.max()) + math.log(CONSECUTIVE_ZERO_REL)
-    below = logmags <= cutoff  # includes -inf exact zeros
-    for i in range(len(below) - 1):
-        if below[i] and below[i + 1]:
-            return ContinuationResult(ok=False, forced_zero_site=trace.n_lo + i)
-    return ContinuationResult(ok=True)
+                         lam=lam)
 
 
 @dataclass(frozen=True)
@@ -277,16 +238,3 @@ def shooting_l2_test(potential: PotentialSpec, lam: complex, window: int,
     return ShootingResult(compatible=mismatch <= match_tol,
                           mismatch=mismatch, lam=lam, contractive_ratio=r)
 
-
-def trace_from_vector(box: LatticeBox, vector: np.ndarray, lam: complex,
-                      ) -> SolutionTrace:
-    """View a 1D eigenvector as a SolutionTrace (unit scale factors)."""
-    if box.nu != 1:
-        raise ValueError("trace_from_vector needs a 1D box")
-    n_lo, n_hi = box.ranges[0]
-    v = np.asarray(vector, dtype=np.complex128)
-    if len(v) != box.site_count:
-        raise ValueError("vector length does not match box")
-    return SolutionTrace(n_lo=n_lo, n_hi=n_hi, values=v.copy(),
-                         log_scale=np.zeros(len(v)), lam=complex(lam),
-                         anchor=n_lo, seed=(complex(v[0]), complex(v[1]) if len(v) > 1 else 0j))

@@ -39,7 +39,7 @@ TOLERANCE_KEYS = ("eig", "hull", "boundary_rel", "cert_rel", "support_rel",
 
 
 def _fail(path: str, msg: str) -> SchemaError:
-    return SchemaError(f"{msg} at {path}", path=path, where="scenario.parse")
+    return SchemaError(msg, path=path, where="scenario.parse")
 
 
 def _object(data, path: str, required: tuple[str, ...],

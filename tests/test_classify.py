@@ -138,7 +138,7 @@ def random_operator(n):
     2 * RESIDUAL_BLOCK + 3)] + [assemble(LatticeBox(2, ((-4, 4), (-7, 7))),
                                          GeometricDecayPotential(0.4 + 0.7j,
                                                                  0.6))],
-    ids=lambda op: f"n{op.dim}" + ("_box_2d" if op.provenance else ""))
+    ids=lambda op: f"n{op.dim}" + ("_box_2d" if op.box else ""))
 def test_blocked_classify_matches_per_pair_reference(op):
     hull = compute_hull(op, n_angles=24)
     records = classify(op, hull)

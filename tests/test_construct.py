@@ -29,6 +29,17 @@ def test_contractive_ratio_solves_quadratic_exactly():
             contractive_tail_ratio(a)
 
 
+@pytest.mark.parametrize("a", [1e8, -1e10, 1e100, -1e150])
+def test_contractive_ratio_keeps_its_precision_for_large_a(a):
+    # r = 1/a up to a relative 1/a^2, below an ulp at these a
+    assert contractive_tail_ratio(a) == 1.0 / a
+
+
+def test_contractive_ratio_refuses_a_beyond_its_range():
+    with pytest.raises(DesignError):
+        contractive_tail_ratio(1e200)
+
+
 def test_design_without_zeros_is_pure_geometric():
     u = design_eigenfunction(-2.5, [], window=(-6, 6))
     for n in range(-9, 10):

@@ -151,7 +151,7 @@ ASSEMBLED = [
 
 
 @pytest.mark.parametrize("op", ASSEMBLED, ids=lambda op: "x".join(
-    map(str, op.provenance.box.shape)))
+    map(str, op.box.shape)))
 def test_assembled_operator_solves_like_its_dense_matrix(op):
     # the same ?geev on the same buffer contents, so the same pairs; the
     # residuals come from the stencil instead of a dense product

@@ -1,16 +1,14 @@
-"""Transfer-matrix propagation, unique continuation, and shooting."""
+"""Transfer-matrix propagation and shooting."""
 
 import math
 
-import numpy as np
 import pytest
 
 from specrange.exceptions import (BandRegimeError, BlowupError,
                                   DecayCertificateError)
 from specrange.model import (ConstantPotential, LatticeBox,
-                             SeededRandomPotential, TablePotential, assemble)
-from specrange.onedim import (SolutionTrace, propagate, shooting_l2_test,
-                              trace_from_vector, unique_continuation_check)
+                             SeededRandomPotential, TablePotential)
+from specrange.onedim import propagate, shooting_l2_test
 
 FREE = TablePotential({})
 
@@ -58,22 +56,6 @@ def test_normalized_propagation_never_overflows_and_tracks_scale():
     assert abs(slope - math.log(2 + math.sqrt(3))) < 1e-9
 
 
-def test_unique_continuation_flags_forced_zero():
-    vals = np.array([1.0, 0.5, 0.0, 0.0, 0.3], dtype=complex)
-    trace = SolutionTrace(n_lo=0, n_hi=4, values=vals,
-                          log_scale=np.zeros(5), lam=1.0, anchor=0,
-                          seed=(1.0, 0.5))
-    res = unique_continuation_check(trace)
-    assert not res.ok
-    assert res.forced_zero_site == 2
-
-
-def test_unique_continuation_accepts_free_solution():
-    tr = propagate(FREE, 2 * math.cos(0.9), seed=(0.0, 1.0), anchor=0,
-                   rng=(-30, 30))
-    assert unique_continuation_check(tr).ok
-
-
 def test_shooting_accepts_the_bound_state():
     pot = TablePotential({(0,): -3.0})
     res = shooting_l2_test(pot, -math.sqrt(13.0), window=30)
@@ -98,26 +80,3 @@ def test_shooting_requires_decaying_tail():
     with pytest.raises(DecayCertificateError):
         shooting_l2_test(ConstantPotential(0.5), -3.5, window=30)
 
-
-def test_trace_from_vector_restricts_eigenvector():
-    box = LatticeBox(1, ((-20, 20),))
-    pot = TablePotential({(0,): -3.0})
-    op = assemble(box, pot)
-    w, v = np.linalg.eigh(op.matrix.real)
-    ground = v[:, 0]
-    tr = trace_from_vector(box, ground.astype(complex), w[0])
-    # interior sites satisfy the recurrence; edges are Dirichlet-cut
-    assert tr.residual_max(pot) < 1e-10
-    assert tr.n_lo == -20 and tr.n_hi == 20
-
-
-def test_csv_text_round_trips_values():
-    tr = propagate(FREE, 0.5 + 0.5j, seed=(1.0, 0.25j), anchor=0, rng=(0, 4))
-    text = tr.to_csv_text()
-    lines = text.strip().splitlines()
-    assert lines[0] == "n,u_re,u_im,log_scale"
-    assert len(lines) == 6
-    n, re, im, s = lines[1].split(",")
-    assert int(n) == 0
-    assert complex(float(re), float(im)) == tr.value_at(0)
-    assert float(s) == 0.0

@@ -99,6 +99,21 @@ def test_unknown_fields_rejected_with_path(mutate, fragment):
     assert fragment in str(e.value)
 
 
+@pytest.mark.parametrize("mutate,path", [
+    (lambda d: d["box"].update(ranges=[[3, 2]]), "$.box.ranges[0]"),
+    (lambda d: d["potential"]["params"].update(c=[0.1]),
+     "$.potential.params.c"),
+    (lambda d: d.update(analysis=["spectrum", "spectrum"]), "$.analysis[1]"),
+])
+def test_schema_errors_name_their_path_once(mutate, path):
+    doc = doc_for("constant")
+    mutate(doc)
+    with pytest.raises(SchemaError) as e:
+        parse_scenario(doc)
+    assert e.value.path == path
+    assert str(e.value).count(path) == 1
+
+
 def test_complex_values_must_be_two_element_arrays():
     doc = doc_for("constant")
     doc["potential"]["params"]["c"] = 0.5
@@ -459,7 +474,7 @@ def test_site_dimension_mismatch_exits_two_with_its_path(
     path = write_scenario(tmp_path, doc)
     out = tmp_path / "out"
     assert main([verb, path, "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.rstrip().endswith(f"at {where}")
+    assert f"at {where}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -479,7 +494,7 @@ def test_seed_outside_the_philox_key_range_exits_two(tmp_path, capsys, seed,
     path = write_scenario(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["run", path, *flags, "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.rstrip().endswith(f"at {where}")
+    assert f"at {where}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -493,7 +508,7 @@ def test_box_coordinates_beyond_the_site_range_exit_two(tmp_path, capsys,
     doc["potential"] = doc_for("constant")["potential"]
     path = write_scenario(tmp_path, doc)
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.rstrip().endswith("at $.box.ranges")
+    assert "at $.box.ranges: " in capsys.readouterr().err
 
 
 def test_exit_code_two_for_schema_problems(tmp_path):
@@ -569,6 +584,9 @@ CONSTRUCT = ["construct", "--a", "-2.5", "--b", "1.0", "--n", "41",
     ([*CONSTRUCT[:-4], "--n", "-5"], "--n"),
     (["run", "{path}", "--max-dim", "-1"], "--max-dim"),
     ([*CONSTRUCT, "--max-dim", "0"], "--max-dim"),
+    (["sweep", "{path}", *SWEEP_ARGS, "--from", "nan"], "--from"),
+    (["sweep", "{path}", *SWEEP_ARGS, "--to", "inf"], "--to"),
+    (["sweep", "{path}", *SWEEP_ARGS, "--to=-inf"], "--to"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_flags_are_held_to_their_schema_fields(tmp_path, capsys, argv, where):
     path = write_scenario(tmp_path, small_run_doc())
@@ -647,6 +665,17 @@ def test_exit_code_three_for_dimension_cap(tmp_path):
 def test_exit_code_four_for_impossible_design(tmp_path):
     assert main(["construct", "--a", "-1.0", "--b", "1.0",
                  "--out-dir", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("a", ["1e10", "-1e10", "1e150"])
+def test_construct_with_large_a_exits_four(tmp_path, capsys, a):
+    # the tail ratio r ~ 1/a is nonzero, and so is every neighbour ratio
+    # u(n -+ 1) / u(n) ~ a of the sharp design, which exceeds the ratio cap
+    out = tmp_path / "out"
+    assert main(["construct", f"--a={a}", "--b", "1",
+                 "--out-dir", str(out)]) == 4
+    assert "certification error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_criteria_verb_writes_combined_verdicts(tmp_path):
@@ -897,8 +926,8 @@ def test_carrier_beyond_the_dimension_cap_exits_two_at_once(
     path = write_scenario(tmp_path, doc)
     out = tmp_path / "out"
     assert main([verb, path, "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.rstrip().endswith(
-        "at $.potential.params.terms[1].params.box")
+    assert ("at $.potential.params.terms[1].params.box: "
+            in capsys.readouterr().err)
     assert not out.exists()
     # the cap is the run's: --max-dim raises it for every verb
     assert main([verb, path, "--max-dim", "5", "--out-dir", str(out)]) == 2
