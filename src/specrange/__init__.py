@@ -19,7 +19,7 @@ from .classify import (EigenClassification, NormalityVerdict, SplitVerdict,
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .construct import (CounterexampleBuild, DesignedEigenfunction,
                         build_counterexample, contractive_tail_ratio,
-                        design_eigenfunction, imag_potential_from_support,
+                        design_eigenfunction,
                         real_potential_from_eigenfunction)
 from .criteria import (CriteriaParams, CriteriaReport, CriterionResult,
                        Target, check_alternating, check_direction_decay,
@@ -53,7 +53,7 @@ __all__ = [
     "DEFAULT_TOLERANCES", "Tolerances",
     "CounterexampleBuild", "DesignedEigenfunction", "build_counterexample",
     "contractive_tail_ratio", "design_eigenfunction",
-    "imag_potential_from_support", "real_potential_from_eigenfunction",
+    "real_potential_from_eigenfunction",
     "CriteriaParams", "CriteriaReport", "CriterionResult", "Target",
     "check_alternating", "check_direction_decay", "check_full_decay",
     "check_halfspace_support", "check_level_set_empty",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -323,7 +324,7 @@ def _cmd_construct(args) -> int:
         a=args.a, b=args.b, zero_sites=zeros, n_sites=args.n,
         n_angles=n_angles, tol=tol, max_dim=resolve_max_dim(args.max_dim))
     sc = Scenario(
-        name=name, box=build.box, potential=build.potential,
+        name=name, box=build.operator.box, potential=build.potential,
         analysis=("spectrum", "numrange", "classify", "criteria"),
         n_angles=n_angles,
         tolerance_overrides=tuple(sorted(overrides.items())),
@@ -376,7 +377,12 @@ def _cmd_sweep(args) -> int:
     elif steps == 1:
         values = [args.start]
     else:
-        h = (args.stop - args.start) / (steps - 1)
+        span = args.stop - args.start
+        if not math.isfinite(span):
+            raise SchemaError(
+                f"the span --to - --from = {args.stop!r} - {args.start!r} "
+                "overflows float64", path="--to", where="cli.sweep")
+        h = span / (steps - 1)
         values = [args.start + i * h for i in range(steps)]
 
     max_dim = resolve_max_dim(args.max_dim)
@@ -449,7 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--b", type=float, required=True,
                        help="imaginary part of the target eigenvalue (b > 0)")
     p_con.add_argument("--zeros", default="0",
-                       help="comma-separated zero sites (default: 0)")
+                       help="comma-separated zero sites, anywhere inside "
+                            "the --n box that float64 amplitudes reach "
+                            "(default: 0)")
     p_con.add_argument("--n", type=int, default=101,
                        help="truncation site count (default: 101)")
     p_con.add_argument("--name", default=None, help="output basename")

@@ -15,9 +15,8 @@ DEFAULT_N_ANGLES = 720
 # hour, and the angle arrays stay a few MB
 MAX_N_ANGLES = 2 ** 16
 
-# one_dim propagation magnitudes
+# one_dim propagation: the active pair is rescaled above this magnitude
 RESCALE_AT = 1e150
-OVERFLOW_AT = 1e300
 
 # construct: cap on |(u(n-1)+u(n+1))/u(n)| before the induced potential
 # is declared unusable

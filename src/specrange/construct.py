@@ -2,14 +2,15 @@
 certified boundary eigenvalue at a prescribed a + ib.
 
 The recipe runs backwards from the eigenfunction.  Pick real a with
-|a| > 2 and the contractive ratio r solving r + 1/r = a.  Build u as a
-piecewise geometric sequence with prescribed zeros and sign flips chosen
-so u(z-1) + u(z+1) = 0 at every zero z; read off the real diagonal from
-the eigen-equation (it vanishes except next to the zeros); set the
-imaginary diagonal to b exactly on the support of u and 0 at the zeros,
-so the imaginary part acts on u as multiplication by b.  The numerical
-range then lives in the strip 0 <= Im z <= b while a + ib is an
-eigenvalue, forcing it onto the boundary.
+|a| > 2 and the contractive ratio r solving r + 1/r = a (the tail ratio
+of onedim's recurrence).  Build u as a piecewise geometric sequence with
+prescribed zeros and sign flips chosen so u(z-1) + u(z+1) = 0 at every
+zero z; read off the real diagonal from the eigen-equation (it vanishes
+except next to the zeros); set the imaginary diagonal to b exactly on the
+support of u and 0 at the zeros, so the imaginary part acts on u as
+multiplication by b.  The numerical range then lives in the strip
+0 <= Im z <= b while a + ib is an eigenvalue, forcing it onto the
+boundary.  The design window holds (-10, 10) and every zero.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .classify import (EigenClassification, NormalityVerdict, SplitVerdict,
 from .config import RATIO_CAP, Tolerances, DEFAULT_TOLERANCES
 from .exceptions import CertificationError, DesignError
 from .model import (ConstantPotential, LatticeBox, Operator, PotentialSpec,
-                    SumPotential, TablePotential, assemble)
+                    SumPotential, TablePotential, assemble, check_dimension)
 from .numrange import NumericalRangeHull, compute_hull
+from .onedim import contractive_ratio, stencil_residuals
 
 TINY_ENTRY = 1e-12
 
@@ -44,10 +46,7 @@ def contractive_tail_ratio(a: float) -> float:
             "has no root with |r| < 1 when |a| <= 2",
             where="construct.design_eigenfunction",
         )
-    # r = (a - s sqrt(a^2 - 4)) / 2 = 2 / (a + s sqrt(a^2 - 4)): the second
-    # form adds terms of one sign, where the first cancels to 0 for large |a|
-    s = 1.0 if a > 0 else -1.0
-    r = 2.0 / (a + s * math.sqrt(a * a - 4.0))
+    r = contractive_ratio(a).real
     if r == 0.0 or not math.isfinite(r):
         raise DesignError(
             f"eigenvalue {a}: its tail ratio r (r + 1/r = a) is not "
@@ -68,7 +67,6 @@ class DesignedEigenfunction:
     tail_ratio: float
     c_minus: float
     c_plus: float
-    eigenvalue: float
 
     def value_at(self, n: int) -> float:
         n = int(n)
@@ -93,13 +91,10 @@ class DesignedEigenfunction:
     def stencil_residual(self, real_diag: PotentialSpec, a: float) -> float:
         """sup-norm residual of u(n-1) + Re d(n) u(n) + u(n+1) = a u(n)
         across the window, relative to max|u|."""
-        worst = 0.0
-        for n in range(self.window_lo, self.window_hi + 1):
-            d = real_diag.value((n,)).real
-            res = abs(self.value_at(n - 1) + (d - a) * self.value_at(n)
-                      + self.value_at(n + 1))
-            worst = max(worst, res)
-        return worst / self.peak
+        ns = np.arange(self.window_lo - 1, self.window_hi + 2)
+        u = np.array([self.value_at(n) for n in ns])
+        d = real_diag.values(ns.reshape(-1, 1)).real
+        return float(stencil_residuals(u, d, a).max()) / self.peak
 
 
 def design_eigenfunction(a: float, zero_sites: list[int],
@@ -126,51 +121,54 @@ def design_eigenfunction(a: float, zero_sites: list[int],
             raise DesignError(
                 f"adjacent zero sites {z0}, {z1}: a solution vanishing at "
                 "two consecutive sites is identically zero",
-                where="construct.design_eigenfunction",
-            )
+                where="construct.design_eigenfunction")
     for z in zeros:
         if not (w_lo + 1 <= z <= w_hi - 1):
             raise DesignError(
                 f"zero site {z} must lie strictly inside the window "
                 f"[{w_lo}, {w_hi}]",
-                where="construct.design_eigenfunction",
-            )
+                where="construct.design_eigenfunction")
 
     ns = range(w_lo, w_hi + 1)
-    if not zeros:
-        vals = [r ** abs(n) for n in ns]
-        c_minus = c_plus = 1.0
-    else:
-        vals = []
-        # segment amplitudes: A0 on the left-decaying branch, then one
-        # right-decaying amplitude per zero, flipped for u(z-1) = -u(z+1)
-        amp = [1.0]
-        u_before = 1.0 * r ** (-(zeros[0] - 1))
-        for j, z in enumerate(zeros):
-            a_next = -u_before / r ** (z + 1)
-            amp.append(a_next)
-            nxt = zeros[j + 1] if j + 1 < len(zeros) else None
-            if nxt is not None:
-                u_before = a_next * r ** (nxt - 1)
-        for n in ns:
-            if n < zeros[0]:
-                vals.append(amp[0] * r ** (-n))
-            else:
-                seg = sum(1 for z in zeros if z <= n)
-                vals.append(0.0 if n in zeros else amp[seg] * r ** n)
-        c_minus, c_plus = amp[0], amp[-1]
-
-    scale = max(abs(v) for v in vals)
-    vals = [v / scale for v in vals]
+    # segment amplitudes: A0 on the left-decaying branch, then one
+    # right-decaying amplitude per zero, flipped for u(z-1) = -u(z+1)
+    amp = [1.0]
+    try:
+        if not zeros:
+            vals = [r ** abs(n) for n in ns]
+            c_minus = c_plus = 1.0
+        else:
+            vals = []
+            u_before = 1.0 * r ** (-(zeros[0] - 1))
+            for z, nxt in zip(zeros, zeros[1:] + [None]):
+                amp.append(-u_before / r ** (z + 1))
+                if nxt is not None:
+                    u_before = amp[-1] * r ** (nxt - 1)
+            for n in ns:
+                if n < zeros[0]:
+                    vals.append(amp[0] * r ** (-n))
+                else:
+                    seg = sum(1 for z in zeros if z <= n)
+                    vals.append(0.0 if n in zeros else amp[seg] * r ** n)
+            c_minus, c_plus = amp[0], amp[-1]
+        scale = max(abs(v) for v in vals)
+        vals = [v / scale for v in vals + [c_minus, c_plus]]
+        finite = all(map(math.isfinite, vals)) and all(amp)
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        # r^k leaves float64 (or an amplitude underflows to 0) once a zero
+        # lies some hundreds of sites out
+        raise DesignError(
+            f"zeros {zeros} lie too far out for tail ratio {r!r}: the "
+            "geometric amplitudes are not representable in float64",
+            where="construct.design_eigenfunction")
     return DesignedEigenfunction(
-        window_lo=w_lo, window_hi=w_hi, values=tuple(vals),
-        zeros=tuple(zeros), tail_ratio=r,
-        c_minus=c_minus / scale, c_plus=c_plus / scale, eigenvalue=float(a),
-    )
+        window_lo=w_lo, window_hi=w_hi, values=tuple(vals[:-2]),
+        zeros=tuple(zeros), tail_ratio=r, c_minus=vals[-2], c_plus=vals[-1])
 
 
 def real_potential_from_eigenfunction(u: DesignedEigenfunction, a: float,
-                                      ratio_cap: float = RATIO_CAP,
                                       ) -> TablePotential:
     """Solve the eigen-equation for the real diagonal.
 
@@ -193,10 +191,10 @@ def real_potential_from_eigenfunction(u: DesignedEigenfunction, a: float,
                 )
             continue
         ratio = (u.value_at(n - 1) + u.value_at(n + 1)) / un
-        if abs(ratio) > ratio_cap:
+        if abs(ratio) > RATIO_CAP:
             raise DesignError(
                 f"neighbor ratio at site {n} has magnitude {abs(ratio):.3e} "
-                f"above the cap {ratio_cap:.1e}; use a smoother design "
+                f"above the cap {RATIO_CAP:.1e}; use a smoother design "
                 "(larger window or fewer zeros)",
                 where="construct.real_potential_from_eigenfunction",
             )
@@ -214,21 +212,21 @@ def real_potential_from_eigenfunction(u: DesignedEigenfunction, a: float,
     return spec
 
 
-def imag_potential_from_support(u: DesignedEigenfunction, b: float,
-                                ) -> PotentialSpec:
-    """Imaginary diagonal b on supp(u) (tails included), 0 at the zeros.
+def designed_potential(u: DesignedEigenfunction, re_spec: TablePotential,
+                       b: float) -> PotentialSpec:
+    """The designed diagonal: re_spec plus the imaginary part b on supp(u)
+    (tails included) and 0 at the zeros, so that the imaginary part acts
+    on u as multiplication by b exactly.
 
-    Then the imaginary part acts on u as multiplication by b exactly.
-    Encoded as constant ib plus a finite table of -ib corrections: b is
-    nonzero at all but finitely many sites, and a constant plus finitely
-    many corrections is a finite description of it.
+    b is nonzero at all but finitely many sites; the finite description is
+    one table (the real entries plus -ib at each zero) plus the constant ib.
     """
     b = float(b)
     if not (math.isfinite(b) and b > 0.0):
         raise DesignError(
             f"b must be finite and positive (got {b}); the strip "
             "construction places the numerical range in 0 <= Im z <= b",
-            where="construct.imag_potential_from_support",
+            where="construct.designed_potential",
         )
     if not u.zeros:
         warnings.warn(
@@ -236,42 +234,19 @@ def imag_potential_from_support(u: DesignedEigenfunction, b: float,
             "constant b, a shifted selfadjoint operator (degenerate case)",
             stacklevel=2,
         )
-        return ConstantPotential(complex(0.0, b))
-    corrections = {(z,): complex(0.0, -b) for z in u.zeros}
-    return SumPotential((ConstantPotential(complex(0.0, b)),
-                         TablePotential(corrections)))
-
-
-def combined_potential(re_spec: TablePotential, im_spec: PotentialSpec,
-                       ) -> PotentialSpec:
-    """Merge the designed real and imaginary diagonals into one spec: one
-    table (real entries plus the -ib zero corrections) plus the constant ib,
-    the finite description of a potential whose imaginary part is nonzero
-    at all but finitely many sites."""
-    if isinstance(im_spec, ConstantPotential):
-        if not re_spec.entries:
-            return im_spec
-        return SumPotential((re_spec, im_spec))
-    const = next(t for t in im_spec.terms if isinstance(t, ConstantPotential))
-    table = next(t for t in im_spec.terms if isinstance(t, TablePotential))
-    merged = dict(re_spec._map)
-    for site, v in table._map.items():
-        merged[site] = merged.get(site, 0j) + v
-    return SumPotential((TablePotential(merged), const))
+    entries = dict(re_spec.entries)
+    entries.update({(z,): complex(0.0, -b) for z in u.zeros})
+    const = ConstantPotential(complex(0.0, b))
+    return SumPotential((TablePotential(entries), const)) if entries else const
 
 
 @dataclass(frozen=True)
 class CounterexampleBuild:
     operator: Operator
-    expected: complex
-    eigenfunction: DesignedEigenfunction
     potential: PotentialSpec
-    box: LatticeBox
     hull: NumericalRangeHull
     records: list[EigenClassification]
     classification: EigenClassification
-    normality: NormalityVerdict
-    split: SplitVerdict
 
 
 def symmetric_box(n_sites: int) -> LatticeBox:
@@ -280,7 +255,6 @@ def symmetric_box(n_sites: int) -> LatticeBox:
 
 
 def build_counterexample(a: float, b: float, zero_sites: list[int],
-                         window: tuple[int, int] = (-10, 10),
                          n_sites: int = 101, n_angles: int = 720,
                          tol: Tolerances = DEFAULT_TOLERANCES,
                          max_dim: int | None = None) -> CounterexampleBuild:
@@ -290,22 +264,25 @@ def build_counterexample(a: float, b: float, zero_sites: list[int],
     tolerance, be boundary, and pass both certificates; and the computed
     hull to lie in the strip 0 <= Im z <= b.  Failure raises with the
     offending residuals (the usual cause is a truncation too small for
-    the tails to clear the box edge).  max_dim is assemble's dimension cap.
-    The build carries every classification record, not only the designed
-    one.
+    the tails to clear the box edge).  The design window is the smallest
+    that holds (-10, 10) and every zero with one site to spare; the box is
+    checked against it and against the dimension cap max_dim before the
+    design, whose cost grows with the window.  The build carries every
+    classification record, not only the designed one.
     """
-    u = design_eigenfunction(a, zero_sites, window)
-    re_spec = real_potential_from_eigenfunction(u, a)
-    im_spec = imag_potential_from_support(u, b)
-    potential = combined_potential(re_spec, im_spec)
+    zeros = [int(z) for z in zero_sites]
+    w_lo = min([-10] + [z - 1 for z in zeros])
+    w_hi = max([10] + [z + 1 for z in zeros])
     box = symmetric_box(n_sites)
     lo, hi = box.ranges[0]
-    if not (lo < u.window_lo and u.window_hi < hi):
+    if not (lo < w_lo and w_hi < hi):
         raise DesignError(
             f"truncation [{lo}, {hi}] must strictly contain the design "
-            f"window [{u.window_lo}, {u.window_hi}]",
-            where="construct.build_counterexample",
-        )
+            f"window [{w_lo}, {w_hi}]", where="construct.build_counterexample")
+    check_dimension(box, max_dim)
+    u = design_eigenfunction(a, zeros, (w_lo, w_hi))
+    potential = designed_potential(
+        u, real_potential_from_eigenfunction(u, a), b)
     op = assemble(box, potential, max_dim=max_dim)
     hull = compute_hull(op, n_angles=n_angles)
     expected = complex(a, b)
@@ -335,8 +312,5 @@ def build_counterexample(a: float, b: float, zero_sites: list[int],
             ", ".join(f"{k}={v:.3e}" for k, v in problems.items()),
             residuals=problems, where="construct.build_counterexample",
         )
-    return CounterexampleBuild(
-        operator=op, expected=expected, eigenfunction=u, potential=potential,
-        box=box, hull=hull, records=records, classification=best,
-        normality=normality, split=split,
-    )
+    return CounterexampleBuild(operator=op, potential=potential, hull=hull,
+                               records=records, classification=best)

@@ -51,7 +51,8 @@ class EmptySupportError(SpecrangeError):
 
 
 class BlowupError(SpecrangeError):
-    """Plain propagation exceeded the overflow magnitude; carries the site."""
+    """Propagation met a non-finite value (the rescaled recurrence left the
+    float64 range); carries the site."""
 
     def __init__(self, message: str, *, site: int, where: str = ""):
         self.site = site

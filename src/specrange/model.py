@@ -330,7 +330,11 @@ class PowerDecayPotential(PotentialSpec):
         _check_parity(self.parity)
 
     def values(self, sites):
-        out = self.amplitude / (1.0 + _norm1(sites).astype(np.float64) ** self.exponent)
+        # |n|^exponent beyond the float64 range makes the term 0, as in
+        # DecayBound.at
+        with np.errstate(over="ignore"):
+            power = _norm1(sites).astype(np.float64) ** self.exponent
+        out = self.amplitude / (1.0 + power)
         mask = _parity_mask(sites, self.parity)
         if mask is not None:
             out = np.where(mask, out, 0.0)
@@ -555,7 +559,10 @@ class SumPotential(PotentialSpec):
     def values(self, sites):
         out = np.zeros(len(sites), dtype=np.complex128)
         for t in self.terms:
-            out += t.values(sites)
+            term = t.values(sites)
+            # an infinite sum of finite terms is refused downstream (exit 3)
+            with np.errstate(over="ignore"):
+                out += term
         return out
 
     def tail_info(self):
@@ -840,19 +847,8 @@ def as_operator(op) -> Operator:
     return op if isinstance(op, Operator) else OperatorMatrix(op)
 
 
-def assemble(box: LatticeBox, potential: PotentialSpec,
-             max_dim: int | None = None) -> LatticeOperator:
-    """Dirichlet truncation of hopping + diagonal potential to the box.
-
-    Off-diagonal entries are 1 exactly for site pairs at l1-distance one
-    inside the box; hops leaving the box are dropped.  The operator keeps
-    the box and the potential's values d on it, O(n) storage; no n x n
-    array is formed.  Refuses boxes of more than max_dim sites (default
-    DEFAULT_MAX_DIM).
-    """
-    if potential.site_dim not in (None, box.nu):
-        raise ValueError(f"{potential.kind} potential is declared on "
-                         f"nu={potential.site_dim}, the box has nu={box.nu}")
+def check_dimension(box: LatticeBox, max_dim: int | None = None) -> None:
+    """Refuse boxes of more than max_dim sites (default DEFAULT_MAX_DIM)."""
     limit = DEFAULT_MAX_DIM if max_dim is None else int(max_dim)
     n = box.site_count
     if n > limit:
@@ -861,4 +857,19 @@ def assemble(box: LatticeBox, potential: PotentialSpec,
             f"raise max_dim explicitly to proceed",
             where="core_model.assemble",
         )
+
+
+def assemble(box: LatticeBox, potential: PotentialSpec,
+             max_dim: int | None = None) -> LatticeOperator:
+    """Dirichlet truncation of hopping + diagonal potential to the box.
+
+    Off-diagonal entries are 1 exactly for site pairs at l1-distance one
+    inside the box; hops leaving the box are dropped.  The operator keeps
+    the box and the potential's values d on it, O(n) storage; no n x n
+    array is formed.  Refuses boxes of more than max_dim sites.
+    """
+    if potential.site_dim not in (None, box.nu):
+        raise ValueError(f"{potential.kind} potential is declared on "
+                         f"nu={potential.site_dim}, the box has nu={box.nu}")
+    check_dimension(box, max_dim)
     return LatticeOperator(box, potential.values(box.sites))

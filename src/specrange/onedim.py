@@ -1,12 +1,16 @@
-"""Second-order transfer recurrence on Z: propagation and the two-sided
-shooting compatibility test.
+"""Second-order transfer recurrence on Z: the decaying tail ratio,
+propagation, the stencil residual and the two-sided shooting
+compatibility test.
 
 The eigen-equation u(n-1) + d(n) u(n) + u(n+1) = lambda u(n) rearranges to
 u(n+1) = (lambda - d(n)) u(n) - u(n-1); a trace is determined by the pair
-(u(n0), u(n0+1)).  Plain propagation raises once magnitudes pass 1e300
-(growth is itself the l2 diagnosis); normalized propagation rescales at
-1e150 and tracks the per-site natural-log factor instead, which is what
-the shooting test uses in growth regimes.
+(u(n0), u(n0+1)).  Propagation rescales the active pair once it passes
+1e150 and tracks the per-site natural-log factor, so growth never
+overflows; a non-finite value (from a potential entry near the float
+limit) raises BlowupError.  Off the band, the free recurrence decays with
+the ratio r + 1/r = lambda, |r| < 1 (contractive_ratio): the shooting
+test seeds its tails with it and construct builds its designed
+eigenfunction from it.
 """
 
 from __future__ import annotations
@@ -17,11 +21,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (OVERFLOW_AT, RESCALE_AT, Tolerances, DEFAULT_TOLERANCES)
-from .exceptions import BandRegimeError, BlowupError, DecayCertificateError
+from .config import RESCALE_AT, Tolerances, DEFAULT_TOLERANCES
+from .exceptions import (BandRegimeError, BlowupError, DecayCertificateError,
+                         SpecrangeError)
 from .model import PotentialSpec
 
 BAND_EDGE_MARGIN = 1e-12
+
+
+def contractive_ratio(lam: complex) -> complex:
+    """The root of r^2 - lam r + 1 = 0 of smaller modulus: |r| < 1 off the
+    band [-2, 2], |r| = 1 on it.
+
+    r = (lam - s sqrt(lam^2 - 4)) / 2 = 2 / (lam + s sqrt(lam^2 - 4)), the
+    sign s turning s sqrt(lam^2 - 4) toward lam: the second form adds terms
+    of one direction, where the first cancels for large |lam|.  Once lam^2
+    overflows (|lam| >~ 1.3e154), r is 0 or NaN: callers refuse that.
+    """
+    lam = complex(lam)
+    disc = cmath.sqrt(lam * lam - 4.0)
+    s = 1.0 if lam.real * disc.real + lam.imag * disc.imag >= 0.0 else -1.0
+    return 2.0 / (lam + s * disc)
+
+
+def stencil_residuals(u: np.ndarray, d: np.ndarray, lam: complex,
+                      ) -> np.ndarray:
+    """|u(n-1) + (d(n) - lam) u(n) + u(n+1)| at the interior entries of u,
+    for u and d sampled at the same consecutive sites."""
+    return np.abs(u[:-2] + (d[1:-1] - lam) * u[1:-1] + u[2:])
 
 
 @dataclass(frozen=True)
@@ -29,7 +56,7 @@ class SolutionTrace:
     """Recurrence solution on [n_lo, n_hi] with per-site log-scale factors.
 
     The true value at site n is values[n - n_lo] * exp(log_scale[n - n_lo]);
-    log_scale is identically zero unless normalized propagation rescaled.
+    log_scale is identically zero unless propagation rescaled.
     """
 
     n_lo: int
@@ -56,53 +83,44 @@ class SolutionTrace:
     def residual_max(self, potential: PotentialSpec) -> float:
         """max_n |u(n-1) + (d(n) - lambda) u(n) + u(n+1)| / max|u|, over
         interior sites whose three-point stencil shares one scale factor."""
-        ns = np.arange(self.n_lo, self.n_hi + 1)
-        d = potential.values(ns.reshape(-1, 1))
         peak = float(np.abs(self.values).max())
         if peak == 0.0:
             return 0.0
-        worst = 0.0
-        for i in range(1, len(ns) - 1):
-            if not (self.log_scale[i - 1] == self.log_scale[i] == self.log_scale[i + 1]):
-                continue
-            res = abs(self.values[i - 1] + (d[i] - self.lam) * self.values[i]
-                      + self.values[i + 1])
-            worst = max(worst, res / peak)
-        return worst
+        d = potential.values(np.arange(self.n_lo, self.n_hi + 1).reshape(-1, 1))
+        s = self.log_scale
+        same = (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:])
+        res = stencil_residuals(self.values, d, self.lam)[same]
+        return float(res.max()) / peak if res.size else 0.0
 
 
-def three_term_scan(coeff, x0: complex, x1: complex, normalize: bool,
+def three_term_scan(coeff, x0: complex, x1: complex,
                     ) -> tuple[np.ndarray, np.ndarray, int | None]:
     """The three-term recurrence x[0] = x0, x[1] = x1,
     x[j+1] = coeff[j-1] * x[j] - x[j-1], as (values, log_scale, stop).
 
     values[j] holds x[j] at its storage-time scale and log_scale[j] the
     cumulative natural-log factor, so the true value is
-    values[j] * e^log_scale[j].  With normalize=True the active pair is
-    divided by its max magnitude whenever it exceeds RESCALE_AT (log factor
-    accumulated) and stop is None.  Otherwise the scan stops at the first
-    magnitude above OVERFLOW_AT, and stop is the index of the first entry
-    not written (None if the scan completed).
+    values[j] * e^log_scale[j]: the active pair is divided by its max
+    magnitude whenever that exceeds RESCALE_AT.  The scan ends at the
+    first entry whose magnitude is not finite; stop is its index (that
+    entry is not written), or None if the scan completed.
     """
     values = np.empty(len(coeff) + 2, dtype=np.complex128)
     log_scale = np.zeros(len(coeff) + 2, dtype=np.float64)
-    a = complex(x0)
-    b = complex(x1)
-    s = 0.0
-    values[0] = a
-    values[1] = b
+    a, b, s = complex(x0), complex(x1), 0.0
+    values[:2] = a, b
     for i, c in enumerate(complex(c) for c in coeff):
-        nxt = c * b - a
-        a = b
-        b = nxt
-        mag = max(abs(a), abs(b))
-        if normalize:
-            if mag > RESCALE_AT:
-                a /= mag
-                b /= mag
-                s += math.log(mag)
-        elif mag > OVERFLOW_AT:
+        a, b = b, c * b - a
+        try:
+            mag = max(abs(b), abs(a))  # in this order a NaN |b| stays NaN
+        except OverflowError:  # finite parts, modulus above the float limit
+            mag = math.inf
+        if not mag < math.inf:
             return values, log_scale, i + 2
+        if mag > RESCALE_AT:
+            a /= mag
+            b /= mag
+            s += math.log(mag)
         values[i + 2] = b
         log_scale[i + 2] = s
     return values, log_scale, None
@@ -110,57 +128,36 @@ def three_term_scan(coeff, x0: complex, x1: complex, normalize: bool,
 
 def propagate(potential: PotentialSpec, lam: complex,
               seed: tuple[complex, complex], anchor: int,
-              rng: tuple[int, int], *, normalize: bool = False) -> SolutionTrace:
+              rng: tuple[int, int]) -> SolutionTrace:
     """Extend seed = (u(anchor), u(anchor+1)) across rng = [n_lo, n_hi].
 
-    Forward and mirrored backward recursion fill the whole range.  In plain
-    mode a magnitude above 1e300 raises BlowupError naming the site; with
-    normalize=True the active pair is rescaled at 1e150 and the cumulative
-    log factor is recorded per site.
+    Forward and mirrored backward recursion fill the whole range; the
+    active pair is rescaled at RESCALE_AT and the cumulative log factor is
+    recorded per site.  A non-finite value raises BlowupError naming its
+    site.
     """
-    n_lo, n_hi = int(rng[0]), int(rng[1])
-    anchor = int(anchor)
+    n_lo, n_hi, anchor = int(rng[0]), int(rng[1]), int(anchor)
     if not (n_lo <= anchor and anchor + 1 <= n_hi):
         raise ValueError("range must contain anchor and anchor+1")
-    ns = np.arange(n_lo, n_hi + 1)
-    d = potential.values(ns.reshape(-1, 1))
+    d = potential.values(np.arange(n_lo, n_hi + 1).reshape(-1, 1))
     lam = complex(lam)
-
-    count = n_hi - n_lo + 1
-    values = np.zeros(count, dtype=np.complex128)
-    scales = np.zeros(count, dtype=np.float64)
-
-    # forward: x_j = u(anchor + j), coefficients at sites anchor+1 .. n_hi-1
-    fwd_sites = np.arange(anchor + 1, n_hi)
-    coeff_f = lam - d[fwd_sites - n_lo]
-    vals_f, sc_f, stop_f = three_term_scan(coeff_f, seed[0], seed[1], normalize)
-    if stop_f is not None:
-        raise BlowupError(
-            f"magnitude exceeded {OVERFLOW_AT:.1e} at site {anchor + stop_f} "
-            f"(growth regime; use normalized propagation)",
-            site=anchor + stop_f, where="one_dim.propagate",
-        )
     a0 = anchor - n_lo
-    values[a0:] = vals_f
-    scales[a0:] = sc_f
 
-    # backward: y_j = u(anchor + 1 - j), coefficients at sites anchor .. n_lo+1
-    bwd_sites = np.arange(anchor, n_lo, -1)
-    coeff_b = lam - d[bwd_sites - n_lo]
-    vals_b, sc_b, stop_b = three_term_scan(coeff_b, seed[1], seed[0], normalize)
-    if stop_b is not None:
+    # forward: x_j = u(anchor + j), coefficients at sites anchor+1 .. n_hi-1;
+    # backward: y_j = u(anchor + 1 - j), coefficients at sites anchor ..
+    # n_lo+1, so y_j for j >= 2 holds the sites anchor-1 down to n_lo
+    vals_f, sc_f, stop_f = three_term_scan(lam - d[a0 + 1:-1], seed[0], seed[1])
+    vals_b, sc_b, stop_b = three_term_scan(lam - d[a0:0:-1], seed[1], seed[0])
+    if stop_f is not None or stop_b is not None:
+        site = anchor + stop_f if stop_f is not None else anchor + 1 - stop_b
         raise BlowupError(
-            f"magnitude exceeded {OVERFLOW_AT:.1e} at site {anchor + 1 - stop_b} "
-            f"(growth regime; use normalized propagation)",
-            site=anchor + 1 - stop_b, where="one_dim.propagate",
-        )
-    # y index j corresponds to site anchor + 1 - j
-    for j in range(2, len(vals_b)):
-        i = (anchor + 1 - j) - n_lo
-        values[i] = vals_b[j]
-        scales[i] = sc_b[j]
+            f"non-finite value at site {site}: the recurrence left the "
+            "float64 range (a potential entry or lambda near the float limit)",
+            site=site, where="one_dim.propagate")
 
-    return SolutionTrace(n_lo=n_lo, n_hi=n_hi, values=values, log_scale=scales,
+    return SolutionTrace(n_lo=n_lo, n_hi=n_hi,
+                         values=np.concatenate((vals_b[:1:-1], vals_f)),
+                         log_scale=np.concatenate((sc_b[:1:-1], sc_f)),
                          lam=lam)
 
 
@@ -170,13 +167,6 @@ class ShootingResult:
     mismatch: float
     lam: complex
     contractive_ratio: complex
-
-
-def _contractive_ratio(lam: complex) -> complex:
-    disc = cmath.sqrt(lam * lam - 4.0)
-    r1 = (lam + disc) / 2.0
-    r2 = (lam - disc) / 2.0
-    return r1 if abs(r1) < abs(r2) else r2
 
 
 def _scaled_pair(trace: SolutionTrace, n: int) -> tuple[complex, complex]:
@@ -189,7 +179,6 @@ def _scaled_pair(trace: SolutionTrace, n: int) -> tuple[complex, complex]:
 
 
 def shooting_l2_test(potential: PotentialSpec, lam: complex, window: int,
-                     match_tol: float | None = None,
                      tol: Tolerances = DEFAULT_TOLERANCES) -> ShootingResult:
     """Two-sided shooting: does the recurrence admit a decaying solution
     at lambda, up to window truncation?
@@ -197,9 +186,11 @@ def shooting_l2_test(potential: PotentialSpec, lam: complex, window: int,
     Requires a decaying potential (certified tail with zero base) so the
     asymptotics are governed by the free recurrence.  The free transfer
     ratios r solve r + 1/r = lambda; for real lambda in [-2, 2] both have
-    modulus one and the test refuses (band regime).  Decaying branches are
-    propagated inward from +-window and compared through the scale-free
-    Wronskian mismatch at sites 0, 1.
+    modulus one and the test refuses (band regime), as it refuses a lambda
+    past |lambda| ~ 1.3e154, where the ratio's lambda^2 overflows.
+    Decaying branches are propagated inward from +-window and compared
+    through the scale-free Wronskian mismatch at sites 0, 1; compatible
+    means a mismatch within tol.match.
     """
     tail = potential.tail_info()
     if tail is None or tail.base != 0:
@@ -209,7 +200,13 @@ def shooting_l2_test(potential: PotentialSpec, lam: complex, window: int,
             where="one_dim.shooting_l2_test",
         )
     lam = complex(lam)
-    r = _contractive_ratio(lam)
+    r = contractive_ratio(lam)
+    if r == 0 or not cmath.isfinite(r):
+        raise SpecrangeError(
+            f"lambda = {lam}: its decaying ratio r (r + 1/r = lambda) is not "
+            "representable: the ratio's lambda^2 leaves the float64 range",
+            where="one_dim.shooting_l2_test",
+        )
     if abs(r) >= 1.0 - BAND_EDGE_MARGIN:
         raise BandRegimeError(
             "band regime - shooting inapplicable: lambda lies in the "
@@ -219,13 +216,11 @@ def shooting_l2_test(potential: PotentialSpec, lam: complex, window: int,
     n = int(window)
     if n < 2:
         raise ValueError("window must be >= 2")
-    if match_tol is None:
-        match_tol = tol.match
 
     right = propagate(potential, lam, seed=(1.0 + 0j, r), anchor=n,
-                      rng=(0, n + 1), normalize=True)
+                      rng=(0, n + 1))
     left = propagate(potential, lam, seed=(r, 1.0 + 0j), anchor=-n - 1,
-                     rng=(-n - 1, 1), normalize=True)
+                     rng=(-n - 1, 1))
     up0, up1 = _scaled_pair(right, 0)
     um0, um1 = _scaled_pair(left, 0)
     w = up0 * um1 - up1 * um0
@@ -235,6 +230,5 @@ def shooting_l2_test(potential: PotentialSpec, lam: complex, window: int,
         raise BlowupError("propagated branch vanished identically",
                           site=0, where="one_dim.shooting_l2_test")
     mismatch = abs(w) / (mp * mm)
-    return ShootingResult(compatible=mismatch <= match_tol,
+    return ShootingResult(compatible=mismatch <= tol.match,
                           mismatch=mismatch, lam=lam, contractive_ratio=r)
-

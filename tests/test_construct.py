@@ -2,15 +2,16 @@
 the certified end-to-end build."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from specrange.classify import NormalityVerdict, SplitVerdict
+from specrange.classify import NormalityVerdict, SplitVerdict, certify
+from specrange.config import DEFAULT_TOLERANCES
 from specrange.construct import (CounterexampleBuild, build_counterexample,
-                                 combined_potential, contractive_tail_ratio,
-                                 design_eigenfunction,
-                                 imag_potential_from_support,
+                                 contractive_tail_ratio, design_eigenfunction,
+                                 designed_potential,
                                  real_potential_from_eigenfunction,
                                  symmetric_box)
 from specrange.exceptions import CertificationError, DesignError
@@ -76,7 +77,16 @@ def test_design_refuses_non_finite_input(x):
     with pytest.raises(DesignError):
         contractive_tail_ratio(x)
     with pytest.raises(DesignError):
-        imag_potential_from_support(u, x)
+        designed_potential(u, real_potential_from_eigenfunction(u, -2.5), x)
+
+
+@pytest.mark.parametrize("z", [520, 600, 1100, -600, -1100])
+def test_design_refuses_a_zero_its_amplitudes_cannot_reach(z):
+    # r = -0.5: the amplitude across a zero z grows like 2^(2|z|), past
+    # float64 (or, left of the origin, below it) some 512 sites out
+    window = (min(-10, z - 1), max(10, z + 1))
+    with pytest.raises(DesignError, match="not representable in float64"):
+        design_eigenfunction(-2.5, [z], window=window)
 
 
 def test_real_potential_lives_on_zero_neighbors_only():
@@ -90,30 +100,43 @@ def test_real_potential_lives_on_zero_neighbors_only():
     assert u.stencil_residual(re_spec, -2.5) < 1e-12
 
 
+def test_stencil_residual_matches_the_sitewise_loop():
+    u = design_eigenfunction(3.0, [-3, 2, 6], window=(-10, 10))
+    re_spec = TablePotential({(n,): 0.01 * n for n in range(-11, 12)})
+    worst = max(abs(u.value_at(n - 1) + (re_spec.value((n,)).real - 3.0)
+                    * u.value_at(n) + u.value_at(n + 1))
+                for n in range(-10, 11))
+    assert u.stencil_residual(re_spec, 3.0) == worst / u.peak
+
+
 def test_real_potential_ratio_cap_refuses_spiky_designs():
-    u = design_eigenfunction(-2.5, [0], window=(-10, 10))
-    with pytest.raises(DesignError):
-        real_potential_from_eigenfunction(u, -2.5, ratio_cap=1.0)
+    # the neighbor ratio is a itself on the tails, above RATIO_CAP = 1e3
+    u = design_eigenfunction(1e4, [0], window=(-10, 10))
+    with pytest.raises(DesignError, match="site -10 .* above the cap"):
+        real_potential_from_eigenfunction(u, 1e4)
 
 
 def test_imag_potential_structure_and_degenerate_warning():
     u = design_eigenfunction(-2.5, [0], window=(-10, 10))
-    spec = imag_potential_from_support(u, 1.0)
+    spec = designed_potential(u, real_potential_from_eigenfunction(u, -2.5),
+                              1.0)
     assert isinstance(spec, SumPotential)
     sites = np.array([[-50], [-1], [0], [1], [50]])
-    assert list(spec.values(sites)) == [1j, 1j, 0j, 1j, 1j]
+    assert list(spec.values(sites).imag) == [1.0, 1.0, 0.0, 1.0, 1.0]
     with pytest.raises(DesignError):
-        imag_potential_from_support(u, 0.0)
+        designed_potential(u, real_potential_from_eigenfunction(u, -2.5), 0.0)
     flat = design_eigenfunction(-2.5, [], window=(-6, 6))
     with pytest.warns(UserWarning):
-        spec2 = imag_potential_from_support(flat, 0.7)
-    assert isinstance(spec2, ConstantPotential)
+        spec2 = designed_potential(
+            flat, real_potential_from_eigenfunction(flat, -2.5), 0.7)
+    assert ConstantPotential(0.7j) in spec2.terms
+    assert list(spec2.values(sites).imag) == [0.7] * 5
 
 
 def test_combined_potential_values_match_design():
     u = design_eigenfunction(-2.5, [0], window=(-10, 10))
-    pot = combined_potential(real_potential_from_eigenfunction(u, -2.5),
-                             imag_potential_from_support(u, 1.0))
+    pot = designed_potential(u, real_potential_from_eigenfunction(u, -2.5),
+                             1.0)
     ns = np.array([[-1], [0], [1], [7]], dtype=np.int64)
     vals = pot.values(ns)
     assert vals[0] == -2.0 + 1.0j
@@ -131,27 +154,35 @@ def test_symmetric_box_centers_odd_counts():
 def test_build_counterexample_certifies_the_designed_eigenvalue():
     build = build_counterexample(-2.5, 1.0, [0], n_sites=101, n_angles=360)
     assert isinstance(build, CounterexampleBuild)
-    assert build.expected == -2.5 + 1.0j
     lam = build.classification.pair.value
-    assert abs(lam - build.expected) < 1e-9
+    assert abs(lam - (-2.5 + 1.0j)) < 1e-9
     assert build.classification.is_boundary
-    assert build.normality is NormalityVerdict.CERTIFIED_NORMAL
-    assert build.split is SplitVerdict.CERTIFIED
+    normality, split, _ = certify(build.operator, build.classification,
+                                  DEFAULT_TOLERANCES)
+    assert normality is NormalityVerdict.CERTIFIED_NORMAL
+    assert split is SplitVerdict.CERTIFIED
     # hull confined to the designed strip
     assert np.asarray(build.hull.vertices()).imag.max() <= 1.0 + 1e-8
     assert np.asarray(build.hull.vertices()).imag.min() >= -1e-8
 
 
+@pytest.mark.filterwarnings("ignore:eigenfunction has no zeros")
 def test_build_counterexample_window_must_fit_strictly():
-    with pytest.raises(DesignError):
-        build_counterexample(-2.5, 1.0, [0], window=(-10, 10), n_sites=21)
+    # the window holds (-10, 10) and every zero with one site to spare, so
+    # the 21-site box [-10, 10] never holds it strictly
+    for zeros, window in [([0], "[-10, 10]"), ([], "[-10, 10]"),
+                          ([-9, 9], "[-10, 10]"), ([-3, 2, 6], "[-10, 10]"),
+                          ([15], "[-10, 16]"), ([-12, 0], "[-13, 10]")]:
+        with pytest.raises(DesignError, match=re.escape(window)):
+            build_counterexample(-2.5, 1.0, zeros, n_sites=21)
 
 
 def test_build_counterexample_small_box_fails_certification():
+    # a = -2.05 decays slowly (|r| ~ 0.8): 23 sites leave the tails too
+    # heavy at the box edge for the designed eigenvalue to survive
     with pytest.raises(CertificationError) as e:
-        build_counterexample(-2.5, 1.0, [0], window=(-3, 3), n_sites=9,
-                             n_angles=360)
-    assert e.value.residuals
+        build_counterexample(-2.05, 1.0, [0], n_sites=23, n_angles=360)
+    assert "eigenvalue_gap" in e.value.residuals
 
 
 def test_build_is_deterministic():

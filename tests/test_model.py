@@ -331,6 +331,8 @@ def test_package_exports_resolve_and_omit_deleted_names():
         assert hasattr(specrange, name), name
     for name in ("Provenance", "real_part", "imag_part", "support_function",
                  "ContinuationResult", "unique_continuation_check",
-                 "trace_from_vector"):
+                 "trace_from_vector", "imag_potential_from_support",
+                 "combined_potential", "contractive_ratio",
+                 "designed_potential"):
         assert name not in specrange.__all__
         assert not hasattr(specrange, name), name

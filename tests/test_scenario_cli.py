@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -587,6 +588,9 @@ CONSTRUCT = ["construct", "--a", "-2.5", "--b", "1.0", "--n", "41",
     (["sweep", "{path}", *SWEEP_ARGS, "--from", "nan"], "--from"),
     (["sweep", "{path}", *SWEEP_ARGS, "--to", "inf"], "--to"),
     (["sweep", "{path}", *SWEEP_ARGS, "--to=-inf"], "--to"),
+    # each bound is finite, their difference is not
+    (["sweep", "{path}", *SWEEP_ARGS, "--from=-1e308", "--to", "1e308",
+      "--steps", "3"], "--to"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_flags_are_held_to_their_schema_fields(tmp_path, capsys, argv, where):
     path = write_scenario(tmp_path, small_run_doc())
@@ -678,6 +682,31 @@ def test_construct_with_large_a_exits_four(tmp_path, capsys, a):
     assert not out.exists()
 
 
+def test_construct_window_follows_a_far_zero(tmp_path, capsys):
+    # the design window grows to hold the zero: [-10, 16] inside [-50, 50]
+    assert main(["construct", "--a", "-2.5", "--b", "1", "--zeros", "15",
+                 "--n", "101", "--angles", "360",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert "certified boundary eigenvalue" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["--zeros", "2000"], 4,
+     "truncation [-50, 50] must strictly contain the design window "
+     "[-10, 2001]"),
+    (["--n", "3001", "--zeros", "1100"], 4, "not representable in float64"),
+    (["--n", "3001", "--zeros=-1100"], 4, "not representable in float64"),
+    # the box meets the dimension cap before the design runs
+    (["--n", "100001", "--zeros", "2000"], 3, "exceeding the dimension cap"),
+])
+def test_construct_refuses_a_zero_the_box_or_float64_cannot_hold(
+        tmp_path, capsys, args, code, message):
+    assert main(["construct", "--a", "-2.5", "--b", "1", *args,
+                 "--out-dir", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_criteria_verb_writes_combined_verdicts(tmp_path):
     doc = doc_for("decay_power")
     doc["name"] = "crit"
@@ -715,12 +744,14 @@ def test_construct_forwards_max_dim_to_its_single_assemble(
     monkeypatch.delenv("SPECRANGE_MAX_DIM", raising=False)
     argv = ["construct", "--a", "-2.5", "--b", "1.0", "--n", "41",
             "--angles", "120"]
+    counts = count_calls(monkeypatch)
     assert main([*argv, "--max-dim", "64",
                  "--out-dir", str(tmp_path / "raised")]) == 0
-    counts = count_calls(monkeypatch)
+    assert counts["assemble"] == 1 and counts["compute_hull"] == 1
+    # a box past the cap is refused before the design, so before any assemble
     assert main([*argv, "--max-dim", "40",
                  "--out-dir", str(tmp_path / "lowered")]) == 3
-    assert counts["assemble"] == 1 and counts["compute_hull"] == 0
+    assert counts["assemble"] == 1 and counts["compute_hull"] == 1
     assert not (tmp_path / "lowered").exists()
 
 
@@ -863,8 +894,12 @@ def test_entries_near_the_float_limit_run_or_exit_three(
     doc = {"name": "huge", "box": {"nu": len(box), "ranges": box},
            "potential": potential, "analysis": analysis}
     out = tmp_path / "out"
-    assert main(["run", write_scenario(tmp_path, doc), "--out-dir",
-                 str(out)]) == code
+    path = write_scenario(tmp_path, doc)
+    # overflow is the intended result here, not a numerical accident to
+    # report on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", path, "--out-dir", str(out)]) == code
     if code == 0:
         res = json.loads((out / "huge.report.json").read_text())["results"]
         assert all(math.isfinite(x) for v in res["numrange"]["polygon"]
