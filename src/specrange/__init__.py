@@ -22,10 +22,7 @@ from .construct import (CounterexampleBuild, DesignedEigenfunction,
                         design_eigenfunction,
                         real_potential_from_eigenfunction)
 from .criteria import (CriteriaParams, CriteriaReport, CriterionResult,
-                       Target, check_alternating, check_direction_decay,
-                       check_full_decay, check_halfspace_support,
-                       check_level_set_empty, check_pair_condition,
-                       check_real_window, check_summability, evaluate_all)
+                       Target, evaluate_all)
 from .exceptions import (BandRegimeError, BlowupError, CertificationError,
                          DecayCertificateError, DesignError,
                          DimensionLimitError, EigenSolverError,
@@ -55,9 +52,6 @@ __all__ = [
     "contractive_tail_ratio", "design_eigenfunction",
     "real_potential_from_eigenfunction",
     "CriteriaParams", "CriteriaReport", "CriterionResult", "Target",
-    "check_alternating", "check_direction_decay", "check_full_decay",
-    "check_halfspace_support", "check_level_set_empty",
-    "check_pair_condition", "check_real_window", "check_summability",
     "evaluate_all",
     "BandRegimeError", "BlowupError", "CertificationError",
     "DecayCertificateError", "DesignError", "DimensionLimitError",

@@ -57,7 +57,3 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-
-def default_scan_radius(nu: int) -> int:
-    return SCAN_RADIUS_1D if nu == 1 else SCAN_RADIUS_ND

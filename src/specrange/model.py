@@ -80,17 +80,6 @@ class LatticeBox:
             strides[j] = strides[j + 1] * self.shape[j + 1]
         return tuple(strides)
 
-    def site_index(self, site: Sequence[int]) -> int:
-        if len(site) != self.nu:
-            raise ValueError(f"site has {len(site)} coordinates, box has nu={self.nu}")
-        idx = 0
-        for k, (lo, hi), s in zip(site, self.ranges, self.strides):
-            k = int(k)
-            if not lo <= k <= hi:
-                raise ValueError(f"site {tuple(site)} outside box")
-            idx += (k - lo) * s
-        return idx
-
     @cached_property
     def sites(self) -> np.ndarray:
         """(site_count, nu) int64 array in enumeration order."""
@@ -215,6 +204,17 @@ class PotentialSpec(abc.ABC):
         return t is not None and t.base.imag == 0.0
 
 
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def _row_keys(rows) -> np.ndarray:
+    """One void scalar per row of (m, nu) int64 coordinates, whose bytes
+    order as the rows do lexicographically: big-endian, sign bit flipped."""
+    keys = np.array(rows, dtype=">i8", order="C")
+    keys.view(np.uint8).reshape(*keys.shape, 8)[..., 0] ^= 0x80
+    return keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
+
+
 def _parity_mask(sites: np.ndarray, parity: str | None) -> np.ndarray | None:
     if parity is None:
         return None
@@ -250,8 +250,16 @@ class TablePotential(PotentialSpec):
         return len(self.entries[0][0]) if self.entries else None
 
     @cached_property
-    def _map(self) -> dict[tuple[int, ...], complex]:
-        return dict(self.entries)
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row keys, values) of the entries whose sites are int64, in key
+        order: the entries' site order (__post_init__).  An entry beyond
+        int64 matches no site of an int64 array."""
+        inside = [(site, v) for site, v in self.entries
+                  if all(INT64_MIN <= c <= INT64_MAX for c in site)]
+        if not inside:
+            return np.empty(0, dtype=np.void), np.empty(0, np.complex128)
+        return (_row_keys([site for site, _ in inside]),
+                np.array([v for _, v in inside], dtype=np.complex128))
 
     @cached_property
     def support_radius(self) -> int:
@@ -259,9 +267,15 @@ class TablePotential(PotentialSpec):
                    default=0)
 
     def values(self, sites: np.ndarray) -> np.ndarray:
-        m = self._map
-        return np.array([m.get(tuple(int(c) for c in s), 0.0) for s in sites],
-                        dtype=np.complex128)
+        keys, vals = self._lookup
+        out = np.zeros(len(sites), dtype=np.complex128)
+        if not len(keys) or keys.dtype.itemsize != 8 * sites.shape[1]:
+            return out
+        query = _row_keys(sites)
+        first = np.searchsorted(keys, query, side="left")
+        hit = np.searchsorted(keys, query, side="right") > first
+        out[hit] = vals[first[hit]]
+        return out
 
     def tail_info(self):
         return TailInfo(radius=self.support_radius, base=0j)
@@ -378,7 +392,11 @@ class GeometricDecayPotential(PotentialSpec):
         _check_parity(self.parity)
 
     def values(self, sites):
-        out = self.amplitude * np.power(self.ratio, _norm1(sites).astype(np.float64))
+        power = np.power(self.ratio, _norm1(sites).astype(np.float64))
+        # numpy's complex product warns of an overflow for parts near
+        # 1.8e308, although the values it returns are finite and exact
+        with np.errstate(over="ignore"):
+            out = self.amplitude * power
         mask = _parity_mask(sites, self.parity)
         if mask is not None:
             out = np.where(mask, out, 0.0)
@@ -456,6 +474,14 @@ class Alternating1DPotential(PotentialSpec):
 SEED_LIMIT = 2 ** 128
 
 
+def _draw(lo: float, hi: float, u: float) -> float:
+    """lo + u (hi - lo) for u in [0, 1); where hi - lo overflows, a form
+    with no infinite term, which stays in [lo, hi]."""
+    if math.isfinite(hi - lo):
+        return lo + u * (hi - lo)
+    return lo * (1.0 - u) + hi * u
+
+
 @dataclass(frozen=True)
 class SeededRandomPotential(PotentialSpec):
     """Counter-based random values on a finite carrier box, zero outside.
@@ -489,9 +515,7 @@ class SeededRandomPotential(PotentialSpec):
             counter[j] = int(c) + (1 << 63)
         gen = np.random.Generator(np.random.Philox(key=self.seed, counter=counter))
         u = gen.random(2)
-        rlo, rhi = self.re_range
-        ilo, ihi = self.im_range
-        return complex(rlo + u[0] * (rhi - rlo), ilo + u[1] * (ihi - ilo))
+        return complex(_draw(*self.re_range, u[0]), _draw(*self.im_range, u[1]))
 
     @cached_property
     def _carrier_values(self) -> np.ndarray:

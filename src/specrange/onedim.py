@@ -74,12 +74,6 @@ class SolutionTrace:
         i = self.index(n)
         return complex(self.values[i] * math.exp(self.log_scale[i]))
 
-    def log_magnitude(self, n: int) -> float:
-        """log|u(n)| including the scale factor; -inf at exact zeros."""
-        i = self.index(n)
-        v = abs(self.values[i])
-        return -math.inf if v == 0.0 else math.log(v) + float(self.log_scale[i])
-
     def residual_max(self, potential: PotentialSpec) -> float:
         """max_n |u(n-1) + (d(n) - lambda) u(n) + u(n+1)| / max|u|, over
         interior sites whose three-point stencil shares one scale factor."""

@@ -6,11 +6,7 @@ import pytest
 
 from specrange import criteria
 from specrange.cli import main
-from specrange.criteria import (CriteriaParams, Target, check_alternating,
-                                check_direction_decay, check_full_decay,
-                                check_halfspace_support, check_level_set_empty,
-                                check_pair_condition, check_real_window,
-                                check_summability, evaluate_all)
+from specrange.criteria import CriteriaParams, Target, evaluate_all
 from specrange.model import (Alternating1DPotential, ConstantPotential,
                              GeometricDecayPotential, LatticeBox,
                              PowerDecayPotential, SeededRandomPotential,
@@ -44,14 +40,30 @@ def test_target_kinds_and_matching():
 # level set / halfspace
 
 
+def pick(pot, criterion, target=None, nu=1, params=CriteriaParams(),
+         **detail):
+    """The entries of evaluate_all(pot, nu, params) for criterion, and for
+    target and the detail items when given, in report order."""
+    rep = evaluate_all(pot, nu=nu, params=params)
+    return [e for e in rep.entries if e.criterion == criterion
+            and target in (None, e.target)
+            and detail.items() <= e.detail.items()]
+
+
+def levels(*b_values):
+    return CriteriaParams(b_values=b_values)
+
+
 def test_level_set_empty_certifies_with_gap():
-    res = check_level_set_empty(ConstantPotential(0.5j), b=2.0)
+    [res] = pick(ConstantPotential(0.5j), "level_set_empty",
+                 params=levels(2.0))
     assert res.verdict == ABSENT
     assert res.target == Target("im", 2.0)
 
 
 def test_level_set_hit_is_inconclusive():
-    res = check_level_set_empty(ConstantPotential(0.5j), b=0.5)
+    [res] = pick(ConstantPotential(0.5j), "level_set_empty",
+                 params=levels(0.5))
     assert res.verdict == INCONCLUSIVE
     assert "nonempty" in res.witness
 
@@ -59,31 +71,33 @@ def test_level_set_hit_is_inconclusive():
 def test_level_set_needs_usable_tail_certificate():
     # table support beyond the scan-site cap: certificate unusable
     pot = TablePotential({(1_500_001,): 1.0j})
-    res = check_level_set_empty(pot, b=2.0)
+    [res] = pick(pot, "level_set_empty", params=levels(2.0))
     assert res.verdict == INCONCLUSIVE
     assert "tail certificate" in res.witness
 
 
 def test_halfspace_confines_finite_level_set():
     pot = TablePotential({(-2,): 0.7j, (3,): 0.7j, (4,): 0.1 + 0.2j})
-    sup = check_halfspace_support(pot, b=0.7, side="sup_finite")
-    inf = check_halfspace_support(pot, b=0.7, side="inf_finite")
+    sup, inf = pick(pot, "halfspace_support", Target("im", 0.7),
+                    params=levels(0.7))
+    assert sup.detail["side"] == "sup_finite"
     assert sup.verdict == ABSENT and "= 3" in sup.witness
+    assert inf.detail["side"] == "inf_finite"
     assert inf.verdict == ABSENT and "= -2" in inf.witness
 
 
 def test_halfspace_without_separating_tail_is_inconclusive():
     # Im d = 0 on odd sites forever: at b = 0 the level set is unbounded
     pot = PowerDecayPotential(amplitude=0.4j, exponent=2.0, parity="even")
-    res = check_halfspace_support(pot, b=0.0)
+    [res] = pick(pot, "halfspace_support", params=levels(0.0),
+                 side="sup_finite")
     assert res.verdict == INCONCLUSIVE
 
 
 def test_halfspace_validates_arguments():
     with pytest.raises(ValueError):
-        check_halfspace_support(PAIR_POT, b=0.4, side="left")
-    with pytest.raises(ValueError):
-        check_halfspace_support(PAIR_POT, b=0.4, axis=1)
+        evaluate_all(PAIR_POT, nu=1,
+                     params=CriteriaParams(b_values=(0.4,), axes=(1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +105,17 @@ def test_halfspace_validates_arguments():
 
 
 def test_direction_and_full_decay_certify_for_decaying_im():
-    for check in (check_direction_decay, check_full_decay):
-        res = check(PAIR_POT)
-        assert res.verdict == ABSENT
-        assert res.target == Target("nonreal")
+    for criterion in ("direction_decay", "full_decay"):
+        for res in pick(PAIR_POT, criterion):
+            assert res.verdict == ABSENT
+            assert res.target == Target("nonreal")
+    assert len(pick(PAIR_POT, "direction_decay")) == 2
 
 
 def test_decay_refused_for_constant_imaginary_part():
-    res = check_full_decay(ConstantPotential(0.5j))
+    [res] = pick(ConstantPotential(0.5j), "full_decay")
     assert res.verdict == INCONCLUSIVE
-    res = check_direction_decay(ConstantPotential(0.5j), direction="-")
+    [res] = pick(ConstantPotential(0.5j), "direction_decay", direction="-")
     assert res.verdict == INCONCLUSIVE
 
 
@@ -109,7 +124,7 @@ def test_decay_refused_for_constant_imaginary_part():
 
 
 def test_pair_condition_finds_adjacent_witness():
-    res = check_pair_condition(PAIR_POT, b=0.0)
+    [res] = pick(PAIR_POT, "pair_condition", Target("im", 0.0))
     assert res.verdict == ABSENT
     assert "witness m" in res.witness
     assert "witness_site" in res.detail
@@ -118,12 +133,13 @@ def test_pair_condition_finds_adjacent_witness():
 def test_pair_condition_fails_when_every_pair_is_hit():
     alt = Alternating1DPotential(b_even=0.0, b_odd=1.0)
     for b in (0.0, 1.0):
-        res = check_pair_condition(alt, b=b)
+        [res] = pick(alt, "pair_condition", Target("im", b),
+                     params=levels(0.0, 1.0))
         assert res.verdict == INCONCLUSIVE
 
 
 def test_pair_condition_is_1d_only():
-    res = check_pair_condition(PAIR_POT, b=0.0, nu=2)
+    [res] = pick(PAIR_POT, "pair_condition", Target("im", 0.0), nu=2)
     assert res.verdict == INCONCLUSIVE
     assert "one dimension" in res.witness
 
@@ -133,44 +149,55 @@ def test_pair_condition_is_1d_only():
 
 
 def test_alternating_certifies_distinct_two_value_pattern():
-    res = check_alternating(Alternating1DPotential(b_even=0.0, b_odd=1.0))
+    [res] = pick(Alternating1DPotential(b_even=0.0, b_odd=1.0), "alternating")
     assert res.verdict == ABSENT
     assert res.target == Target("all")
 
 
 def test_alternating_refuses_constant_pattern_and_other_kinds():
-    res = check_alternating(Alternating1DPotential(b_even=0.5, b_odd=0.5))
+    [res] = pick(Alternating1DPotential(b_even=0.5, b_odd=0.5), "alternating")
     assert res.verdict == INCONCLUSIVE
-    res = check_alternating(PAIR_POT)
+    [res] = pick(PAIR_POT, "alternating")
     assert res.verdict == INCONCLUSIVE
+
+
+def real_window(pot, a):
+    [res] = pick(pot, "real_window", Target("re", a),
+                 params=CriteriaParams(a_values=(a,)))
+    return res
 
 
 def test_real_window_excludes_levels_outside_the_band():
-    res = check_real_window(PAIR_POT, a=-3.0)
+    res = real_window(PAIR_POT, -3.0)
     assert res.verdict == ABSENT
     assert res.target == Target("re", -3.0)
 
 
 def test_real_window_refusals():
-    assert check_real_window(PAIR_POT, a=1.5).verdict == INCONCLUSIVE
-    assert check_real_window(ConstantPotential(0.5), a=-3.0).verdict == INCONCLUSIVE
+    assert real_window(PAIR_POT, 1.5).verdict == INCONCLUSIVE
+    assert real_window(ConstantPotential(0.5), -3.0).verdict == INCONCLUSIVE
     # real finite table: no way to miss every level infinitely often
-    assert check_real_window(TablePotential({(0,): 1.0}),
-                             a=-3.0).verdict == INCONCLUSIVE
+    assert real_window(TablePotential({(0,): 1.0}),
+                       -3.0).verdict == INCONCLUSIVE
+
+
+def summability(pot):
+    [res] = pick(pot, "summability", Target("all"))
+    return res
 
 
 def test_summability_needs_parity_gap_and_first_moment():
     good = PowerDecayPotential(amplitude=0.8j, exponent=2.5, parity="even")
-    assert check_summability(good).verdict == ABSENT
+    assert summability(good).verdict == ABSENT
     no_parity = PowerDecayPotential(amplitude=0.8j, exponent=2.5)
-    assert check_summability(no_parity).verdict == INCONCLUSIVE
+    assert summability(no_parity).verdict == INCONCLUSIVE
     heavy_re = PowerDecayPotential(amplitude=0.3 + 0.8j, exponent=1.5,
                                    parity="even")
-    res = check_summability(heavy_re)
+    res = summability(heavy_re)
     assert res.verdict == INCONCLUSIVE
     geometric = GeometricDecayPotential(amplitude=0.2 + 0.9j, ratio=0.5,
                                         parity="odd")
-    assert check_summability(geometric).verdict == ABSENT
+    assert summability(geometric).verdict == ABSENT
 
 
 # ---------------------------------------------------------------------------

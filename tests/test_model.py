@@ -1,7 +1,12 @@
 """Lattice boxes, potential kinds, and operator assembly."""
 
+import itertools
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specrange.exceptions import DimensionLimitError
 from specrange.model import (Alternating1DPotential, ConstantPotential,
@@ -25,8 +30,12 @@ def test_box_enumeration_is_lexicographic():
 def test_box_index_site_bijection():
     box = LatticeBox(2, ((-2, 2), (-1, 3)))
     assert len(box.sites) == box.site_count
-    for i, site in enumerate(box.sites):
-        assert box.site_index(site) == i
+    assert [tuple(s) for s in box.sites] == list(
+        itertools.product(range(-2, 3), range(-1, 4)))
+    # the strides map each site to its index in that order
+    lo = np.array([lo for lo, _ in box.ranges])
+    assert np.array_equal((box.sites - lo) @ np.array(box.strides),
+                          np.arange(box.site_count))
 
 
 def test_box_rejects_empty_axis_and_rank_mismatch():
@@ -61,10 +70,10 @@ def test_assemble_places_potential_on_diagonal():
     box = LatticeBox(1, ((-2, 2),))
     pot = TablePotential({(-1,): 2.0 - 1.0j, (2,): 0.5j})
     op = assemble(box, pot)
-    diag = np.diag(op.matrix)
-    assert diag[box.site_index((-1,))] == 2.0 - 1.0j
-    assert diag[box.site_index((2,))] == 0.5j
-    assert diag[box.site_index((0,))] == 0.0
+    diag = dict(zip(map(tuple, box.sites.tolist()), np.diag(op.matrix)))
+    assert diag[(-1,)] == 2.0 - 1.0j
+    assert diag[(2,)] == 0.5j
+    assert diag[(0,)] == 0.0
     assert op.box is box
 
 
@@ -154,6 +163,46 @@ def test_table_accepts_mapping_and_pairs():
     assert list(t1.values(ns)) == [0.0, 1.0j, -2.0]
     assert t1.tail_info().radius == 3
     assert t1.tail_info().base == 0.0
+
+
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+COORD = st.one_of(st.integers(-3, 3), st.integers(INT64_MIN, INT64_MAX),
+                  st.sampled_from([INT64_MIN, INT64_MAX, 2 ** 63, -2 ** 63 - 1,
+                                   2 ** 70]))
+FAR_13 = tuple((-1) ** j * (2 ** 62 - j) for j in range(13))
+
+
+@st.composite
+def table_and_sites(draw):
+    """A table and int64 query sites: its entries that fit int64, their
+    neighbours along the first axis, and arbitrary sites."""
+    nu = draw(st.integers(1, 13))
+    entries = draw(st.dictionaries(st.tuples(*[COORD] * nu),
+                                   st.complex_numbers(), max_size=6))
+    sites = [s for s in entries if all(INT64_MIN <= c <= INT64_MAX for c in s)]
+    sites += [(s[0] + step,) + s[1:] for s in sites for step in (-1, 1)
+              if INT64_MIN <= s[0] + step <= INT64_MAX]
+    anywhere = st.integers(INT64_MIN, INT64_MAX)
+    sites += draw(st.lists(st.tuples(*[anywhere] * nu), max_size=4))
+    return entries, np.array(sites, dtype=np.int64).reshape(len(sites), nu)
+
+
+@settings(deadline=None)
+@given(table_and_sites())
+@example(({(2 ** 70,): 1j, (0,): 2.0}, sites_1d(0, 1, INT64_MAX)))
+@example(({}, sites_1d(-1, 0, 1)))
+@example(({FAR_13: 1j, tuple(-c for c in FAR_13): -2.0, (0,) * 13: 3.0},
+          np.array([FAR_13, [-c for c in FAR_13], [0] * 13, [1] * 13],
+                   dtype=np.int64)))
+def test_table_values_match_a_dict_lookup_bit_for_bit(case):
+    entries, sites = case
+    pot = TablePotential(entries)
+    table = dict(pot.entries)
+    ref = np.array([table.get(tuple(s), 0.0) for s in sites.tolist()],
+                   dtype=np.complex128)
+    got = pot.values(sites)
+    assert got.dtype == np.complex128
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_constant_tail_base_is_the_constant():
@@ -249,6 +298,18 @@ def test_seeded_random_gives_every_site_its_own_value():
     assert pot.value((-1, -2)) == 0.440810207525979 + 0.6152236166583348j
 
 
+@pytest.mark.parametrize("bound", [1e308, sys.float_info.max])
+def test_seeded_draws_stay_finite_when_the_range_width_overflows(bound):
+    # hi - lo is infinite here; the draws must still lie in [lo, hi]
+    box = LatticeBox(2, ((-3, 3), (-2, 2)))
+    pot = SeededRandomPotential(11, box, (-bound, bound), (-bound, bound))
+    vals = pot.values(box.sites)
+    for part in (vals.real, vals.imag):
+        assert np.all(np.isfinite(part))
+        assert np.all((-bound <= part) & (part <= bound))
+    assert len(set(vals.tolist())) == box.site_count
+
+
 def grid(*axes):
     """All integer sites of the product of the given coordinate ranges."""
     mesh = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in axes],
@@ -333,6 +394,10 @@ def test_package_exports_resolve_and_omit_deleted_names():
                  "ContinuationResult", "unique_continuation_check",
                  "trace_from_vector", "imag_potential_from_support",
                  "combined_potential", "contractive_ratio",
-                 "designed_potential"):
+                 "designed_potential", "check_level_set_empty",
+                 "check_halfspace_support", "check_direction_decay",
+                 "check_full_decay", "check_pair_condition",
+                 "check_alternating", "check_real_window",
+                 "check_summability"):
         assert name not in specrange.__all__
         assert not hasattr(specrange, name), name

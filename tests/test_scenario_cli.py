@@ -888,6 +888,11 @@ def huge_table(site, value):
     # (exit 3) and the residuals came out NaN
     pytest.param([[0, 0]], huge_table([0], 5e-324), ANALYSIS, 0,
                  id="table_5e-324"),
+    # numpy's complex product warned of an overflow on stderr, although the
+    # values it gave were finite
+    pytest.param([[-3, 3]], {"kind": "decay_geometric", "params": {
+        "amplitude": [1.7976931348623157e308, 1.7976931348623157e308],
+        "ratio": 0.5}}, ANALYSIS, 3, id="geometric_1.8e308"),
 ])
 def test_entries_near_the_float_limit_run_or_exit_three(
         tmp_path, box, potential, analysis, code):
