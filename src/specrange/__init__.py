@@ -13,9 +13,7 @@ scenario files with deterministic reports.
 __version__ = "0.1.0"
 
 from .classify import (EigenClassification, NormalityVerdict, SplitVerdict,
-                       box_limited, certify, classify,
-                       hildebrandt_certificate, split_certificate,
-                       support_extent)
+                       classify, hildebrandt_certificate, split_certificate)
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .construct import (CounterexampleBuild, DesignedEigenfunction,
                         build_counterexample, contractive_tail_ratio,
@@ -26,9 +24,8 @@ from .criteria import (CriteriaParams, CriteriaReport, CriterionResult,
 from .exceptions import (BandRegimeError, BlowupError, CertificationError,
                          DecayCertificateError, DesignError,
                          DimensionLimitError, EigenSolverError,
-                         EmptySupportError, HullDomainError,
-                         NotHermitianError, ProvenanceError, SchemaError,
-                         SpecrangeError)
+                         HullDomainError, NotHermitianError, ProvenanceError,
+                         SchemaError, SpecrangeError)
 from .linalg import EigenPair, eig_general, eig_hermitian
 from .model import (Alternating1DPotential, ConstantPotential, DecayBound,
                     GeometricDecayPotential, LatticeBox, LatticeOperator,
@@ -44,9 +41,8 @@ from .scenario import (Scenario, dumps_canonical, encode_potential,
 
 __all__ = [
     "__version__",
-    "EigenClassification", "NormalityVerdict", "SplitVerdict",
-    "box_limited", "certify", "classify", "hildebrandt_certificate",
-    "split_certificate", "support_extent",
+    "EigenClassification", "NormalityVerdict", "SplitVerdict", "classify",
+    "hildebrandt_certificate", "split_certificate",
     "DEFAULT_TOLERANCES", "Tolerances",
     "CounterexampleBuild", "DesignedEigenfunction", "build_counterexample",
     "contractive_tail_ratio", "design_eigenfunction",
@@ -55,7 +51,7 @@ __all__ = [
     "evaluate_all",
     "BandRegimeError", "BlowupError", "CertificationError",
     "DecayCertificateError", "DesignError", "DimensionLimitError",
-    "EigenSolverError", "EmptySupportError", "HullDomainError",
+    "EigenSolverError", "HullDomainError",
     "NotHermitianError", "ProvenanceError", "SchemaError", "SpecrangeError",
     "EigenPair", "eig_general", "eig_hermitian",
     "Alternating1DPotential", "ConstantPotential", "DecayBound",

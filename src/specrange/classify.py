@@ -1,7 +1,7 @@
 """Boundary-eigenvalue classification and certification.
 
-Each eigenpair is scored against the sampled numerical-range hull and
-against two independent certificates:
+`classify` decides what each eigenpair's record says, once: its distance to
+the sampled numerical-range hull, and two independent certificates.
 
   normality:    a boundary eigenvalue of any operator forces the eigenvector
                 into the kernel of the adjoint pencil, so
@@ -24,16 +24,15 @@ of a truncation artifact rather than a genuine boundary eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .config import Tolerances, DEFAULT_TOLERANCES
-from .exceptions import (EigenSolverError, EmptySupportError,
-                         ProvenanceError)
+from .exceptions import EigenSolverError, ProvenanceError
 from .linalg import EigenPair, eig_general, residual_blocks
-from .model import LatticeBox, Operator
+from .model import Operator
 from .numrange import NumericalRangeHull
 
 
@@ -51,6 +50,18 @@ class SplitVerdict(str, Enum):
 
 @dataclass(frozen=True)
 class EigenClassification:
+    """What classify decided about one eigenpair.
+
+    support_extent is the (min, max) coordinate of the thresholded support
+    on each axis; box_limited is true when that support is strictly
+    interior to the box on every axis.  Genuine eigenfunctions of the
+    infinite operator reach arbitrarily far in every coordinate direction,
+    so an interior extent flags the vector as shaped by the truncation (or
+    by thresholding of fast-decaying tails).  Both are None for an empty
+    support; they and split are None without a box (an explicit matrix).
+    classify sets the last four fields (`_decided`).
+    """
+
     pair: EigenPair
     boundary_distance: float
     is_boundary: bool
@@ -58,16 +69,28 @@ class EigenClassification:
     split_residual_re: float
     split_residual_im: float
     support_indices: np.ndarray
-    box: LatticeBox | None
+    support_extent: tuple[tuple[int, int], ...] | None = None
+    box_limited: bool | None = None
+    normality: NormalityVerdict | None = None
+    split: SplitVerdict | None = None
+
+    @property
+    def certified(self) -> bool:
+        """Boundary, certified normal and certified split."""
+        return (self.is_boundary
+                and self.normality is NormalityVerdict.CERTIFIED_NORMAL
+                and self.split is SplitVerdict.CERTIFIED)
 
 
 def classify(op: Operator, hull: NumericalRangeHull,
              tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenClassification]:
-    """One record per eig_general pair, in the same (Re, Im) order.
+    """One record per eig_general pair, in the same (Re, Im) order, with
+    both certificates decided.
 
     The hull must have been computed from the same operator; the sampled
     minimum margin is the boundary distance (see numrange module notes on
-    its direction of error).
+    its direction of error).  Never raises ProvenanceError: without a box
+    the split verdict is None.
     """
     frob = op.frobenius
     if not np.isfinite(frob):
@@ -103,9 +126,27 @@ def classify(op: Operator, hull: NumericalRangeHull,
                 split_residual_re=float(split_re[j]),
                 split_residual_im=float(split_im[j]),
                 support_indices=np.flatnonzero(absf[j] > thresh[j]),
-                box=op.box,
             ))
-    return out
+    # a pass of its own, so that its temporaries do not alternate on the
+    # heap with the support arrays the records keep: alternating, they left
+    # holes that raised the peak RSS of runs on 24 x 24 boxes by up to 5 MB
+    return [_decided(op, rec, tol) for rec in out]
+
+
+def _decided(op: Operator, rec: EigenClassification,
+             tol: Tolerances) -> EigenClassification:
+    """rec with its certificate verdicts, support extent and box flag."""
+    box = op.box
+    extent = limited = None
+    if box is not None and len(rec.support_indices):
+        coords = box.sites[rec.support_indices]
+        extent = tuple((int(x.min()), int(x.max())) for x in coords.T)
+        limited = all(blo < lo and hi < bhi
+                      for (lo, hi), (blo, bhi) in zip(extent, box.ranges))
+    return replace(
+        rec, support_extent=extent, box_limited=limited,
+        normality=hildebrandt_certificate(op, rec, tol),
+        split=None if box is None else split_certificate(op, rec, tol))
 
 
 def hildebrandt_certificate(op: Operator, cls: EigenClassification,
@@ -149,49 +190,3 @@ def split_certificate(op: Operator, cls: EigenClassification,
         if float(np.abs(imvals - cls.pair.value.imag).max()) > bound:
             return SplitVerdict.VIOLATED
     return SplitVerdict.CERTIFIED
-
-
-def certify(op: Operator, cls: EigenClassification,
-            tol: Tolerances = DEFAULT_TOLERANCES,
-            ) -> tuple[NormalityVerdict, SplitVerdict, bool]:
-    """Both certificates of one record, and whether together they certify a
-    boundary eigenvalue (boundary, certified normal and certified split)."""
-    normality = hildebrandt_certificate(op, cls, tol=tol)
-    split = split_certificate(op, cls, tol=tol)
-    return normality, split, (
-        cls.is_boundary and normality is NormalityVerdict.CERTIFIED_NORMAL
-        and split is SplitVerdict.CERTIFIED)
-
-
-def support_extent(cls: EigenClassification, axis: int) -> tuple[int, int]:
-    """Min and max coordinate of the thresholded support along one axis."""
-    if len(cls.support_indices) == 0:
-        raise EmptySupportError(
-            "support set is empty at the configured threshold",
-            where="boundary_classifier.support_extent",
-        )
-    if cls.box is None:
-        raise ProvenanceError(
-            "support extent needs assembly provenance",
-            where="boundary_classifier.support_extent",
-        )
-    if not 0 <= axis < cls.box.nu:
-        raise ValueError(f"axis {axis} out of range for nu={cls.box.nu}")
-    coords = cls.box.sites[cls.support_indices, axis]
-    return int(coords.min()), int(coords.max())
-
-
-def box_limited(cls: EigenClassification) -> bool:
-    """True when the thresholded support is strictly interior to the box on
-    every axis.  Genuine eigenfunctions of the infinite operator have support
-    reaching arbitrarily far in every coordinate direction, so an interior
-    extent flags the vector as shaped by the truncation (or by thresholding
-    of fast-decaying tails); reported to aid artifact triage."""
-    if cls.box is None or len(cls.support_indices) == 0:
-        return False
-    for axis in range(cls.box.nu):
-        lo, hi = support_extent(cls, axis)
-        blo, bhi = cls.box.ranges[axis]
-        if lo <= blo or hi >= bhi:
-            return False
-    return True

@@ -10,9 +10,11 @@ assembles, sweeps the hull and classifies the eigenpairs, each at most
 once, and `build_report` writes the result up.  The spectrum is the
 classify records' pairs when classify runs.  `sweep` analyses each grid
 point with classify alone; `construct` reports the operator, hull and
-records that `build_counterexample` computed.  The report's
-certified_boundary_count, the sweep's certified_flags and the construct
-certificate all use `classify.certify`.
+records that `build_counterexample` computed.  Every output reads what a
+classify record decided and decides nothing again: the report copies the
+record fields, certified_boundary_count and the sweep's certified_flags
+count the records whose `certified` is true, and the construct
+certificate is the designed record's verdicts.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .classify import (EigenClassification, box_limited, certify, classify,
-                       support_extent)
+from .classify import EigenClassification, classify
 from .config import (DEFAULT_MAX_DIM, DEFAULT_N_ANGLES, DEFAULT_TOLERANCES,
-                     MAX_DIM_ENV, Tolerances)
+                     MAX_DIM_ENV, MAX_SWEEP_STEPS, Tolerances)
 from .construct import build_counterexample
 from .criteria import CriteriaParams, evaluate_all
-from .exceptions import (CertificationError, DesignError, EmptySupportError,
-                         SchemaError, SpecrangeError)
+from .exceptions import (CertificationError, DesignError, SchemaError,
+                         SpecrangeError)
 from .linalg import EigenPair, eig_general
 from .model import (Operator, PotentialSpec, SeededRandomPotential,
                     SumPotential, assemble)
@@ -181,36 +182,24 @@ def _hull_json(hull: NumericalRangeHull) -> dict:
 
 def _classify_json(op: Operator, records: list[EigenClassification],
                    tol: Tolerances) -> dict:
-    out = []
-    certified = 0
-    nu = op.box.nu if op.box is not None else 1
-    for cls in records:
-        normality, split, ok = certify(op, cls, tol)
-        certified += ok
-        try:
-            extent = [list(support_extent(cls, j)) for j in range(nu)]
-            limited = box_limited(cls)
-        except EmptySupportError:
-            extent = None
-            limited = None
-        out.append({
-            "value": [cls.pair.value.real, cls.pair.value.imag],
-            "residual": cls.pair.residual,
-            "boundary_distance": cls.boundary_distance,
-            "is_boundary": cls.is_boundary,
-            "normality_residual": cls.normality_residual,
-            "normality": normality.value,
-            "split_residual_re": cls.split_residual_re,
-            "split_residual_im": cls.split_residual_im,
-            "split": split.value,
-            "support_size": int(len(cls.support_indices)),
-            "support_extent": extent,
-            "box_limited": limited,
-        })
+    out = [{
+        "value": [cls.pair.value.real, cls.pair.value.imag],
+        "residual": cls.pair.residual,
+        "boundary_distance": cls.boundary_distance,
+        "is_boundary": cls.is_boundary,
+        "normality_residual": cls.normality_residual,
+        "normality": cls.normality.value,
+        "split_residual_re": cls.split_residual_re,
+        "split_residual_im": cls.split_residual_im,
+        "split": cls.split.value,
+        "support_size": int(len(cls.support_indices)),
+        "support_extent": cls.support_extent,
+        "box_limited": cls.box_limited,
+    } for cls in records]
     return {
         "tol_boundary": tol.boundary(op.frobenius),
         "tol_cert": tol.cert(op.frobenius),
-        "certified_boundary_count": certified,
+        "certified_boundary_count": sum(cls.certified for cls in records),
         "records": out,
     }
 
@@ -369,9 +358,9 @@ def _cmd_sweep(args) -> int:
     sc0 = _apply_flags(load_scenario(args.scenario), args)
     raw = encode_scenario(sc0)
     steps = args.steps
-    if steps < 0:
-        raise SchemaError("--steps must be >= 0", path="--steps",
-                          where="cli.sweep")
+    if not 0 <= steps <= MAX_SWEEP_STEPS:
+        raise SchemaError(f"--steps must be in [0, {MAX_SWEEP_STEPS}], got "
+                          f"{steps}", path="--steps", where="cli.sweep")
     if steps == 0:
         values = []
     elif steps == 1:
@@ -398,8 +387,7 @@ def _cmd_sweep(args) -> int:
             eigs = ";".join(
                 f"{c.pair.value.real!r} {c.pair.value.imag!r}" for c in recs)
             bflags = ";".join("1" if c.is_boundary else "0" for c in recs)
-            cflags = ";".join("1" if certify(an.op, c, an.tol)[2] else "0"
-                              for c in recs)
+            cflags = ";".join("1" if c.certified else "0" for c in recs)
             lines.append(f"{v!r},ok,{len(recs)},{eigs},{bflags},{cflags},")
         except SpecrangeError as exc:
             msg = str(exc).replace("\n", " ").replace(",", ";")

@@ -14,6 +14,9 @@ DEFAULT_N_ANGLES = 720
 # one support solve per angle: 2^16 angles of a 64 x 64 box take about an
 # hour, and the angle arrays stay a few MB
 MAX_N_ANGLES = 2 ** 16
+# sweep: each step runs one full analysis and writes one CSV row, and the
+# parameter values are formed before the first analysis
+MAX_SWEEP_STEPS = 2 ** 16
 
 # one_dim propagation: the active pair is rescaled above this magnitude
 RESCALE_AT = 1e150

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .classify import (EigenClassification, NormalityVerdict, SplitVerdict,
-                       certify, classify)
+                       classify)
 from .config import RATIO_CAP, Tolerances, DEFAULT_TOLERANCES
 from .exceptions import CertificationError, DesignError
 from .model import (ConstantPotential, LatticeBox, Operator, PotentialSpec,
@@ -295,10 +295,9 @@ def build_counterexample(a: float, b: float, zero_sites: list[int],
         problems["eigenvalue_gap"] = gap
     if not best.is_boundary:
         problems["boundary_distance"] = best.boundary_distance
-    normality, split, _ = certify(op, best, tol)
-    if normality is not NormalityVerdict.CERTIFIED_NORMAL:
+    if best.normality is not NormalityVerdict.CERTIFIED_NORMAL:
         problems["normality_residual"] = best.normality_residual
-    if split is not SplitVerdict.CERTIFIED:
+    if best.split is not SplitVerdict.CERTIFIED:
         problems["split_residual_re"] = best.split_residual_re
         problems["split_residual_im"] = best.split_residual_im
     strip_lo = min(v.imag for v in hull.polygon)

@@ -9,7 +9,8 @@ certificates).
 
 `evaluate_all` is the one entry point.  Its checks are steps over one scan
 per report, which derives the scan radius, reads the potential's tail
-certificate and evaluates Im d on the scan grid once each.
+certificate, evaluates Im d on the scan grid and locates each level b in
+it once each.
 Infinite-lattice quantifiers are decided by that finite scan plus the tail
 certificate; without a certificate the checks stay inconclusive rather
 than trusting any finite window.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,9 +96,18 @@ def _margin(b: float) -> float:
     return NEAR_EQ * max(1.0, abs(b))
 
 
+class _Level(NamedTuple):
+    """Where the level b sits in Im d on the scan grid."""
+
+    nearest_site: np.ndarray  # a grid site of the least |Im d - b|
+    nearest_dist: float
+    hit_sites: np.ndarray  # the sites with |Im d - b| <= _margin(b)
+
+
 class _Scan:
     """What every check of one report reads: the potential and nu, its tail
-    certificate, the scan radius and Im d on the grid of that radius."""
+    certificate, the scan radius, Im d on the grid of that radius and, once
+    per level b, where b sits in it."""
 
     def __init__(self, potential: PotentialSpec, nu: int,
                  scan_radius: int | None):
@@ -117,6 +128,7 @@ class _Scan:
             f"the scan grid of radius {self.radius} in nu = {nu} has {sites} "
             f"sites, over the scan cap of {MAX_SCAN_SITES}")
         self.one_dim_only = f"only available in one dimension (nu = {nu})"
+        self._levels: dict[float, _Level] = {}
 
     def gap(self, b: float) -> float | None:
         """Certified lower bound on |Im d(k) - b| over ||k||_1 > radius, or
@@ -131,6 +143,16 @@ class _Scan:
         """(sites, Im d(sites)) on the grid of _scan_grid(nu, radius)."""
         sites = _scan_grid(self.nu, self.radius)
         return sites, self.potential.values(sites).imag
+
+    def level(self, b: float) -> _Level:
+        """The level b on the grid, computed once for all checks of b."""
+        if b not in self._levels:
+            sites, im = self.grid
+            dist = np.abs(im - b)
+            nearest = int(np.argmin(dist))
+            self._levels[b] = _Level(sites[nearest], float(dist[nearest]),
+                                     sites[dist <= _margin(b)])
+        return self._levels[b]
 
 
 def _level_set_empty(scan: _Scan, b: float) -> CriterionResult:
@@ -148,11 +170,9 @@ def _level_set_empty(scan: _Scan, b: float) -> CriterionResult:
             "scan")
     if scan.over_cap is not None:
         return result(INCONCLUSIVE, scan.over_cap)
-    sites, im = scan.grid
-    dist = np.abs(im - b)
-    hit = int(np.argmin(dist))
-    if dist[hit] <= _margin(b):
-        site = tuple(int(c) for c in sites[hit])
+    level = scan.level(b)
+    if level.nearest_dist <= _margin(b):
+        site = tuple(int(c) for c in level.nearest_site)
         return result(INCONCLUSIVE,
                       f"Im d{site} = b = {b} (level set nonempty)")
     if gap <= _margin(b):
@@ -162,8 +182,8 @@ def _level_set_empty(scan: _Scan, b: float) -> CriterionResult:
             f"certificate cannot separate Im d from b = {b} beyond it")
     return result(
         ABSENT,
-        f"min |Im d(k) - b| = {dist[hit]:.3e} over the scan (radius "
-        f"{radius}); beyond it |Im d - b| >= {gap:.3e} by the tail "
+        f"min |Im d(k) - b| = {level.nearest_dist:.3e} over the scan "
+        f"(radius {radius}); beyond it |Im d - b| >= {gap:.3e} by the tail "
         "certificate: the level set is empty")
 
 
@@ -189,16 +209,15 @@ def _halfspace_support(scan: _Scan, b: float, axis: int,
             "the level set may extend to infinity on both sides")
     if scan.over_cap is not None:
         return result(INCONCLUSIVE, scan.over_cap)
-    sites, im = scan.grid
-    hits = np.abs(im - b) <= _margin(b)
+    hit_sites = scan.level(b).hit_sites
     word = "sup" if side == "sup_finite" else "inf"
-    if not hits.any():
+    if not len(hit_sites):
         extent = "-infinity" if side == "sup_finite" else "+infinity"
         return result(
             ABSENT,
             f"level set is empty ({word} over the empty set = {extent}); "
             f"excluded beyond scan radius {radius} by the tail certificate")
-    coords = sites[hits, axis]
+    coords = hit_sites[:, axis]
     bound = int(coords.max() if side == "sup_finite" else coords.min())
     return result(
         ABSENT,

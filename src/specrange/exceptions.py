@@ -46,10 +46,6 @@ class ProvenanceError(SpecrangeError):
     pass
 
 
-class EmptySupportError(SpecrangeError):
-    pass
-
-
 class BlowupError(SpecrangeError):
     """Propagation met a non-finite value (the rescaled recurrence left the
     float64 range); carries the site."""

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from specrange.classify import (EigenClassification, NormalityVerdict,
-                                SplitVerdict, box_limited, classify,
-                                hildebrandt_certificate, split_certificate,
-                                support_extent)
+                                SplitVerdict, classify,
+                                hildebrandt_certificate, split_certificate)
 from specrange.config import DEFAULT_TOLERANCES
 from specrange.exceptions import ProvenanceError
 from specrange.linalg import RESIDUAL_BLOCK, eig_general
@@ -66,7 +65,9 @@ def test_boundary_needs_small_normality_residual_to_certify():
 
 
 def test_split_certificate_needs_provenance():
+    # classify itself never raises for a missing box: it leaves split None
     op, records = classify_matrix(np.diag([1.0, -1.0]))
+    assert all(r.split is None for r in records)
     with pytest.raises(ProvenanceError):
         split_certificate(op, records[0])
 
@@ -95,11 +96,9 @@ def test_support_extent_and_box_limited_for_bound_state():
     records = classify(op, hull, DEFAULT_TOLERANCES)
     rec = min(records, key=lambda r: r.pair.value.real)
     assert rec.pair.value.real == pytest.approx(-math.sqrt(13.0), abs=1e-10)
-    lo, hi = support_extent(rec, 0)
+    ((lo, hi),) = rec.support_extent
     assert -30 < lo < 0 < hi < 30
-    assert box_limited(rec)
-    with pytest.raises(ValueError):
-        support_extent(rec, 1)
+    assert rec.box_limited is True
 
 
 def test_extended_state_touches_the_box_and_is_not_box_limited():
@@ -108,9 +107,8 @@ def test_extended_state_touches_the_box_and_is_not_box_limited():
     hull = compute_hull(op, n_angles=360)
     records = classify(op, hull, DEFAULT_TOLERANCES)
     rec = min(records, key=lambda r: r.pair.value.real)
-    lo, hi = support_extent(rec, 0)
-    assert (lo, hi) == (-15, 15)
-    assert not box_limited(rec)
+    assert rec.support_extent == ((-15, 15),)
+    assert rec.box_limited is False
 
 
 def test_records_align_with_eig_order_and_carry_residuals():
@@ -162,6 +160,24 @@ def test_blocked_classify_matches_per_pair_reference(op):
         assert rec.boundary_distance == dist
         assert rec.is_boundary == (dist <= tol_boundary)
         assert isinstance(rec.normality_residual, float)
+        assert rec.normality is hildebrandt_certificate(op, rec)
+        if op.box is None:
+            assert (rec.split, rec.support_extent, rec.box_limited) == \
+                (None, None, None)
+            continue
+        assert rec.split is split_certificate(op, rec)
+        assert rec.certified == (
+            rec.is_boundary
+            and rec.normality is NormalityVerdict.CERTIFIED_NORMAL
+            and rec.split is SplitVerdict.CERTIFIED)
+        coords = op.box.sites[rec.support_indices]
+        assert rec.support_extent == tuple(
+            (int(lo), int(hi))
+            for lo, hi in zip(coords.min(axis=0), coords.max(axis=0)))
+        assert rec.box_limited == all(
+            blo < lo and hi < bhi
+            for (lo, hi), (blo, bhi) in zip(rec.support_extent,
+                                            op.box.ranges))
 
 
 def test_assembled_diagonal_is_the_potential_sitewise():

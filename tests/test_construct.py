@@ -7,8 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from specrange.classify import NormalityVerdict, SplitVerdict, certify
-from specrange.config import DEFAULT_TOLERANCES
+from specrange.classify import NormalityVerdict, SplitVerdict
 from specrange.construct import (CounterexampleBuild, build_counterexample,
                                  contractive_tail_ratio, design_eigenfunction,
                                  designed_potential,
@@ -157,10 +156,9 @@ def test_build_counterexample_certifies_the_designed_eigenvalue():
     lam = build.classification.pair.value
     assert abs(lam - (-2.5 + 1.0j)) < 1e-9
     assert build.classification.is_boundary
-    normality, split, _ = certify(build.operator, build.classification,
-                                  DEFAULT_TOLERANCES)
-    assert normality is NormalityVerdict.CERTIFIED_NORMAL
-    assert split is SplitVerdict.CERTIFIED
+    assert build.classification.normality is NormalityVerdict.CERTIFIED_NORMAL
+    assert build.classification.split is SplitVerdict.CERTIFIED
+    assert build.classification.certified
     # hull confined to the designed strip
     assert np.asarray(build.hull.vertices()).imag.max() <= 1.0 + 1e-8
     assert np.asarray(build.hull.vertices()).imag.min() >= -1e-8

@@ -398,6 +398,7 @@ def test_package_exports_resolve_and_omit_deleted_names():
                  "check_halfspace_support", "check_direction_decay",
                  "check_full_decay", "check_pair_condition",
                  "check_alternating", "check_real_window",
-                 "check_summability"):
+                 "check_summability", "certify", "support_extent",
+                 "box_limited", "EmptySupportError"):
         assert name not in specrange.__all__
         assert not hasattr(specrange, name), name

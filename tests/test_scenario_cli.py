@@ -288,13 +288,14 @@ def test_run_verb_writes_report_and_csvs(tmp_path):
 
 
 def count_calls(monkeypatch, names=("assemble", "compute_hull",
-                                      "eig_general")):
+                                      "eig_general", "hildebrandt_certificate",
+                                      "split_certificate")):
     """Count calls of the named functions through every specrange module
     namespace that binds them."""
     counts = dict.fromkeys(names, 0)
     originals = {}
     for module in ("specrange.model", "specrange.numrange",
-                   "specrange.linalg"):
+                   "specrange.linalg", "specrange.classify"):
         for name in names:
             if hasattr(sys.modules[module], name):
                 originals[name] = getattr(sys.modules[module], name)
@@ -314,14 +315,16 @@ def count_calls(monkeypatch, names=("assemble", "compute_hull",
     return counts
 
 
-# verb -> (argv, calls of assemble, compute_hull and eig_general)
+# verb -> (argv, calls of assemble, compute_hull and eig_general, classify
+# records); each certificate runs once per record
 COUNTED = {
-    "run_spectrum_only": (["run", "{path}"], (1, 0, 1)),
-    "run": (["run", "{path}"], (1, 1, 1)),
+    "run_spectrum_only": (["run", "{path}"], (1, 0, 1, 0)),
+    "run": (["run", "{path}"], (1, 1, 1, 16)),
     "construct": (["construct", "--a", "-2.5", "--b", "1.0", "--n", "41",
-                   "--angles", "120"], (1, 1, 1)),
+                   "--angles", "120"], (1, 1, 1, 41)),
     "sweep": (["sweep", "{path}", "--param", "potential.params.b_odd",
-               "--from", "0.0", "--to", "1.0", "--steps", "3"], (3, 3, 3)),
+               "--from", "0.0", "--to", "1.0", "--steps", "3"],
+              (3, 3, 3, 48)),
 }
 
 
@@ -339,8 +342,9 @@ def test_each_verb_assembles_sweeps_and_eigensolves_once(
     counts = count_calls(monkeypatch)
     argv = [a.format(path=path) for a in argv]
     assert main([*argv, "--out-dir", str(out)]) == 0
-    assert (counts["assemble"], counts["compute_hull"],
-            counts["eig_general"]) == per_run
+    assert (counts["assemble"], counts["compute_hull"], counts["eig_general"],
+            counts["hildebrandt_certificate"]) == per_run
+    assert counts["split_certificate"] == per_run[-1]
     if verb.startswith("run"):
         report = json.loads((out / "counted.report.json").read_text())
         assert report["results"]["spectrum"]["count"] == 16
@@ -777,6 +781,24 @@ def test_sweep_verb_emits_csv_rows(tmp_path):
         assert cells[6] == ""
     assert lines[1].startswith("0.0,")
     assert lines[3].startswith("1.0,")
+
+
+@pytest.mark.parametrize("steps", ["-1", "65537"])
+def test_sweep_steps_outside_their_range_exit_two_before_any_analysis(
+        tmp_path, monkeypatch, capsys, steps):
+    # the cap itself would start 2**16 analyses, so only values past it run
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyse ran")
+
+    monkeypatch.setattr("specrange.cli.analyse", refuse)
+    path = write_scenario(tmp_path, small_run_doc())
+    out = tmp_path / "out"
+    assert main(["sweep", path, "--param",
+                 "potential.params.entries.0.value.1",
+                 "--from", "0", "--to", "1", "--steps", steps,
+                 "--out-dir", str(out)]) == 2
+    assert "at --steps:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_bad_path_is_reported_per_row(tmp_path):
