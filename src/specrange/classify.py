@@ -178,7 +178,7 @@ def split_certificate(op: Operator, cls: EigenClassification,
     if op.box is None:
         raise ProvenanceError(
             "split certificate needs assembly provenance (a lattice box)",
-            where="boundary_classifier.split_certificate",
+            where="classify.split_certificate",
         )
     if not cls.is_boundary:
         return SplitVerdict.NOT_APPLICABLE

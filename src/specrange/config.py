@@ -18,7 +18,7 @@ MAX_N_ANGLES = 2 ** 16
 # parameter values are formed before the first analysis
 MAX_SWEEP_STEPS = 2 ** 16
 
-# one_dim propagation: the active pair is rescaled above this magnitude
+# onedim propagation: the active pair is rescaled above this magnitude
 RESCALE_AT = 1e150
 
 # construct: cap on |(u(n-1)+u(n+1))/u(n)| before the induced potential

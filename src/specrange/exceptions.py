@@ -8,7 +8,6 @@ class SpecrangeError(Exception):
 
     def __init__(self, message: str, *, where: str = ""):
         self.where = where
-        self.bare_message = message
         super().__init__(f"[{where}] {message}" if where else message)
 
 

@@ -123,19 +123,16 @@ def _dev(form: str, amplitude: float, rate: float) -> tuple[DecayBound, ...]:
 
 @dataclass(frozen=True)
 class TailInfo:
-    """Certified tail model: for ||k||_1 > radius, d(k) = base + dev(k)
-    with |Re dev| and |Im dev| below the respective envelopes.  Empty
-    envelope tuples mean the tail is exact (d == base outside the radius).
+    """Certified tail model, the one statement of a kind's decay: for
+    ||k||_1 > radius, d(k) = base + dev(k) with |Re dev| and |Im dev| below
+    the respective envelopes.  `re_dev` is what makes `base.real` the limit
+    of Re d, which `re_decays_to_zero` and the shooting test rely on.
     """
 
     radius: int
     base: complex
     re_dev: tuple[DecayBound, ...] = ()
     im_dev: tuple[DecayBound, ...] = ()
-
-    @property
-    def exact(self) -> bool:
-        return not self.re_dev and not self.im_dev
 
     def im_sup_beyond(self, s: float) -> float:
         return sum(b.at(s) for b in self.im_dev)
@@ -879,7 +876,7 @@ def check_dimension(box: LatticeBox, max_dim: int | None = None) -> None:
         raise DimensionLimitError(
             f"box has {n} sites, exceeding the dimension cap {limit}; "
             f"raise max_dim explicitly to proceed",
-            where="core_model.assemble",
+            where="model.check_dimension",
         )
 
 

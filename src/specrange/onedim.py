@@ -147,7 +147,7 @@ def propagate(potential: PotentialSpec, lam: complex,
         raise BlowupError(
             f"non-finite value at site {site}: the recurrence left the "
             "float64 range (a potential entry or lambda near the float limit)",
-            site=site, where="one_dim.propagate")
+            site=site, where="onedim.propagate")
 
     return SolutionTrace(n_lo=n_lo, n_hi=n_hi,
                          values=np.concatenate((vals_b[:1:-1], vals_f)),
@@ -191,7 +191,7 @@ def shooting_l2_test(potential: PotentialSpec, lam: complex, window: int,
         raise DecayCertificateError(
             "shooting needs a potential certified to decay to zero "
             "(tail base 0); the declared kind does not certify that",
-            where="one_dim.shooting_l2_test",
+            where="onedim.shooting_l2_test",
         )
     lam = complex(lam)
     r = contractive_ratio(lam)
@@ -199,13 +199,13 @@ def shooting_l2_test(potential: PotentialSpec, lam: complex, window: int,
         raise SpecrangeError(
             f"lambda = {lam}: its decaying ratio r (r + 1/r = lambda) is not "
             "representable: the ratio's lambda^2 leaves the float64 range",
-            where="one_dim.shooting_l2_test",
+            where="onedim.shooting_l2_test",
         )
     if abs(r) >= 1.0 - BAND_EDGE_MARGIN:
         raise BandRegimeError(
             "band regime - shooting inapplicable: lambda lies in the "
             "essential band [-2, 2] where no decaying direction exists",
-            where="one_dim.shooting_l2_test",
+            where="onedim.shooting_l2_test",
         )
     n = int(window)
     if n < 2:
@@ -222,7 +222,7 @@ def shooting_l2_test(potential: PotentialSpec, lam: complex, window: int,
     mm = math.hypot(abs(um0), abs(um1))
     if mp == 0.0 or mm == 0.0:
         raise BlowupError("propagated branch vanished identically",
-                          site=0, where="one_dim.shooting_l2_test")
+                          site=0, where="onedim.shooting_l2_test")
     mismatch = abs(w) / (mp * mm)
     return ShootingResult(compatible=mismatch <= tol.match,
                           mismatch=mismatch, lam=lam, contractive_ratio=r)

@@ -6,7 +6,9 @@ JSON path (e.g. "$.potential.params.entries[3].site").  The potential
 kinds are declared once, by the model's dataclasses: `KINDS` maps each
 kind to its class, a kind's `params` are exactly the class's init fields
 (required unless they have a default), and each field goes through one
-reader and one writer keyed by its name.  Serialization inverts parsing
+reader and one writer keyed by its name.  A potential is a kind and its
+params only: its decay is the kind's own tail certificate, which the
+criteria read, so a document declares none.  Serialization inverts parsing
 losslessly, and `dumps_canonical` fixes the byte-level format
 (sorted keys, two-space indent, shortest round-trip floats) so identical
 inputs yield byte-identical reports.
@@ -218,7 +220,7 @@ _WRITE = {
 
 
 def parse_potential(data, path: str = "$.potential") -> PotentialSpec:
-    obj = _object(data, path, required=("kind",), optional=("params", "decay"))
+    obj = _object(data, path, required=("kind",), optional=("params",))
     kind = _string(obj["kind"], f"{path}.kind")
     cls = KINDS.get(kind)
     if cls is None:
@@ -229,41 +231,42 @@ def parse_potential(data, path: str = "$.potential") -> PotentialSpec:
     kwargs = {k: _READ[k](p[k], f"{ppath}.{k}")
               for k in required + optional if k in p}
     try:
-        spec = cls(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         raise _fail(ppath, str(exc))
-    if "decay" in obj:
-        check_decay(obj["decay"], spec, f"{path}.decay")
-    return spec
 
 
-def check_site_dim(spec: PotentialSpec, nu: int,
-                   path: str = "$.potential") -> None:
-    """Fail at the offending part of the potential unless every kind in it,
-    sum terms included, is declared on the box's dimension nu."""
+def _parts(spec: PotentialSpec, path: str = "$.potential"):
+    """(part, path) for the potential itself, or for every term of a sum
+    at any depth, with the part's path in the document."""
     if isinstance(spec, SumPotential):
         for i, term in enumerate(spec.terms):
-            check_site_dim(term, nu, f"{path}.params.terms[{i}]")
-    elif spec.site_dim not in (None, nu):
-        where = {"table": ".params.entries",
-                 "seeded_random": ".params.box.nu"}.get(spec.kind, ".kind")
-        raise _fail(path + where, f"{spec.kind!r} is declared on nu = "
-                                  f"{spec.site_dim}, the box has nu = {nu}")
+            yield from _parts(term, f"{path}.params.terms[{i}]")
+    else:
+        yield spec, path
 
 
-def check_carrier_size(spec: PotentialSpec, max_dim: int,
-                       path: str = "$.potential") -> None:
+def check_site_dim(spec: PotentialSpec, nu: int) -> None:
+    """Fail at the offending part of the potential unless every kind in it,
+    sum terms included, is declared on the box's dimension nu."""
+    for part, path in _parts(spec):
+        if part.site_dim not in (None, nu):
+            where = {"table": ".params.entries",
+                     "seeded_random": ".params.box.nu"}.get(part.kind, ".kind")
+            raise _fail(path + where, f"{part.kind!r} is declared on nu = "
+                                      f"{part.site_dim}, the box has nu = {nu}")
+
+
+def check_carrier_size(spec: PotentialSpec, max_dim: int) -> None:
     """Fail at any seeded_random carrier box, sum terms included, with more
     sites than the dimension cap max_dim: the carrier's values are drawn
     site by site on first use, whatever the size of the box analysed."""
-    if isinstance(spec, SumPotential):
-        for i, term in enumerate(spec.terms):
-            check_carrier_size(term, max_dim, f"{path}.params.terms[{i}]")
-    elif (isinstance(spec, SeededRandomPotential)
-          and spec.box.site_count > max_dim):
-        raise _fail(f"{path}.params.box",
-                    f"the carrier box has {spec.box.site_count} sites, "
-                    f"exceeding the dimension cap {max_dim}")
+    for part, path in _parts(spec):
+        if (isinstance(part, SeededRandomPotential)
+                and part.box.site_count > max_dim):
+            raise _fail(f"{path}.params.box",
+                        f"the carrier box has {part.box.site_count} sites, "
+                        f"exceeding the dimension cap {max_dim}")
 
 
 def encode_potential(spec: PotentialSpec) -> dict:
@@ -274,58 +277,6 @@ def encode_potential(spec: PotentialSpec) -> dict:
     return {"kind": spec.kind,
             "params": {k: _WRITE.get(k, lambda v: v)(v)
                        for k, v in values.items() if v is not None}}
-
-
-def check_decay(data, spec: PotentialSpec, path: str) -> None:
-    """Check a `decay` declaration against what the kind itself certifies.
-
-    "vanishes_outside_radius": d == 0 outside ||k||_1 <= radius.
-    "monotone_bound": |d(k)| bounded by the (form, amplitude, rate)
-    envelope.  The kind's own tail certificate is always at least as sharp,
-    so the declaration is validated and then dropped.
-    """
-    obj = _object(data, path, required=(),
-                  optional=("vanishes_outside_radius", "monotone_bound"))
-    if ("vanishes_outside_radius" in obj) == ("monotone_bound" in obj):
-        raise _fail(path, "expected exactly one of 'vanishes_outside_radius' "
-                          "or 'monotone_bound'")
-    if "vanishes_outside_radius" in obj:
-        rpath = f"{path}.vanishes_outside_radius"
-        radius = _int(obj["vanishes_outside_radius"], rpath)
-        if radius < 0:
-            raise _fail(rpath, "radius must be >= 0")
-        tail = spec.tail_info()
-        if tail is None or not tail.exact or tail.base != 0:
-            raise _fail(path, f"kind {spec.kind!r} does not vanish "
-                              "outside a finite radius")
-        if radius < tail.radius:
-            raise _fail(rpath, f"declared radius {radius} is smaller than the "
-                               f"kind's support radius {tail.radius}")
-        return
-    mb_path = f"{path}.monotone_bound"
-    mb = _object(obj["monotone_bound"], mb_path,
-                 required=("form", "amplitude", "rate"))
-    form = _string(mb["form"], f"{mb_path}.form")
-    if form not in ("power", "geometric"):
-        raise _fail(f"{mb_path}.form", "form must be 'power' or 'geometric'")
-    amplitude = check_real(mb["amplitude"], f"{mb_path}.amplitude")
-    rate = check_real(mb["rate"], f"{mb_path}.rate")
-    if spec.kind not in ("decay_power", "decay_geometric"):
-        raise _fail(path, f"monotone_bound declarations apply to decaying "
-                          f"kinds, not {spec.kind!r}")
-    natural = "power" if spec.kind == "decay_power" else "geometric"
-    if form != natural:
-        raise _fail(f"{mb_path}.form",
-                    f"kind {spec.kind!r} has a {natural!r} envelope")
-    amp = abs(spec.amplitude)
-    if amplitude < amp:
-        raise _fail(f"{mb_path}.amplitude",
-                    f"declared amplitude {amplitude} does not dominate "
-                    f"the kind's amplitude {amp}")
-    if (rate > spec.exponent if natural == "power"
-            else rate < abs(spec.ratio)):
-        raise _fail(f"{mb_path}.rate",
-                    "declared envelope decays faster than the kind certifies")
 
 
 # ---------------------------------------------------------------------------

@@ -330,8 +330,7 @@ def test_scan_over_the_cap_is_inconclusive_and_builds_no_grid(
     doc = {"name": "cap", "box": {"nu": nu, "ranges": [[0, 0]] * nu},
            "potential": {"kind": "table",
                          "params": {"entries": [{"site": [0] * nu,
-                                                 "value": [0.0, 1.0]}]},
-                         "decay": {"vanishes_outside_radius": 0}},
+                                                 "value": [0.0, 1.0]}]}},
            "analysis": ["spectrum", "numrange", "classify", "criteria"],
            "params": {"criteria": {"b_values": [0.5]}}}
     scans = [e for e in criteria_entries(tmp_path, verb, doc)

@@ -1,17 +1,21 @@
 """Scenario schema round-trips, validation failures, canonical output, and
 the command-line verbs."""
 
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specrange
 from specrange import scenario
 from specrange.cli import analyse, main
 from specrange.config import MAX_N_ANGLES
@@ -26,8 +30,7 @@ ANALYSIS = ["spectrum", "numrange", "classify", "criteria"]
 KIND_DOCS = {
     "table": {"kind": "table",
               "params": {"entries": [{"site": [0], "value": [0.0, 0.5]},
-                                     {"site": [2], "value": [-0.3, 0.0]}]},
-              "decay": {"vanishes_outside_radius": 2}},
+                                     {"site": [2], "value": [-0.3, 0.0]}]}},
     "constant": {"kind": "constant", "params": {"c": [0.1, 0.4]}},
     "decay_power": {"kind": "decay_power",
                     "params": {"amplitude": [0.3, 0.4], "exponent": 2.5}},
@@ -45,8 +48,7 @@ KIND_DOCS = {
             "params": {"terms": [
                 {"kind": "constant", "params": {"c": [0.0, 1.0]}},
                 {"kind": "table",
-                 "params": {"entries": [{"site": [0], "value": [0.0, -1.0]}]},
-                 "decay": {"vanishes_outside_radius": 0}}]}},
+                 "params": {"entries": [{"site": [0], "value": [0.0, -1.0]}]}}]}},
 }
 
 
@@ -151,53 +153,6 @@ def test_kind_errors_are_reported_at_the_offending_params():
         with pytest.raises(SchemaError) as e:
             parse_scenario(doc)
         assert e.value.path == path, (kind, params)
-
-
-def test_decay_declarations_checked_against_kind():
-    doc = doc_for("table")
-    doc["potential"]["decay"] = {"vanishes_outside_radius": 1}  # support is 2
-    with pytest.raises(SchemaError):
-        parse_scenario(doc)
-    doc = doc_for("decay_geometric")
-    doc["potential"]["decay"] = {"monotone_bound": {
-        "form": "geometric", "amplitude": 0.5, "rate": 0.7}}
-    parse_scenario(doc)  # slower than the kind: fine
-    doc["potential"]["decay"]["monotone_bound"]["rate"] = 0.3
-    with pytest.raises(SchemaError) as e:
-        parse_scenario(doc)
-    assert "faster" in str(e.value)
-    doc["potential"]["decay"]["monotone_bound"] = {
-        "form": "power", "amplitude": 0.5, "rate": 2.0}
-    with pytest.raises(SchemaError):
-        parse_scenario(doc)
-    for kind, form, rate in (("decay_power", "power", 2.5),
-                             ("decay_geometric", "geometric", 0.6)):
-        doc = doc_for(kind)
-        amp = abs(complex(*doc["potential"]["params"]["amplitude"]))
-        bound = {"form": form, "amplitude": amp, "rate": rate}
-        doc["potential"]["decay"] = {"monotone_bound": bound}
-        parse_scenario(doc)  # the kind's own amplitude dominates
-        bound["amplitude"] = 0.99 * amp
-        with pytest.raises(SchemaError) as e:
-            parse_scenario(doc)
-        assert e.value.path == "$.potential.decay.monotone_bound.amplitude"
-        assert "does not dominate" in str(e.value)
-    doc = doc_for("constant")
-    doc["potential"]["decay"] = {"vanishes_outside_radius": 3}
-    with pytest.raises(SchemaError):
-        parse_scenario(doc)
-
-
-def test_decay_must_declare_exactly_one_style():
-    doc = doc_for("table")
-    doc["potential"]["decay"] = {}
-    with pytest.raises(SchemaError):
-        parse_scenario(doc)
-    doc["potential"]["decay"] = {
-        "vanishes_outside_radius": 2,
-        "monotone_bound": {"form": "power", "amplitude": 1.0, "rate": 2.0}}
-    with pytest.raises(SchemaError):
-        parse_scenario(doc)
 
 
 def test_tolerance_keys_are_validated():
@@ -483,6 +438,30 @@ def test_site_dimension_mismatch_exits_two_with_its_path(
     assert not out.exists()
 
 
+DECAY = {"vanishes_outside_radius": 2}
+
+
+@pytest.mark.parametrize("potential,where", [
+    (dict(KIND_DOCS["table"], decay=DECAY), "$.potential.decay"),
+    ({"kind": "sum", "params": {"terms": [
+        KIND_DOCS["constant"], dict(KIND_DOCS["table"], decay=DECAY)]}},
+     "$.potential.params.terms[1].decay"),
+])
+@pytest.mark.parametrize("verb", ["run", "criteria"])
+def test_a_decay_block_is_an_unknown_field(tmp_path, capsys, potential,
+                                           where, verb):
+    # a kind's tail certificate is its one statement of decay: a scenario
+    # has nothing to declare
+    doc = dict(small_run_doc(), potential=potential)
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([verb, path, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"at {where}: unknown field" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed,flags,where", [
     (-1, [], "$.potential.params"),
     (2 ** 128, [], "$.potential.params"),
@@ -514,6 +493,50 @@ def test_box_coordinates_beyond_the_site_range_exit_two(tmp_path, capsys,
     path = write_scenario(tmp_path, doc)
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
     assert "at $.box.ranges: " in capsys.readouterr().err
+
+
+def test_readme_scenario_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    (example,) = re.findall(r"```json\n(.*?)```", section, re.S)
+    doc = json.loads(example)
+    parse_scenario(doc)
+    out = tmp_path / "out"
+    assert main(["run", write_scenario(tmp_path, doc), "--out-dir",
+                 str(out)]) == 0
+    assert (out / f"{doc['name']}.report.json").exists()
+
+
+def where_tags():
+    """(file, line, tag) of every string given as `where=` in the package,
+    and of every `where` parameter default."""
+    for path in sorted(Path(specrange.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                values = [k.value for k in node.keywords if k.arg == "where"]
+            elif isinstance(node, ast.FunctionDef):
+                a = node.args
+                defaults = [*zip(a.args[::-1], a.defaults[::-1]),
+                            *zip(a.kwonlyargs, a.kw_defaults)]
+                # an empty default is a message without a tag
+                values = [d for arg, d in defaults if arg.arg == "where"
+                          and d is not None and getattr(d, "value", 0) != ""]
+            else:
+                continue
+            for v in values:
+                # a name passes a tag on; anything else would hide one
+                assert isinstance(v, (ast.Constant, ast.Name)), (path, v.lineno)
+                if isinstance(v, ast.Constant):
+                    yield path.name, v.lineno, v.value
+
+
+def test_error_tags_name_a_module_of_the_package():
+    # a message is tagged "[module.operation]" by the module it comes from
+    stems = {p.stem for p in Path(specrange.__file__).parent.glob("*.py")}
+    tags = list(where_tags())
+    assert len(tags) > 40
+    assert [(name, line, tag) for name, line, tag in tags
+            if tag.partition(".")[0] not in stems] == []
 
 
 def test_exit_code_two_for_schema_problems(tmp_path):
@@ -844,8 +867,7 @@ def test_chain_with_entries_near_the_float_limit_runs_its_sweep(tmp_path):
 
 
 HUGE_TABLE = {"kind": "table",
-              "params": {"entries": [{"site": [0], "value": [1e160, 1e160]}]},
-              "decay": {"vanishes_outside_radius": 0}}
+              "params": {"entries": [{"site": [0], "value": [1e160, 1e160]}]}}
 HUGE_CONSTANT = {"kind": "constant", "params": {"c": [1e308, 1e308]}}
 
 
@@ -875,8 +897,7 @@ def test_entries_beyond_the_square_root_of_the_float_range(tmp_path, box,
 
 def huge_table(site, value):
     return {"kind": "table",
-            "params": {"entries": [{"site": site, "value": [value, value]}]},
-            "decay": {"vanishes_outside_radius": 0}}
+            "params": {"entries": [{"site": site, "value": [value, value]}]}}
 
 
 @pytest.mark.parametrize("box, potential, analysis, code", [
@@ -981,18 +1002,26 @@ def test_carrier_beyond_the_dimension_cap_exits_two_at_once(
         raise AssertionError("a carrier value was drawn")
 
     monkeypatch.setattr(SeededRandomPotential, "_site_value", no_draws)
-    doc = dict(small_run_doc(), potential={"kind": "sum", "params": {"terms": [
-        KIND_DOCS["constant"], dict(KIND_DOCS["seeded_random"], params=dict(
-            KIND_DOCS["seeded_random"]["params"],
-            box={"nu": 1, "ranges": [[0, 10000000]]}))]}})
-    path = write_scenario(tmp_path, doc)
+    carrier = dict(KIND_DOCS["seeded_random"], params=dict(
+        KIND_DOCS["seeded_random"]["params"],
+        box={"nu": 1, "ranges": [[0, 10000000]]}))
     out = tmp_path / "out"
-    assert main([verb, path, "--out-dir", str(out)]) == 2
-    assert ("at $.potential.params.terms[1].params.box: "
-            in capsys.readouterr().err)
-    assert not out.exists()
-    # the cap is the run's: --max-dim raises it for every verb
-    assert main([verb, path, "--max-dim", "5", "--out-dir", str(out)]) == 2
+    for potential, where in [
+            ({"kind": "sum", "params": {"terms": [
+                KIND_DOCS["constant"], carrier]}},
+             "$.potential.params.terms[1]"),
+            ({"kind": "sum", "params": {"terms": [
+                KIND_DOCS["constant"], {"kind": "sum", "params": {"terms": [
+                    KIND_DOCS["table"], carrier]}}]}},
+             "$.potential.params.terms[1].params.terms[1]")]:
+        doc = dict(small_run_doc(), potential=potential)
+        path = write_scenario(tmp_path, doc)
+        assert main([verb, path, "--out-dir", str(out)]) == 2
+        assert f"at {where}.params.box: " in capsys.readouterr().err
+        assert not out.exists()
+        # the cap is the run's: --max-dim raises it for every verb
+        assert main([verb, path, "--max-dim", "5", "--out-dir",
+                     str(out)]) == 2
     # a 13-site carrier on a 13-site box
     doc.update(potential=KIND_DOCS["seeded_random"],
                box={"nu": 1, "ranges": [[-6, 6]]})

@@ -99,11 +99,6 @@ def potential(draw, nu, depth=0):
             {"site": [draw(st.integers(-6, 6)) for _ in range(dim)],
              "value": draw(COMPLEX)}
             for _ in range(draw(st.integers(0, 3)))]
-        if draw(st.booleans()):
-            doc.pop("decay", None)
-        else:
-            doc["decay"]["vanishes_outside_radius"] = draw(
-                st.integers(0, 6 * dim))
     elif kind == "sum" and depth < 2:
         params["terms"] = draw(st.lists(potential(nu, depth + 1),
                                         min_size=1, max_size=3))

@@ -62,8 +62,7 @@ CORPUS = [
               {"site": [0], "value": [-0.2, 0.5]},
               {"site": [1], "value": [0.0, 0.7]},
               {"site": [2], "value": [0.1, 0.3]},
-          ]},
-           "decay": {"vanishes_outside_radius": 2}},
+          ]}},
           b_values=[0.7]),
      [("all",), ("nonreal",), ("im", 0.0), ("im", 0.7)]),
 
@@ -87,8 +86,7 @@ CORPUS = [
               {"site": [-2], "value": [0.0, 0.7]},
               {"site": [3], "value": [0.0, 0.7]},
               {"site": [4], "value": [0.1, 0.2]},
-          ]},
-           "decay": {"vanishes_outside_radius": 4}},
+          ]}},
           b_values=[0.7]),
      [("im", 0.7), ("nonreal",), ("all",)]),
 
@@ -107,8 +105,7 @@ CORPUS = [
     (scen("pair_b1_table",
           {"kind": "table", "params": {"entries": [
               {"site": [0], "value": [0.0, 1.0]},
-          ]},
-           "decay": {"vanishes_outside_radius": 0}},
+          ]}},
           b_values=[1.0]),
      [("im", 1.0), ("nonreal",)]),
 
@@ -127,8 +124,7 @@ CORPUS = [
 ]
 
 EXTRA = [
-    scen("free_1d", {"kind": "table", "params": {"entries": []},
-                     "decay": {"vanishes_outside_radius": 0}},
+    scen("free_1d", {"kind": "table", "params": {"entries": []}},
          b_values=[], box={"nu": 1, "ranges": [[-100, 99]]},
          analysis=["spectrum", "numrange", "classify"]),
     scen("counterexample_a-2.5_b1",
