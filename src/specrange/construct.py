@@ -47,10 +47,11 @@ def contractive_tail_ratio(a: float) -> float:
             where="construct.design_eigenfunction",
         )
     r = contractive_ratio(a).real
-    if r == 0.0 or not math.isfinite(r):
+    # the design's tail r^|n| must stay a normal float64 past its first site
+    if not r * r >= np.finfo(np.float64).tiny:
         raise DesignError(
             f"eigenvalue {a}: its tail ratio r (r + 1/r = a) is not "
-            "representable in float64",
+            "representable in float64: r^2 underflows",
             where="construct.design_eigenfunction")
     return r
 

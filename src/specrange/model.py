@@ -685,13 +685,12 @@ class Operator(abc.ABC):
 
     @property
     def lapack_scale(self) -> float:
-        """The power of two that LAPACK's iterative solvers divide A by: 1
-        while scale lies in [2^-64, 2^64], so their answers keep the bits of
-        A's own solve, scale itself beyond.  LAPACK's ?geev scales a matrix
-        whose largest entry lies outside about [1e-138, 1e138] by itself,
-        and the ?geev of the OpenBLAS 0.3.30 that scipy bundles does not
-        undo it (it returns the eigenvalues of 1e160 as 1.5e138); ?stebz
-        and ?stein fail on large chains (see numrange)."""
+        """The power of two that linalg.eig_general divides A by before
+        LAPACK's ?geev: 1 while scale lies in [2^-64, 2^64], so its answers
+        keep the bits of A's own solve, scale itself beyond.  ?geev scales a
+        matrix whose largest entry lies outside about [1e-138, 1e138] by
+        itself, and the ?geev of the OpenBLAS 0.3.30 that scipy bundles does
+        not undo it (it returns the eigenvalues of 1e160 as 1.5e138)."""
         s = self.scale
         return 1.0 if LAPACK_UNSCALED[0] <= s <= LAPACK_UNSCALED[1] else s
 

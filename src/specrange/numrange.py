@@ -6,41 +6,22 @@ half-plane {z : Re(e^{i theta} z) <= s(theta)} and one inner witness point
 and the half-plane intersection (outer region) sandwich the true numerical
 range; the gap shrinks like 1/n_angles^2 on smooth boundary arcs.
 
-The per-angle solver is chosen once per operator from its type.
+The sweep's solver is chosen once per operator from its type.
 
   an assembled operator (model.LatticeOperator, A = J + diag(d) with J the
   box's real hopping, so A = A^T):
-      Re(e^{i theta} A) = cos(theta) Re A - sin(theta) Im A is real
-      symmetric, and the witness is f^T A f for the real unit vector f.
-      d, the bandwidth and the hopping band come from the box, with no
-      n x n array.
-      - bandwidth 1 (1D chains, and boxes with one axis longer than 1):
-        LAPACK ?stebz (bisection for the top eigenvalue) and ?stein
-        (inverse iteration for its vector) on the diagonal and
-        sub-diagonal, witness in O(n).  These are the calls
-        scipy.linalg.eigh_tridiagonal(select='i') makes, with its answers
-        bit for bit, but made directly: on the chains of a sweep (tens to
-        hundreds of sites) that wrapper's per-call argument handling cost
-        more than the two LAPACK calls.  A chain whose entries leave
-        [2^-64, 2^64] is solved divided by its power-of-two scale
-        (Operator.lapack_scale), which keeps ?stebz's bounds and ?stein's
-        vectors finite up to the float64 limit; bisection that finds no
-        eigenvalue raises EigenSolverError;
-      - bandwidth kd > 1 (boxes with nu >= 2: kd = L on an L x L box,
-        L^2 on L^3): shifted inverse iteration on the band of
-        H = cos(theta) Re A - sin(theta) Im A, LAPACK ?pbtrf/?pbtrs and
-        BLAS ?sbmv, O(n kd^2) per step and about eight steps per angle.
-        Re A and Im A are stored in band form once per operator, divided
-        by their power-of-two scale.  Each shift sigma is certified to lie
-        above lambda_max by a successful band Cholesky factorisation of
-        sigma I - H, and the iteration stops when the Rayleigh quotient
-        rho has residual at most delta and sigma = rho + delta factors, so
-        s(theta) = rho with lambda_max in the certified bracket
-        [rho, rho + delta].  delta is a fixed multiple of
-        kd * eps * (1 + max row sum |A|), Cholesky's backward error, not a
-        setting.  An angle the iteration has not certified within
-        _BAND_MAX_FACTORS factorisations goes to a real dense
-        scipy.linalg.eigh, whose n x n buffers are allocated only then.
+      H = Re(e^{i theta} A) = cos(theta) Re A - sin(theta) Im A is real
+      symmetric with half-bandwidth kd, the box's largest stride (1 on a
+      chain, L on an L x L box, L^2 on L^3), and the witness is f^T A f for
+      the real unit vector f.  One certified shifted inverse iteration on
+      H's band serves every box (_band_sweep), a chunk of angles per LAPACK
+      call, with no n x n array: s(theta) is the Rayleigh quotient rho, and
+      a successful band Cholesky factorisation proves lambda_max in
+      [rho, rho + delta].  delta is a fixed multiple of
+      (kd + 1) * eps * (1 + max row sum |A|), Cholesky's backward error,
+      not a setting.  An angle the iteration has not certified within
+      _BAND_MAX_FACTORS factorisations goes to a real dense
+      scipy.linalg.eigh, whose n x n buffers are allocated only then.
   any other operator (an explicit matrix, whatever its entries): a complex
       Hermitian dense scipy.linalg.eigh of Re(e^{i theta} A), rotated from
       Re A = (A + A*)/2 and Im A = (A - A*)/2i, formed once per operator.
@@ -96,33 +77,6 @@ def _lapack_ok(info: int, routine: str) -> None:
                                where="numrange.compute_hull")
 
 
-def _tridiagonal_top(n: int):
-    """(dd, ee) -> top eigenpair of the real symmetric tridiagonal matrix
-    with diagonal dd and sub-diagonal ee, by the LAPACK calls that
-    scipy.linalg.eigh_tridiagonal(dd, ee, select='i',
-    select_range=(n - 1, n - 1)) makes.  The routines are looked up once
-    here; dd and ee must be finite float64 arrays.  A 1 x 1 matrix needs no
-    LAPACK call (the wrapper's quick exit)."""
-    if n == 1:
-        return lambda dd, ee: (float(dd[0]), np.ones(1))
-    stebz, stein = scipy.linalg.get_lapack_funcs(("stebz", "stein"),
-                                                 dtype=np.float64)
-
-    def top(dd: np.ndarray, ee: np.ndarray) -> tuple[float, np.ndarray]:
-        m, w, iblock, isplit, info = stebz(dd, ee, 2, 0.0, 1.0, n, n, 0.0,
-                                           "B")
-        _lapack_ok(info, "stebz")
-        if m == 0:
-            raise EigenSolverError("LAPACK stebz found no eigenvalue",
-                                   where="numrange.compute_hull")
-        v, info = stein(dd, ee, w[:m], iblock, isplit)
-        _lapack_ok(info, "stein")
-        # stebz orders by block, not by value
-        j = np.argsort(w[:m])[-1] if m > 1 else 0
-        return float(w[j]), v[:, j]
-    return top
-
-
 def _rotation(p: np.ndarray, q: np.ndarray):
     """theta -> cos(theta) p - sin(theta) q, built into two buffers allocated
     once here.  p and q are Fortran-ordered, so the result is too and eigh
@@ -146,161 +100,294 @@ def _unband(ab: np.ndarray) -> np.ndarray:
     return m
 
 
-# The certified bracket of the banded solver is [rho, rho + delta] with
+# The certified bracket of the band iteration is [rho, rho + delta] with
 # delta = _BAND_DELTA_ULPS * (kd + 1) * eps * (1 + max row sum |A|): the
 # backward error of a band Cholesky factorisation is a small multiple of
 # (kd + 1) * eps * ||sigma I - H||, and the row sum bounds ||H(theta)||.
 _BAND_DELTA_ULPS = 8.0
 # Band factorisations per angle before the dense solver takes over.
 _BAND_MAX_FACTORS = 60
+# Solves with the one factorisation at the Gershgorin shift that open each
+# angle's iteration.
+_WARM_UP_SOLVES = 3
+# Band elements per chunk of angles: a chunk holds
+# max(1, SWEEP_CHUNK // ((kd + 1) n)) angles, so its arrays stay near
+# 128 KB whatever the operator.
+SWEEP_CHUNK = 2 ** 14
+# A vector norm below this has lost bits to underflow in its squares.
+_FAINT = 2.0 ** -500
 
 
-def _banded_solver(p: np.ndarray, q: np.ndarray, kd: int, scale: float,
-                   signs: np.ndarray):
-    """theta -> (s(theta), witness) for the symmetric A = P + i Q whose lower
-    bands (Re A and Im A in LAPACK band storage) are p and q: the top
-    eigenpair of H = cos(theta) Re A - sin(theta) Im A by shifted inverse
-    iteration on H's band, or None when the iteration has not certified it
-    within _BAND_MAX_FACTORS factorisations.
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
-    Each step takes the Rayleigh quotient rho = x^T H x and the residual
-    r = ||H x - rho x|| and factors sigma I - H by ?pbtrf at
-    sigma = rho + max(r, delta), widening sigma until the factorisation
-    succeeds, which proves lambda_max < sigma.  It stops when r <= delta
-    and sigma = rho + delta factors: lambda_max then lies in
-    [rho, rho + delta].  Otherwise ?pbtrs solves (sigma I - H) y = x and
-    x = y / ||y||.  The start depends on theta alone: the off-diagonal of H
-    is cos(theta) times the hopping, nonnegative, so the Perron vector of H
-    is positive when cos(theta) >= 0 and carries the hopping's +-1 `signs`
-    (opposite at the ends of every hop) when cos(theta) < 0; a start of
-    those signs cannot be orthogonal to it."""
-    n = p.shape[1]
-    # The iteration runs on A / scale, each entry's parts below 2 in
-    # modulus, so no product or norm in it overflows; a power of two scales
-    # exactly.
-    p, q = p / scale, q / scale
-    absb = np.hypot(p, q)
-    row_sums = absb.sum(axis=0)
-    for d in range(1, kd + 1):
-        row_sums[d:] += absb[d, :n - d]
-    delta = (_BAND_DELTA_ULPS * (kd + 1) * np.finfo(np.float64).eps
-             * (1.0 / scale + float(row_sums.max())))
-    starts = (np.full(n, n ** -0.5), signs * n ** -0.5)
+
+def _band_cholesky(kd: int):
+    """(cholesky, backsolve) on a band ab in C-ordered (N, kd + 1) storage,
+    ab.T being LAPACK's Fortran-ordered lower band: cholesky(ab) factors
+    the band in place and returns ?pbtrf's info (k > 0: the leading minor
+    of order k is not positive definite, the columns before k factored);
+    backsolve(ab, b) solves with the factors.  A tridiagonal band (kd = 1)
+    goes to ?pttrf/?pttrs, its L D L^T form: the same certificate (every
+    pivot positive) and the same info, at well under half of ?pbtrf's and
+    ?pbtrs's cost per column on chains, whose band routines spend most of
+    each column in BLAS calls of length 1."""
+    if kd == 1:
+        pttrf, pttrs = scipy.linalg.get_lapack_funcs(("pttrf", "pttrs"),
+                                                     dtype=np.float64)
+
+        def cholesky(ab: np.ndarray) -> int:
+            ab[:, 0], ab[:-1, 1], info = pttrf(ab[:, 0], ab[:-1, 1])
+            if info < 0:
+                _lapack_ok(info, "pttrf")
+            return info
+
+        def backsolve(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+            x, info = pttrs(ab[:, 0], ab[:-1, 1], b, overwrite_b=1)
+            _lapack_ok(info, "pttrs")
+            return x
+        return cholesky, backsolve
     pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
                                                  dtype=np.float64)
-    sbmv, = scipy.linalg.get_blas_funcs(("sbmv",), dtype=np.float64)
-    h, shifted = np.empty_like(p), np.empty_like(p)
 
-    def factors(sigma: float) -> bool:
-        """Cholesky-factor sigma I - H into `shifted`; True on success."""
-        np.negative(h, out=shifted)
-        shifted[0] += sigma
-        _, info = pbtrf(shifted, lower=1, overwrite_ab=1)
-        return info == 0
+    def cholesky(ab: np.ndarray) -> int:
+        _, info = pbtrf(ab.T, lower=1, overwrite_ab=1)
+        if info < 0:
+            _lapack_ok(info, "pbtrf")
+        return info
 
-    def witness(f: np.ndarray) -> complex:
-        return complex(scale * (f @ sbmv(kd, 1.0, p, f, lower=1)),
-                       scale * (f @ sbmv(kd, 1.0, q, f, lower=1)))
-
-    def banded(theta: float) -> tuple[float, complex] | None:
-        c, s = np.cos(theta), np.sin(theta)
-        np.multiply(p, c, out=h)
-        np.multiply(q, s, out=shifted)
-        np.subtract(h, shifted, out=h)
-        x = starts[int(c < 0)]
-        budget = _BAND_MAX_FACTORS
-        while budget > 0:
-            y = sbmv(kd, 1.0, h, x, lower=1)
-            rho = float(x @ y)
-            y -= rho * x
-            r = float(np.linalg.norm(y))
-            certified, gap = r <= delta, max(r, delta)
-            budget -= 1
-            while not factors(rho + gap):
-                if budget == 0:
-                    return None
-                certified, gap, budget = False, 2.0 * gap, budget - 1
-            if certified:
-                return rho * scale, witness(x)
-            x, info = pbtrs(shifted, x, lower=1)
-            _lapack_ok(info, "pbtrs")
-            x /= np.linalg.norm(x)
-        return None
-    return banded
+    def backsolve(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+        x, info = pbtrs(ab.T, b, lower=1, overwrite_b=1)
+        _lapack_ok(info, "pbtrs")
+        return x
+    return cholesky, backsolve
 
 
-def _chain_solver(d: np.ndarray, e: np.ndarray, scale: float):
-    """theta -> (s(theta), witness) for the complex symmetric tridiagonal A
-    with diagonal d and sub-diagonal e, by _tridiagonal_top on A / scale
-    (Operator.lapack_scale).  Unscaled, ?stein's vectors of a 7-site chain
-    overflow to NaN once an entry passes about 2^339, and ?stebz's
-    Gershgorin bounds near the float64 limit; the scaled chain's stay
-    finite for every finite A, and a power of two scales exactly.  Chains
-    of moderate entries are left unscaled: ?stein's pivot floor is eps, not
-    eps times the norm, so scaling would move the last bits of the answers
-    scipy.linalg.eigh_tridiagonal gives."""
-    n = len(d)
-    d, e = d / scale, e / scale
-    # d and e end to end, so one rotation per angle forms both
-    re_de = np.concatenate([d.real, e.real])
-    im_de = np.concatenate([d.imag, e.imag])
-    top = _tridiagonal_top(n)
+def _band_sweep(op: LatticeOperator):
+    """thetas -> (supports, witnesses) for the assembled op: the top
+    eigenpair of H = cos(theta) Re A - sin(theta) Im A at each angle, by
+    shifted inverse iteration on H's band, a chunk of angles at a time.
 
-    def tridiagonal(theta: float) -> tuple[float, complex]:
-        c, sn = np.cos(theta), np.sin(theta)
-        de = c * re_de - sn * im_de
-        s, f = top(de[:n], de[n:])
-        w = d @ f ** 2 + 2.0 * (e @ (f[:-1] * f[1:]))
-        return s * scale, complex(scale * w.real, scale * w.imag)
-    return tridiagonal
+    The iteration runs on A divided by its power-of-two scale
+    (Operator.scale), so no product or norm in it overflows.  A chunk's
+    bands lie side by side as one block-diagonal band, no entry coupling
+    two blocks, so one band Cholesky factorisation and one solve
+    (_band_cholesky) serve all its angles.  Each angle starts from a vector
+    of theta alone: the off-diagonal of H is cos(theta) times the hopping,
+    so the Perron vector of H is positive when cos(theta) >= 0 and carries
+    the box's checkerboard signs (opposite at the ends of every hop) when
+    cos(theta) < 0; a start of those signs cannot be orthogonal to it.
+    _WARM_UP_SOLVES solves at sigma = the Gershgorin bound + delta, where
+    sigma I - H is diagonally dominant and factors, move it toward the top
+    vector.  Then each step takes the Rayleigh quotient rho = x^T H x and
+    the residual r = ||H x - rho x|| and factors sigma I - H at
+    sigma = rho + max(r, delta), doubling the gap until the factorisation
+    succeeds, which proves lambda_max < sigma.  An angle stops when
+    r <= delta and sigma = rho + delta factors: lambda_max then lies in
+    [rho, rho + delta].  Otherwise (sigma I - H) y = x is solved and
+    x = y / ||y||.  An angle not certified within _BAND_MAX_FACTORS
+    factorisations goes to a real dense eigh.
 
+    Products and norms are elementwise numpy operations and sums along one
+    angle's row, and the factorisation and solve sweep column by column
+    (LAPACK blocks ?pbtrf only for kd > 64, where a chunk holds one angle),
+    so an angle's bits depend neither on the chunk it shares nor on the
+    BLAS thread count."""
+    n, kd, scale = op.dim, op.bandwidth, op.scale
+    per_chunk = max(1, SWEEP_CHUNK // ((kd + 1) * n))
+    re_d, im_d = op.diagonal.real / scale, op.diagonal.imag / scale
+    band = op.hopping_band()
+    # J / scale, one sub-diagonal per axis longer than 1, at its stride k:
+    # entry i holds J[i + k, i] / scale, 0 where i + k leaves the box, so
+    # tiled over a chunk it couples no two blocks
+    hops = [(k, np.tile(band[k] / scale, per_chunk))
+            for k, side in zip(op.box.strides, op.box.shape) if side > 1]
 
-def _band_solver(p: np.ndarray, q: np.ndarray, kd: int, scale: float,
-                 signs: np.ndarray):
-    """The banded solver of the bands p, q, with the real dense solver of
-    the same matrix for the angles it gives up on, built on first use."""
-    band = _banded_solver(p, q, kd, scale, signs)
-    dense = None
+    def product(diag, subs, x: np.ndarray) -> np.ndarray:
+        """M x_j for each row x_j of x, M block-diagonal with diagonal diag
+        (flat, or None for 0) and entries M[i + k, i] = sub[i] for the
+        (k, sub) in subs.  Flat, so each shifted product is one contiguous
+        operation; a term across two blocks is a product with 0."""
+        flat = x.reshape(-1)
+        out = np.zeros_like(flat) if diag is None else diag * flat
+        for k, sub in subs:
+            t = sub.reshape(-1)[:len(flat) - k]
+            out[k:] += t * flat[:-k]
+            out[:-k] += t * flat[k:]
+        return out.reshape(x.shape)
 
-    def band_or_dense(theta: float) -> tuple[float, complex]:
-        nonlocal dense
-        sample = band(theta)
-        if sample is None:
-            if dense is None:
-                dense = _real_dense_solver(_unband(p), _unband(q))
-            sample = dense(theta)
-        return sample
-    return band_or_dense
-
-
-def _sweep_solver(op: Operator):
-    """The per-angle solver theta -> (s(theta), witness) for op, chosen once
-    from its type (see the module notes): an assembled operator's from its
-    box, the complex dense solver for any other."""
-    if not op.finite:
-        raise EigenSolverError("matrix has entries beyond the float64 range",
-                               where="numrange.compute_hull")
-    if not isinstance(op, LatticeOperator):
-        a = op.matrix
-        ah = a.conj().T
-        rotated = _rotation(np.asfortranarray((a + ah) / 2.0),
-                            np.asfortranarray((a - ah) / 2.0j))
-
-        def dense(theta: float) -> tuple[float, complex]:
-            s, f = _top_eigpair(lambda: rotated(theta))
-            return s, complex(np.vdot(f, a @ f))
-        return dense
-    kd, n = op.bandwidth, op.dim
-    if kd <= 1:
-        return _chain_solver(op.diagonal, np.ones(n - 1, complex),
-                             op.lapack_scale)
-    p = op.hopping_band()
-    q = np.zeros_like(p)
-    p[0], q[0] = op.diagonal.real, op.diagonal.imag
+    degree = product(None, hops, np.ones((1, n)))[0]  # row sums of |J|
+    delta = (_BAND_DELTA_ULPS * (kd + 1) * np.finfo(np.float64).eps
+             * (1.0 / scale + float((np.hypot(re_d, im_d) + degree).max())))
     # the box's checkerboard: +1 on the sites whose offsets from its first
     # site have an even sum, -1 on the others
     signs = 1.0 - 2.0 * (np.indices(op.box.shape).sum(axis=0).ravel() % 2)
-    return _band_solver(p, q, kd, op.scale, signs)
+    starts = np.stack([np.full(n, n ** -0.5), signs * n ** -0.5])
+    cholesky, backsolve = _band_cholesky(kd)
+
+    def factor(hd: np.ndarray, subs, sigma: np.ndarray):
+        """(ab, ok): the band Cholesky factors of sigma_j I - H_j side by
+        side, H_j the block with diagonal hd[j] and sub-diagonals subs, and
+        the mask of the blocks that factored.  The factorisation stops at
+        the first block that does not factor; that block becomes the
+        identity and the call resumes after it.  Blocks share a chunk only
+        when kd <= 63 (since n >= 2 kd), where the factorisation sweeps
+        column by column, so a block's factor is its own entries' and the
+        blocks before a failing one are factored in full.  kd columns of
+        the identity close the band, so the last block's solve sees the
+        band lengths the others do."""
+        m = len(sigma)
+        ab = np.zeros((m * n + kd, kd + 1))
+        ab[m * n:, 0] = 1.0
+        ok = np.ones(m, dtype=bool)
+        lo = 0
+        while lo < m:
+            blocks = ab[lo * n:m * n].reshape(m - lo, n, kd + 1)
+            if lo:
+                blocks[...] = 0.0  # the failed call may have written here
+            np.subtract(sigma[lo:, None], hd[lo:], out=blocks[:, :, 0])
+            for k, sub in subs:
+                np.negative(sub[lo:], out=blocks[:, :, k])
+            info = cholesky(ab[lo * n:])
+            if info == 0:
+                break
+            b = lo + (info - 1) // n
+            ok[b] = False
+            ab[b * n:(b + 1) * n] = 0.0
+            ab[b * n:(b + 1) * n, 0] = 1.0
+            lo = b + 1
+        return ab, ok
+
+    def solve(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Each row x_j through the factors ab (those of len(x) blocks and
+        the closing identity), normalised."""
+        m = len(x)
+        rhs = np.zeros(m * n + kd)
+        rhs[:m * n] = x.reshape(-1)
+        y = backsolve(ab, rhs)[:m * n].reshape(m, n)
+        norms = _row_norms(y)
+        # A row whose squares underflow (y is about 1e-293 on one site of
+        # modulus 5e-324, where delta is 8 eps / scale) is first divided by
+        # its largest entry.
+        faint = ~(norms >= _FAINT)
+        if faint.any():
+            y[faint] /= np.abs(y[faint]).max(axis=1)[:, None]
+            norms[faint] = _row_norms(y[faint])
+        return y / norms[:, None]
+
+    def rows(ab: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """The factors of the blocks `keep` selects, with the identity."""
+        m = len(keep)
+        return np.concatenate([ab[:m * n].reshape(m, n, kd + 1)[keep]
+                               .reshape(-1, kd + 1), ab[m * n:]])
+
+    def chunk(c: np.ndarray, s: np.ndarray):
+        """(rho, Re w, Im w, dense) for the angles of cosines c and sines
+        s, on A / scale; dense marks the angles left to the dense solver."""
+        m = len(c)
+        hd = c[:, None] * re_d - s[:, None] * im_d
+        subs = [(k, c[:, None] * j[:m * n].reshape(m, n)) for k, j in hops]
+        x = starts[(c < 0).astype(int)]
+        # every angle left takes one factorisation per step, so one count
+        # is each one's budget
+        steps = _BAND_MAX_FACTORS
+        if steps > 0:
+            bound = (hd + np.abs(c)[:, None] * degree).max(axis=1)
+            ab, _ = factor(hd, subs, bound + delta)
+            steps -= 1
+            for _ in range(_WARM_UP_SOLVES):
+                x = solve(ab, x)
+        rho_out, wr, wi = np.empty(m), np.empty(m), np.empty(m)
+        todo = np.arange(m)
+        # 2^k after k failed factorisations since x last moved
+        widen = np.ones(m)
+        for _ in range(steps):
+            if not len(todo):
+                break
+            hx = product(hd.reshape(-1), subs, x)
+            rho = np.add.reduce(x * hx, axis=1)
+            r = _row_norms(hx - rho[:, None] * x)
+            certified = (r <= delta) & (widen == 1.0)
+            ab, ok = factor(hd, subs, rho + np.maximum(r, delta) * widen)
+            done = ok & certified
+            moving = ok & ~certified
+            if moving.all():
+                x = solve(ab, x)
+            elif moving.any():
+                x[moving] = solve(rows(ab, moving), x[moving])
+            widen = np.where(moving, 1.0, 2.0 * widen)
+            if done.any():
+                f, i = x[done], todo[done]
+                rho_out[i] = rho[done]
+                wr[i] = np.add.reduce(f * (re_d * f + product(None, hops, f)),
+                                      axis=1)
+                wi[i] = np.add.reduce(f * (im_d * f), axis=1)
+                left = ~done
+                todo, hd, x, widen = todo[left], hd[left], x[left], widen[left]
+                subs = [(k, sub[left]) for k, sub in subs]
+        dense = np.zeros(m, dtype=bool)
+        dense[todo] = True
+        return rho_out, wr, wi, dense
+
+    dense_solver = None
+
+    def sweep(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal dense_solver
+        cos, sin = np.cos(thetas), np.sin(thetas)
+        parts = [chunk(cos[j:j + per_chunk], sin[j:j + per_chunk])
+                 for j in range(0, len(thetas), per_chunk)]
+        rho, wr, wi, dense = (np.concatenate(p) for p in zip(*parts))
+        sup = np.empty(len(thetas))
+        wit = np.empty(len(thetas), dtype=np.complex128)
+        # a support or witness beyond the float64 range becomes inf here,
+        # which compute_hull refuses
+        with np.errstate(over="ignore"):
+            sup[:] = rho * scale
+            wit.real, wit.imag = wr * scale, wi * scale
+        for i in np.flatnonzero(dense):
+            if dense_solver is None:
+                re = _unband(band)
+                re[np.diag_indices(n)] = op.diagonal.real
+                dense_solver = _real_dense_solver(re, np.diag(
+                    op.diagonal.imag))
+            sup[i], wit[i] = dense_solver(thetas[i])
+        return sup, wit
+    return sweep
+
+
+def _sweep(op: Operator):
+    """The sweep thetas -> (supports, witnesses) of op, chosen once from its
+    type (see the module notes): the band iteration for an assembled
+    operator, the complex dense solver for any other."""
+    if not op.finite:
+        raise EigenSolverError("matrix has entries beyond the float64 range",
+                               where="numrange.compute_hull")
+    if isinstance(op, LatticeOperator):
+        return _band_sweep(op)
+    a = op.matrix
+    ah = a.conj().T
+    rotated = _rotation(np.asfortranarray((a + ah) / 2.0),
+                        np.asfortranarray((a - ah) / 2.0j))
+
+    def dense(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sup = np.empty(len(thetas))
+        wit = np.empty(len(thetas), dtype=np.complex128)
+        for i, theta in enumerate(thetas):
+            sup[i], f = _top_eigpair(lambda: rotated(theta))
+            wit[i] = np.vdot(f, a @ f)
+        return sup, wit
+    return dense
+
+
+def _sweep_solver(op: Operator):
+    """theta -> (s(theta), witness) for op: one angle through _sweep(op),
+    with the bits that angle has in any grid."""
+    sweep = _sweep(op)
+
+    def solve(theta: float) -> tuple[float, complex]:
+        sup, wit = sweep(np.array([theta], dtype=np.float64))
+        return float(sup[0]), complex(wit[0])
+    return solve
 
 
 def _real_dense_solver(re: np.ndarray, im: np.ndarray):
@@ -423,12 +510,10 @@ def compute_hull(op, n_angles: int = DEFAULT_N_ANGLES) -> NumericalRangeHull:
     """Sweep theta_m = 2 pi m / n_angles, m = 0..n_angles-1."""
     if n_angles < 3:
         raise ValueError("n_angles must be >= 3")
-    solve = _sweep_solver(as_operator(op))
+    sweep = _sweep(as_operator(op))
     ts = np.array([2.0 * np.pi * m / n_angles for m in range(n_angles)],
                   dtype=np.float64)
-    samples = [solve(t) for t in ts]
-    sup = np.array([s for s, _ in samples], dtype=np.float64)
-    wit = np.array([w for _, w in samples], dtype=np.complex128)
+    sup, wit = sweep(ts)
     if not (np.isfinite(sup).all() and np.isfinite(wit).all()):
         raise EigenSolverError(
             "a support value or witness is beyond the float64 range",

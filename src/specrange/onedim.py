@@ -27,6 +27,9 @@ from .exceptions import (BandRegimeError, BlowupError, DecayCertificateError,
 from .model import PotentialSpec
 
 BAND_EDGE_MARGIN = 1e-12
+# The largest part of lambda whose square is finite with room to spare:
+# contractive_ratio forms lambda^2 up to here and a scaled root beyond.
+_SQUARE_SAFE = 2.0 ** 510
 
 
 def contractive_ratio(lam: complex) -> complex:
@@ -35,13 +38,21 @@ def contractive_ratio(lam: complex) -> complex:
 
     r = (lam - s sqrt(lam^2 - 4)) / 2 = 2 / (lam + s sqrt(lam^2 - 4)), the
     sign s turning s sqrt(lam^2 - 4) toward lam: the second form adds terms
-    of one direction, where the first cancels for large |lam|.  Once lam^2
-    overflows (|lam| >~ 1.3e154), r is 0 or NaN: callers refuse that.
+    of one direction, where the first cancels for large |lam|.  Where lam^2
+    would overflow (a part of lam beyond 2^510), the same root is formed as
+    2 / (lam (1 + s sqrt(1 - 4 / lam^2))), with 4 / lam^2 taken as
+    (2 / lam)^2, so r stays about 1 / lam up to the float64 limit.
     """
     lam = complex(lam)
-    disc = cmath.sqrt(lam * lam - 4.0)
-    s = 1.0 if lam.real * disc.real + lam.imag * disc.imag >= 0.0 else -1.0
-    return 2.0 / (lam + s * disc)
+    if max(abs(lam.real), abs(lam.imag)) <= _SQUARE_SAFE:
+        disc = cmath.sqrt(lam * lam - 4.0)
+        s = 1.0 if lam.real * disc.real + lam.imag * disc.imag >= 0.0 else -1.0
+        return 2.0 / (lam + s * disc)
+    u = 2.0 / lam
+    root = cmath.sqrt(1.0 - u * u)
+    # lam (1 + s root) points along lam: s root turns toward 1
+    s = 1.0 if root.real >= 0.0 else -1.0
+    return u / (1.0 + s * root)
 
 
 def stencil_residuals(u: np.ndarray, d: np.ndarray, lam: complex,
@@ -180,8 +191,8 @@ def shooting_l2_test(potential: PotentialSpec, lam: complex, window: int,
     Requires a decaying potential (certified tail with zero base) so the
     asymptotics are governed by the free recurrence.  The free transfer
     ratios r solve r + 1/r = lambda; for real lambda in [-2, 2] both have
-    modulus one and the test refuses (band regime), as it refuses a lambda
-    past |lambda| ~ 1.3e154, where the ratio's lambda^2 overflows.
+    modulus one and the test refuses (band regime), as it refuses a
+    non-finite lambda, which has no ratio.
     Decaying branches are propagated inward from +-window and compared
     through the scale-free Wronskian mismatch at sites 0, 1; compatible
     means a mismatch within tol.match.
@@ -198,7 +209,7 @@ def shooting_l2_test(potential: PotentialSpec, lam: complex, window: int,
     if r == 0 or not cmath.isfinite(r):
         raise SpecrangeError(
             f"lambda = {lam}: its decaying ratio r (r + 1/r = lambda) is not "
-            "representable: the ratio's lambda^2 leaves the float64 range",
+            "representable",
             where="onedim.shooting_l2_test",
         )
     if abs(r) >= 1.0 - BAND_EDGE_MARGIN:

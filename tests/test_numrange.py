@@ -1,8 +1,10 @@
 """Support-function sweeps against geometric oracles."""
 
+import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,30 +222,45 @@ def test_solver_path_follows_matrix_structure(monkeypatch):
     # an explicit matrix, whatever its structure: the dense complex path
     for m in (general, [[0.0, 1.0], [0.0, 0.0]], chain.matrix, box.matrix):
         assert solver_calls(monkeypatch, m) == complex_dense
-    # an assembled chain, then an assembled box: real solves only, the
-    # chain by bisection and inverse iteration, the box by band Cholesky
-    # inverse iteration, with no scipy driver between
+    # an assembled chain, then an assembled box: real solves only, both by
+    # the one band Cholesky inverse iteration, with no scipy driver between;
+    # the chain's band is tridiagonal, factored and solved by its L D L^T
+    # routines
     assert solver_calls(monkeypatch, chain) == {
-        ("stebz", np.dtype(np.float64)), ("stein", np.dtype(np.float64))}
+        ("pttrf", np.dtype(np.float64)), ("pttrs", np.dtype(np.float64))}
     assert solver_calls(monkeypatch, box) == {
-        (name, np.dtype(np.float64)) for name in ("pbtrf", "pbtrs", "sbmv")}
+        ("pbtrf", np.dtype(np.float64)), ("pbtrs", np.dtype(np.float64))}
 
 
-def eigh_tridiagonal_sweep(a, thetas):
-    """Reference: each angle through scipy.linalg.eigh_tridiagonal with
-    select='i', witness from the same expression as the chain path."""
+def tridiagonal_tops(a, thetas):
+    """Reference: the top eigenvalue of Re(e^{i theta} A) at each angle, by
+    scipy.linalg.eigh_tridiagonal with select='i' on its diagonal and
+    sub-diagonal."""
     d, e = np.diagonal(a).copy(), np.diagonal(a, -1).copy()
     n = len(d)
-    out = []
-    for t in thetas:
-        c, sn = np.cos(t), np.sin(t)
-        w, v = scipy.linalg.eigh_tridiagonal(
-            c * d.real - sn * d.imag, c * e.real - sn * e.imag,
-            select="i", select_range=(n - 1, n - 1))
-        f = v[:, -1]
-        out.append((float(w[-1]),
-                    complex(d @ f ** 2 + 2.0 * (e @ (f[:-1] * f[1:])))))
-    return out
+    return np.array([scipy.linalg.eigh_tridiagonal(
+        np.cos(t) * d.real - np.sin(t) * d.imag,
+        np.cos(t) * e.real - np.sin(t) * e.imag,
+        select="i", select_range=(n - 1, n - 1))[0][-1] for t in thetas])
+
+
+def bracket(op):
+    """delta, the width of the band iteration's certified bracket on the
+    unscaled operator: 8 (kd + 1) eps (1 + max row sum |A|)."""
+    rows = np.abs(op.matrix).sum(axis=1).max()
+    return (numrange._BAND_DELTA_ULPS * (op.bandwidth + 1)
+            * np.finfo(np.float64).eps * (1.0 + rows))
+
+
+def centred_box(nu, side):
+    lo = -(side // 2)
+    return LatticeBox(nu, ((lo, lo + side - 1),) * nu)
+
+
+def seeded_field(box, seed):
+    return SumPotential((
+        SeededRandomPotential(seed, box, (-0.5, 0.5), (0.0, 1.0)),
+        GeometricDecayPotential(0.12 + 0.25j, 0.7)))
 
 
 def random_chain(n, seed):
@@ -262,21 +279,107 @@ def chain_operators():
 
 
 @pytest.mark.parametrize("op", chain_operators())
-def test_chain_sweep_equals_eigh_tridiagonal_bit_for_bit(op):
-    matrix = op.matrix
-    for n_angles in (359, 360, 720):
-        hull = compute_hull(op, n_angles=n_angles)
-        ref = eigh_tridiagonal_sweep(matrix, hull.thetas)
-        assert hull.supports.tolist() == [s for s, _ in ref], n_angles
-        assert hull.witnesses.tolist() == [w for _, w in ref], n_angles
+def test_chain_sweep_equals_eigh_tridiagonal_bit_for_bit(monkeypatch, op):
+    # The top eigenvalue is certified to lie in [s, s + delta] for each
+    # support s, so s is within delta (and the reference's own rounding) of
+    # scipy.linalg.eigh_tridiagonal's; every witness lies on its support
+    # line, and no angle leaves the band iteration for the dense solver.
+    dense_calls = []
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda *a, **kw: dense_calls.append(1))
+    hulls = [compute_hull(op, n_angles=n) for n in (359, 360, 720)]
+    monkeypatch.undo()
+    assert not dense_calls
+    delta = bracket(op)
+    for hull in hulls:
+        ref = tridiagonal_tops(op.matrix, hull.thetas)
+        slack = delta + 4.0 * np.spacing(np.abs(ref))
+        assert np.all(np.abs(hull.supports - ref) <= slack), hull.n_angles
+        on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
+        assert np.all(np.abs(on_line - hull.supports)
+                      <= 1e-12 * (1.0 + np.abs(hull.supports))), hull.n_angles
+
+
+@pytest.mark.parametrize("op, n_angles", [
+    pytest.param(random_chain(301, 301), 720, id="chain_301"),
+    pytest.param(assemble(BOX_2D, GeometricDecayPotential(0.6 + 0.9j, 0.5)),
+                 720, id="box_2d"),
+    pytest.param(assemble(centred_box(2, 16), GeometricDecayPotential(
+        0.45 + 0.6j, 0.7)), 32, id="box_16x16"),
+])
+def test_one_angle_has_the_bits_of_its_chunked_hull_sample(op, n_angles):
+    # compute_hull sweeps its grid in chunks of angles (27 to a chunk on the
+    # 301-site chain, 3 on the 16 x 16 box); the same angle alone gives the
+    # same bits
+    hull = compute_hull(op, n_angles=n_angles)
+    solve = numrange._sweep_solver(op)
+    for t, s, w in zip(hull.thetas, hull.supports, hull.witnesses):
+        assert solve(t) == (s, w)
+
+
+def table_chain(values):
+    return assemble(LatticeBox(1, ((0, len(values) - 1),)), TablePotential(
+        {(k,): v for k, v in enumerate(values) if v != 0}))
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param(random_chain(n, n), id=f"random_{n}") for n in (1, 2, 3)] + [
+    pytest.param(table_chain([0.0] * 12), id="zero"),
+    # Im V constant: at theta = pi/2 every site ties for the top
+    pytest.param(assemble(LatticeBox(1, ((0, 11),)),
+                          ConstantPotential(0.3 + 0.7j)), id="constant_im"),
+    pytest.param(table_chain([1e-300, -2e-300 + 1e-300j, 3e-300j, 1e-300]),
+                 id="tiny_1e-300"),
+    pytest.param(table_chain([1e300, -2e300 + 1e300j, 3e300j, 1e300]),
+                 id="huge_1e300"),
+])
+def test_chain_sweep_at_the_edges_raises_no_warning(op):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hull = compute_hull(op, n_angles=360)
+    assert np.all(np.isfinite(hull.supports))
+    assert np.all(np.isfinite(hull.witnesses))
+    on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
+    assert np.all(np.abs(on_line - hull.supports)
+                  <= 1e-12 * (1.0 + np.abs(hull.supports)))
+
+
+@pytest.mark.parametrize("scenario, box", [
+    ("counterexample_a-2.5_b1", None),
+    ("levelset_gap_im2", {"nu": 2, "ranges": [[-8, 7], [-8, 7]]}),
+])
+def test_hull_bytes_do_not_follow_the_blas_thread_count(tmp_path, scenario,
+                                                        box):
+    # a numrange-only run (no ?geev) with one and with two BLAS threads
+    doc = json.loads((SCENARIO_DIR / f"{scenario}.json").read_text())
+    doc["analysis"] = ["numrange"]
+    if box is not None:
+        doc["box"] = box
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                     if p]))
+        proc = subprocess.run([sys.executable, "-m", "specrange", "run",
+                               str(path), "--out-dir", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(outputs[0]) == sorted(outputs[1])
+    assert any(name.endswith(".hull.csv") for name in outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 def test_chain_sweep_falls_back_when_bisection_finds_nothing():
-    # Entries near the float64 limit overflow ?stebz's Gershgorin bounds,
-    # and it returns no eigenvalue at most angles; the chain is solved
-    # divided by its power-of-two scale instead.  Next to 1e308 the hopping
-    # is lost to rounding, so s(theta) is Re(e^{i theta} c) to that
-    # accuracy.
+    # Entries near the float64 limit: the band iteration runs on the chain
+    # divided by its power-of-two scale (Operator.scale), so its shifts,
+    # products and norms stay finite.  Next to 1e308 the hopping is lost to
+    # rounding, so s(theta) is Re(e^{i theta} c) to that accuracy.
     c = 1e308 + 1e308j
     op = assemble(LatticeBox(1, ((-3, 3),)), ConstantPotential(c))
     hull = compute_hull(op, n_angles=360)
@@ -380,17 +483,6 @@ def test_buffered_sweep_reproduces_the_expression_bit_for_bit(monkeypatch):
             assert hull.witnesses.tolist() == [w for _, w in ref]
     # the real dense builder's full-spectrum fallback ran
     assert np.dtype(np.float64) in fallbacks
-
-
-def centred_box(nu, side):
-    lo = -(side // 2)
-    return LatticeBox(nu, ((lo, lo + side - 1),) * nu)
-
-
-def seeded_field(box, seed):
-    return SumPotential((
-        SeededRandomPotential(seed, box, (-0.5, 0.5), (0.0, 1.0)),
-        GeometricDecayPotential(0.12 + 0.25j, 0.7)))
 
 
 def band_operators():

@@ -115,10 +115,26 @@ def test_contractive_ratio_is_the_designers_tail_ratio_on_real_a(mod, sign):
     assert contractive_ratio(a).real == contractive_tail_ratio(a)
 
 
-def test_shooting_refuses_lambda_whose_ratio_overflows():
-    # lambda^2 overflows, so the ratio's formula gives r = 0
+@pytest.mark.parametrize("lam", [1e200, -1e200, 1e300, -1e300, 1e300j,
+                                 -1e300 + 1e300j, -1.7976931348623157e308])
+def test_contractive_ratio_beyond_the_square_overflow(lam):
+    # lambda^2 overflows here; the scaled root keeps r = 1/lambda to an ulp
+    assert abs(contractive_ratio(lam) * lam - 1.0) <= 2.5e-16
+
+
+@pytest.mark.parametrize("lam", [-1e200, 1e300, -1e300 + 1e300j])
+def test_shooting_decides_lambda_beyond_the_square_overflow(lam):
+    # the free operator has no eigenvalue there, and the test says so
+    res = shooting_l2_test(FREE, lam, window=30)
+    assert not res.compatible
+    assert abs(res.contractive_ratio * lam - 1.0) <= 2.5e-16
+
+
+@pytest.mark.parametrize("lam", [complex("inf"), complex("nan"),
+                                 complex(1.0, float("inf"))])
+def test_shooting_refuses_a_lambda_without_a_ratio(lam):
     with pytest.raises(SpecrangeError) as e:
-        shooting_l2_test(FREE, -1e200, window=30)
+        shooting_l2_test(FREE, lam, window=30)
     assert not isinstance(e.value, BandRegimeError)
     assert "not representable" in str(e.value)
 
