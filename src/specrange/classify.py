@@ -24,15 +24,16 @@ of a truncation artifact rather than a genuine boundary eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import Tolerances, DEFAULT_TOLERANCES
 from .exceptions import EigenSolverError, ProvenanceError
 from .linalg import EigenPair, eig_general, residual_blocks
-from .model import Operator
+from .model import LatticeBox, Operator
 from .numrange import NumericalRangeHull
 
 
@@ -59,7 +60,6 @@ class EigenClassification:
     so an interior extent flags the vector as shaped by the truncation (or
     by thresholding of fast-decaying tails).  Both are None for an empty
     support; they and split are None without a box (an explicit matrix).
-    classify sets the last four fields (`_decided`).
     """
 
     pair: EigenPair
@@ -82,6 +82,18 @@ class EigenClassification:
                 and self.split is SplitVerdict.CERTIFIED)
 
 
+class _Evidence(NamedTuple):
+    """The fields of a record that its certificates read, which classify
+    hands them before it builds the record."""
+
+    pair: EigenPair
+    is_boundary: bool
+    normality_residual: float
+    split_residual_re: float
+    split_residual_im: float
+    support_indices: np.ndarray
+
+
 def classify(op: Operator, hull: NumericalRangeHull,
              tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenClassification]:
     """One record per eig_general pair, in the same (Re, Im) order, with
@@ -90,7 +102,9 @@ def classify(op: Operator, hull: NumericalRangeHull,
     The hull must have been computed from the same operator; the sampled
     minimum margin is the boundary distance (see numrange module notes on
     its direction of error).  Never raises ProvenanceError: without a box
-    the split verdict is None.
+    the split verdict is None.  Pairs go in blocks of RESIDUAL_BLOCK: each
+    block's residuals, margins, supports and extents are arrays, and each
+    record is built once from their rows.
     """
     frob = op.frobenius
     if not np.isfinite(frob):
@@ -100,53 +114,77 @@ def classify(op: Operator, hull: NumericalRangeHull,
             where="classify.classify")
     tol_boundary = tol.boundary(frob)
     pairs = eig_general(op, tol)
-    scale = op.scale
     out = []
     for b in residual_blocks(len(pairs)):
-        block = pairs[b]
-        f = np.array([p.vector for p in block])  # rows f_j
-        lam = np.array([p.value for p in block])[:, None] / scale
-        # rows A f_j / scale and A* f_j / scale: the norms below are formed
-        # on A / scale (exactly), so they overflow only with ||A||_F
-        af, ahf = op.products(f / scale)
-        normality = scale * np.linalg.norm(ahf - lam.conj() * f, axis=1)
-        split_re = scale * np.linalg.norm((af + ahf) / 2.0 - lam.real * f,
-                                          axis=1)
-        split_im = scale * np.linalg.norm((af - ahf) / 2.0j - lam.imag * f,
-                                          axis=1)
-        absf = np.abs(f)
-        thresh = tol.support_rel * absf.max(axis=1)
-        for j, pair in enumerate(block):
-            dist = hull.boundary_distance(pair.value, outside_tol=tol_boundary)
-            out.append(EigenClassification(
-                pair=pair,
-                boundary_distance=dist,
-                is_boundary=dist <= tol_boundary,
-                normality_residual=float(normality[j]),
-                split_residual_re=float(split_re[j]),
-                split_residual_im=float(split_im[j]),
-                support_indices=np.flatnonzero(absf[j] > thresh[j]),
-            ))
-    # a pass of its own, so that its temporaries do not alternate on the
-    # heap with the support arrays the records keep: alternating, they left
-    # holes that raised the peak RSS of runs on 24 x 24 boxes by up to 5 MB
-    return [_decided(op, rec, tol) for rec in out]
+        # a call per block, so that a block's temporaries are freed before
+        # the next block allocates its own
+        out += _block_records(op, hull, tol, tol_boundary, pairs[b])
+    return out
 
 
-def _decided(op: Operator, rec: EigenClassification,
-             tol: Tolerances) -> EigenClassification:
-    """rec with its certificate verdicts, support extent and box flag."""
+def _block_records(op: Operator, hull: NumericalRangeHull, tol: Tolerances,
+                   tol_boundary: float,
+                   block: list[EigenPair]) -> list[EigenClassification]:
+    """The records of a block of pairs."""
+    scale = op.scale
     box = op.box
-    extent = limited = None
-    if box is not None and len(rec.support_indices):
-        coords = box.sites[rec.support_indices]
-        extent = tuple((int(x.min()), int(x.max())) for x in coords.T)
-        limited = all(blo < lo and hi < bhi
-                      for (lo, hi), (blo, bhi) in zip(extent, box.ranges))
-    return replace(
-        rec, support_extent=extent, box_limited=limited,
-        normality=hildebrandt_certificate(op, rec, tol),
-        split=None if box is None else split_certificate(op, rec, tol))
+    f = np.array([p.vector for p in block])  # rows f_j
+    values = np.array([p.value for p in block])
+    lam = values[:, None] / scale
+    # rows A f_j / scale and A* f_j / scale: the norms below are formed
+    # on A / scale (exactly), so they overflow only with ||A||_F
+    af, ahf = op.products(f / scale)
+    normality = scale * np.linalg.norm(ahf - lam.conj() * f, axis=1)
+    split_re = scale * np.linalg.norm((af + ahf) / 2.0 - lam.real * f,
+                                      axis=1)
+    split_im = scale * np.linalg.norm((af - ahf) / 2.0j - lam.imag * f,
+                                      axis=1)
+    dist = hull.boundary_distances(values, outside_tol=tol_boundary)
+    absf = np.abs(f)
+    support = absf > (tol.support_rel * absf.max(axis=1))[:, None]
+    # each row's support sites, as views of one array (np.nonzero's
+    # column indices would be views of an array twice that size)
+    sites = np.flatnonzero(support)
+    sites %= support.shape[1]
+    sizes = np.count_nonzero(support, axis=1)
+    indices = np.split(sites, np.cumsum(sizes)[:-1])
+    extents = limited = [None] * len(block)
+    if box is not None:
+        extents, limited = _extents(box, support, sizes)
+    out = []
+    for pair, d, boundary, nr, sr, si, idx, extent, lim in zip(
+            block, dist.tolist(), (dist <= tol_boundary).tolist(),
+            normality.tolist(), split_re.tolist(), split_im.tolist(),
+            indices, extents, limited):
+        ev = _Evidence(pair, boundary, nr, sr, si, idx)
+        out.append(EigenClassification(
+            pair=pair, boundary_distance=d, is_boundary=boundary,
+            normality_residual=nr, split_residual_re=sr,
+            split_residual_im=si, support_indices=idx,
+            support_extent=extent, box_limited=lim,
+            normality=hildebrandt_certificate(op, ev, tol),
+            split=None if box is None else split_certificate(op, ev, tol)))
+    return out
+
+
+def _extents(box: LatticeBox, support: np.ndarray, sizes: np.ndarray):
+    """(support_extent, box_limited) of each row of the support mask: the
+    masked min and max of each coordinate of box.sites, and whether they
+    lie strictly inside the box's ranges; None for an empty row."""
+    lo = np.empty((len(support), box.nu), dtype=np.int64)
+    hi = np.empty_like(lo)
+    inside = np.ones(len(support), dtype=bool)
+    top = np.iinfo(np.int64)
+    for a, (blo, bhi) in enumerate(box.ranges):
+        coord = box.sites[:, a]
+        lo[:, a] = np.where(support, coord, top.max).min(axis=1)
+        hi[:, a] = np.where(support, coord, top.min).max(axis=1)
+        inside &= (blo < lo[:, a]) & (hi[:, a] < bhi)
+    empty = (sizes == 0).tolist()
+    extents = [None if e else tuple(zip(l, h))
+               for e, l, h in zip(empty, lo.tolist(), hi.tolist())]
+    limited = [None if e else v for e, v in zip(empty, inside.tolist())]
+    return extents, limited
 
 
 def hildebrandt_certificate(op: Operator, cls: EigenClassification,
@@ -156,7 +194,8 @@ def hildebrandt_certificate(op: Operator, cls: EigenClassification,
     certified_normal iff boundary and normality residual <= tol_cert;
     any larger residual on the boundary is a violation (values beyond
     10x the threshold indicate a truncation artifact); interior pairs
-    are not_applicable.
+    are not_applicable.  Reads only the fields of cls that _Evidence
+    holds, so classify can decide before it builds the record.
     """
     if not cls.is_boundary:
         return NormalityVerdict.NOT_APPLICABLE
@@ -173,7 +212,7 @@ def split_certificate(op: Operator, cls: EigenClassification,
     residuals, the diagonal structure of Im(A) is checked sitewise,
     |Im d(k) - Im lambda| <= tol_cert for every support site k.  Im A is
     the diagonal Im d of an assembled operator, so Im d(k) is read from
-    op.diagonal.
+    op.diagonal.  Reads only the fields of cls that _Evidence holds.
     """
     if op.box is None:
         raise ProvenanceError(

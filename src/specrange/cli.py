@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -172,9 +173,11 @@ def _spectrum_csv(pairs: list[EigenPair]) -> str:
 
 
 def _hull_json(hull: NumericalRangeHull) -> dict:
+    poly = hull.polygon
     return {
         "n_angles": hull.n_angles,
-        "polygon": [[z.real, z.imag] for z in hull.polygon],
+        "polygon": [list(z) for z in zip(poly.real.tolist(),
+                                         poly.imag.tolist())],
         "support_min": float(hull.supports.min()),
         "support_max": float(hull.supports.max()),
     }
@@ -205,11 +208,10 @@ def _classify_json(op: Operator, records: list[EigenClassification],
 
 
 def _hull_csv(hull: NumericalRangeHull) -> str:
-    lines = ["theta,support,witness_re,witness_im"]
-    for t, s, w in zip(hull.thetas, hull.supports, hull.witnesses):
-        lines.append(f"{float(t)!r},{float(s)!r},"
-                     f"{float(w.real)!r},{float(w.imag)!r}")
-    return "\n".join(lines) + "\n"
+    rows = zip(hull.thetas.tolist(), hull.supports.tolist(),
+               hull.witnesses.real.tolist(), hull.witnesses.imag.tolist())
+    return "theta,support,witness_re,witness_im\n" + "".join(
+        f"{t!r},{s!r},{wr!r},{wi!r}\n" for t, s, wr, wi in rows)
 
 
 @dataclass
@@ -403,7 +405,10 @@ def _cmd_sweep(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every call
+    after it in the process (parsing does not change it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-boundary", type=float, default=None,
                         help="absolute boundary-distance tolerance override")

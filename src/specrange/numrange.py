@@ -410,6 +410,80 @@ def _real_dense_solver(re: np.ndarray, im: np.ndarray):
 COLLINEAR_REL = 1e-12
 
 
+def _chain(xs: list[float], ys: list[float], order) -> list[int]:
+    """One half of the monotone chain over the points (xs[k], ys[k]) in
+    `order`: each point pops the last vertex while the turn from the
+    vertex before it does not go strictly left."""
+    out: list[int] = []
+    for k in order:
+        px, py = xs[k], ys[k]
+        while len(out) >= 2:
+            o, q = out[-2], out[-1]
+            ox, oy = xs[o], ys[o]
+            if (xs[q] - ox) * (py - oy) - (ys[q] - oy) * (px - ox) <= 0.0:
+                out.pop()
+            else:
+                break
+        out.append(k)
+    return out
+
+
+def _drop_chord_vertices(points: np.ndarray, ring: list[int],
+                         tol: float) -> list[int]:
+    """ring, indices into points, without the vertices that lie within tol
+    of the chord between their neighbours, between its ends: passes from
+    the last vertex to the first, each testing a vertex against its current
+    neighbours and dropping it at once, until a pass drops none.
+
+    A vertex keeps its neighbours from the pass's start until the one after
+    it (or, for the first vertex, the last one) is dropped.  So each pass
+    tests in Python only the vertices that one array screen over the ring
+    flags and those next to a drop; the screen is a superset of the exact
+    test, which decides."""
+    x, y, z = points.real, points.imag, points.tolist()
+
+    def on_chord(i: int, j: int, k: int) -> bool:
+        chord, rel = z[k] - z[i], z[j] - z[i]
+        turn = rel.real * chord.imag - rel.imag * chord.real
+        along = (rel * chord.conjugate()).real
+        return (turn <= tol * abs(chord)
+                and 0.0 <= along <= abs(chord) ** 2)
+
+    while len(ring) > 2:
+        r = np.array(ring)
+        left, right = np.roll(r, 1), np.roll(r, -1)
+        cx, cy = x[right] - x[left], y[right] - y[left]
+        turn = (x[r] - x[left]) * cy - (y[r] - y[left]) * cx
+        todo = np.flatnonzero(turn <= 2.0 * tol * np.hypot(cx, cy)).tolist()
+        n = len(ring)
+        alive, last, dropped = n, n - 1, set()
+        # after a drop at p, p - 1 is tested next, against p's right
+        # neighbour
+        gap, gap_right = -1, 0
+        while todo or gap >= 0:
+            if gap >= 0 and (not todo or todo[-1] <= gap):
+                p, k = gap, gap_right
+                if todo and todo[-1] == p:
+                    todo.pop()
+            else:
+                p = todo.pop()
+                k = (p + 1) % n
+            gap = -1
+            if alive > 2 and on_chord(ring[last if p == 0 else p - 1],
+                                      ring[p], ring[k]):
+                dropped.add(p)
+                alive -= 1
+                if p == last:
+                    last = p - 1
+                    if not todo or todo[0] != 0:
+                        todo.insert(0, 0)  # the first vertex's left moved
+                gap, gap_right = p - 1, k
+        if not dropped:
+            break
+        ring = [v for q, v in enumerate(ring) if q not in dropped]
+    return ring
+
+
 def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     """Monotone chain on complex points; counterclockwise vertex order,
     nearly collinear points dropped (COLLINEAR_REL).  Degenerate inputs
@@ -423,42 +497,11 @@ def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     big = max(np.abs(pts.real).max(), np.abs(pts.imag).max())
     scaled = pts * np.ldexp(1.0, -int(np.frexp(big)[1]))
     tol = COLLINEAR_REL * max(np.ptp(scaled.real), np.ptp(scaled.imag))
-    z = scaled.tolist()
-
-    def turn(i: int, j: int, k: int) -> float:
-        """|z[k] - z[i]| times the distance of z[j] left of the chord
-        z[i] -> z[k] (negative on its right)."""
-        o, q, p = z[i], z[j], z[k]
-        return (q.real - o.real) * (p.imag - o.imag) - \
-            (q.imag - o.imag) * (p.real - o.real)
-
-    def on_chord(i: int, j: int, k: int) -> bool:
-        """z[j] lies within tol of the chord z[i] -> z[k], between its ends."""
-        chord, rel = z[k] - z[i], z[j] - z[i]
-        along = (rel * chord.conjugate()).real
-        return (turn(i, j, k) <= tol * abs(chord)
-                and 0.0 <= along <= abs(chord) ** 2)
-
-    def half(order):
-        out: list[int] = []
-        for k in order:
-            while len(out) >= 2 and turn(out[-2], out[-1], k) <= 0.0:
-                out.pop()
-            out.append(k)
-        return out
-
-    ring = half(range(len(z)))[:-1] + half(range(len(z) - 1, -1, -1))[:-1]
-    # then drop each vertex on the chord between its neighbours, until none
-    # is left: a vertex whose neighbour was dropped has a new chord
-    dropped = True
-    while dropped and len(ring) > 2:
-        dropped = False
-        for j in range(len(ring) - 1, -1, -1):
-            if len(ring) > 2 and on_chord(ring[j - 1], ring[j],
-                                          ring[(j + 1) % len(ring)]):
-                del ring[j]
-                dropped = True
-    return pts[ring]
+    xs, ys = scaled.real.tolist(), scaled.imag.tolist()
+    n = len(xs)
+    ring = (_chain(xs, ys, range(n))[:-1]
+            + _chain(xs, ys, range(n - 1, -1, -1))[:-1])
+    return pts[_drop_chord_vertices(scaled, ring, tol)]
 
 
 @dataclass(frozen=True)
@@ -480,27 +523,38 @@ class NumericalRangeHull:
     def _phases(self) -> np.ndarray:
         return np.exp(1j * self.thetas)
 
-    def margins(self, z: complex) -> np.ndarray:
-        """s(theta) - Re(e^{i theta} z) over all sampled angles."""
+    def margins(self, z) -> np.ndarray:
+        """s(theta) - Re(e^{i theta} z) over all sampled angles; for a
+        column of k points, a (k, n_angles) array of their rows."""
         return self.supports - (self._phases * z).real
 
     def contains(self, z: complex, tol: float = 0.0) -> bool:
         """Outer membership test: all sampled half-plane constraints within tol."""
         return bool(np.all(self.margins(z) >= -tol))
 
-    def boundary_distance(self, z: complex, outside_tol: float = 1e-9) -> float:
-        """Distance from z to the boundary of the outer region (min margin,
-        clamped at zero).  Raises HullDomainError when z violates some
-        half-plane by more than outside_tol: that distinguishes genuinely
-        outside points from boundary points within tolerance."""
-        m = float(self.margins(z).min())
-        if m < -outside_tol:
+    def boundary_distances(self, zs, outside_tol: float = 1e-9) -> np.ndarray:
+        """Distance from each point of zs to the boundary of the outer
+        region (min margin, clamped at zero).  Raises HullDomainError for
+        the first point that violates some half-plane by more than
+        outside_tol: that distinguishes genuinely outside points from
+        boundary points within tolerance.  Temporaries hold
+        len(zs) x n_angles margins."""
+        zs = np.asarray(zs, dtype=np.complex128)
+        m = self.margins(zs[:, None]).min(axis=1)
+        outside = np.flatnonzero(m < -outside_tol)
+        if len(outside):
+            j = outside[0]
             raise HullDomainError(
-                f"point {z} lies outside the sampled hull by {-m:.3e} "
-                f"(> {outside_tol:.1e}); boundary distance undefined",
+                f"point {complex(zs[j])} lies outside the sampled hull by "
+                f"{-float(m[j]):.3e} (> {outside_tol:.1e}); boundary "
+                f"distance undefined",
                 where="numrange.boundary_distance",
             )
-        return max(m, 0.0)
+        return np.where(m < 0.0, 0.0, m)
+
+    def boundary_distance(self, z: complex, outside_tol: float = 1e-9) -> float:
+        """boundary_distances of the one point z."""
+        return float(self.boundary_distances([z], outside_tol)[0])
 
     def vertices(self) -> np.ndarray:
         return self.polygon

@@ -22,6 +22,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _encode_string
 
 from .config import DEFAULT_N_ANGLES, MAX_N_ANGLES
 from .criteria import CriteriaParams
@@ -85,8 +86,16 @@ def check_real(data, path: str) -> float:
 
 
 def _string(data, path: str) -> str:
+    """A string that encodes as UTF-8, as every output file is written: a
+    lone surrogate (a JSON "\\ud800", or an argv byte that is not UTF-8)
+    fails here, at its path."""
     if not isinstance(data, str):
         raise _fail(path, f"expected a string, got {type(data).__name__}")
+    try:
+        data.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise _fail(path, f"expected UTF-8 text, got {exc.reason} at "
+                          f"index {exc.start}")
     return data
 
 
@@ -418,9 +427,66 @@ def load_scenario(path: str) -> Scenario:
 
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text: sorted keys, 2-space indent, LF, trailing
-    newline, shortest round-trip float repr, no NaN/inf."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
-                      allow_nan=False) + "\n"
+    newline, shortest round-trip float repr, no NaN/inf.
+
+    The text is exactly json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False, allow_nan=False) + "\n" for str keys, written
+    directly: json's indenting encoder is pure Python, a generator per
+    nesting level."""
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(o, newline: str, out: list[str]) -> None:
+    """Append o's canonical text to out; newline is a line break followed
+    by o's own indent.  Types are tested in json's order."""
+    if isinstance(o, str):
+        out.append(_encode_string(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON "
+                             f"compliant: {o!r}")
+        out.append(float.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for v in o:
+            out.append(inner)
+            _encode(v, inner, out)
+            out.append(",")
+        out[-1] = newline + "]"
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not "
+                                f"{key.__class__.__name__}")
+            out.append(inner)
+            out.append(_encode_string(key))
+            out.append(": ")
+            _encode(o[key], inner, out)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON "
+                        f"serializable")
 
 
 def atomic_write_text(path: str, text: str) -> None:

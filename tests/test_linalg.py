@@ -1,5 +1,6 @@
 """Eigensolver wrappers: residual contracts and closed-form oracles."""
 
+import json
 import os
 import subprocess
 import sys
@@ -211,3 +212,48 @@ def test_huge_site_of_a_chain_is_its_largest_eigenvalue(value):
     top = max(eig_general(chain), key=lambda p: abs(p.value))
     assert abs(top.value - value * (1 + 1j)) <= 1e-12 * value
 
+
+
+def test_construct_follows_the_blas_thread_count_only_in_its_residuals(
+        tmp_path):
+    # ?geev's eigenvectors follow, in their last bits, how threaded BLAS
+    # splits its work, so identical report bytes need the same BLAS build
+    # and thread setting (README, Determinism).  The default construct with
+    # one and with two threads agrees in everything else.
+    src = Path(__file__).resolve().parent.parent / "src"
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                     if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "specrange", "construct", "--a", "-2.5",
+             "--b", "1", "--zeros", "0", "--out-dir", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        files.append({f.name: f.read_bytes() for f in out.iterdir()})
+    base = "counterexample_a-2.5_b1"
+    assert sorted(files[0]) == sorted(files[1]) == sorted(
+        f"{base}.{kind}" for kind in ("hull.csv", "report.json",
+                                      "scenario.json", "spectrum.csv"))
+    for name in (f"{base}.hull.csv", f"{base}.scenario.json"):
+        assert files[0][name] == files[1][name]
+    one, two = (json.loads(f[f"{base}.report.json"])["results"]
+                for f in files)
+    residuals = ("residual", "normality_residual", "split_residual_re",
+                 "split_residual_im")
+    assert one["classify"]["certified_boundary_count"] == \
+        two["classify"]["certified_boundary_count"]
+    rows = [r["spectrum"]["eigenvalues"] + r["classify"]["records"]
+            for r in (one, two)]
+    for a, b in zip(*rows, strict=True):
+        assert abs(complex(*a["value"]) - complex(*b["value"])) <= \
+            1e-13 * (1.0 + abs(complex(*a["value"])))
+        for key in residuals:
+            if key in a:
+                assert abs(a[key] - b[key]) <= 1e-15
+        for key in ("is_boundary", "normality", "split", "support_size"):
+            if key in a:
+                assert a[key] == b[key]

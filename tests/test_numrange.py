@@ -1,5 +1,6 @@
 """Support-function sweeps against geometric oracles."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specrange import numrange
 from specrange.config import DEFAULT_MAX_DIM
@@ -104,6 +107,19 @@ def test_contains_rejects_far_point_and_distance_raises():
     with pytest.raises(HullDomainError):
         hull.boundary_distance(2.0 + 2.0j)
     assert hull.boundary_distance(0.0) == pytest.approx(0.5, abs=1e-6)
+
+
+def test_block_distances_clamp_near_points_and_name_the_first_far_one():
+    # the triangle 0, 1, i: points outside by less than outside_tol are at
+    # distance 0; the error names the first point outside by more
+    hull = hull_of(np.diag([0.0, 1.0, 1.0j]), n_angles=8)
+    near = [0.25 + 0.25j, 1.0 + 1e-12, -1e-12j]
+    dist = hull.boundary_distances(near, outside_tol=1e-9)
+    assert dist[0] > 0.2 and dist[1] == dist[2] == 0.0
+    assert [hull.boundary_distance(z, outside_tol=1e-9) for z in near] == \
+        dist.tolist()
+    with pytest.raises(HullDomainError, match=r"point \(2\+2j\) lies outside"):
+        hull.boundary_distances([0.25, 2.0 + 2.0j, 3.0])
 
 
 def test_refining_angles_tightens_the_outer_polygon():
@@ -609,3 +625,154 @@ def test_flat_hull_reports_its_end_points():
     sc = load_scenario(SCENARIO_DIR / "levelset_gap_im2.json")
     hull = compute_hull(assemble(sc.box, sc.potential), n_angles=sc.n_angles)
     assert len(hull.polygon) == 2
+
+
+def reference_turn(z, i, j, k):
+    """|z[k] - z[i]| times the distance of z[j] left of the chord
+    z[i] -> z[k] (negative on its right)."""
+    o, q, p = z[i], z[j], z[k]
+    return (q.real - o.real) * (p.imag - o.imag) - \
+        (q.imag - o.imag) * (p.real - o.real)
+
+
+def reference_drop(z, ring, tol):
+    """ring after passes from its last vertex to its first that drop each
+    vertex within tol of the chord between its current neighbours, between
+    its ends, until a pass drops none; one Python call per vertex."""
+    ring = list(ring)
+
+    def on_chord(i, j, k):
+        chord, rel = z[k] - z[i], z[j] - z[i]
+        along = (rel * chord.conjugate()).real
+        return (reference_turn(z, i, j, k) <= tol * abs(chord)
+                and 0.0 <= along <= abs(chord) ** 2)
+
+    dropped = True
+    while dropped and len(ring) > 2:
+        dropped = False
+        for j in range(len(ring) - 1, -1, -1):
+            if len(ring) > 2 and on_chord(ring[j - 1], ring[j],
+                                          ring[(j + 1) % len(ring)]):
+                del ring[j]
+                dropped = True
+    return ring
+
+
+def reference_convex_hull_ccw(points: np.ndarray) -> np.ndarray:
+    """The polygon with one Python call per point: the monotone chain by
+    reference_turn, then reference_drop.  numrange._convex_hull_ccw must
+    return its bytes."""
+    pts = np.unique(points)
+    pts = pts[np.lexsort((pts.imag, pts.real))]
+    if len(pts) <= 2:
+        return pts
+    big = max(np.abs(pts.real).max(), np.abs(pts.imag).max())
+    scaled = pts * np.ldexp(1.0, -int(np.frexp(big)[1]))
+    tol = numrange.COLLINEAR_REL * max(np.ptp(scaled.real),
+                                       np.ptp(scaled.imag))
+    z = scaled.tolist()
+
+    def half(order):
+        out = []
+        for k in order:
+            while (len(out) >= 2
+                   and reference_turn(z, out[-2], out[-1], k) <= 0.0):
+                out.pop()
+            out.append(k)
+        return out
+
+    ring = half(range(len(z)))[:-1] + half(range(len(z) - 1, -1, -1))[:-1]
+    return pts[reference_drop(z, ring, tol)]
+
+
+def test_polygon_has_the_reference_bytes_on_every_shipped_hull(
+        tmp_path, monkeypatch):
+    # the bundled scenarios, and the hull_1d and lattice_2d inputs that the
+    # benchmark generates at seeds 1-3
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        SCENARIO_DIR.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    paths = sorted(SCENARIO_DIR.glob("*.json"))
+    for seed in (1, 2, 3):
+        for workload in ("hull_1d", "lattice_2d"):
+            items = workloads.generate(workload, seed,
+                                       str(tmp_path / f"{workload}_{seed}"))
+            paths += [Path(item.argv[1]) for item in items]
+    assert len(paths) == 14 + 3 * (3 + 6)
+    for path in paths:
+        sc = load_scenario(str(path))
+        witnesses = compute_hull(assemble(sc.box, sc.potential),
+                                 n_angles=sc.n_angles).witnesses
+        assert numrange._convex_hull_ccw(witnesses).tobytes() == \
+            reference_convex_hull_ccw(witnesses).tobytes(), path
+
+
+# coordinates from a few values, so that points repeat and line up
+GRID = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+
+
+@st.composite
+def point_sets(draw):
+    """Points with duplicates, collinear runs (exact, or off their line by
+    a few rounding errors or by about COLLINEAR_REL of the extent) and sets
+    of 1 or 2 points, at a scale of 1, 1e-150 or 1e160."""
+    pts = draw(st.lists(st.builds(complex, GRID, GRID), max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.builds(complex, GRID, GRID)), \
+            draw(st.builds(complex, GRID, GRID))
+        t = np.linspace(0.0, 1.0, draw(st.integers(2, 9)))
+        off = draw(st.lists(st.sampled_from([0.0, 4e-16, -4e-16, 1e-12,
+                                             -1e-12, 3e-12, 6e-12, 2e-11]),
+                            min_size=len(t), max_size=len(t)))
+        normal = 1j * (b - a) / abs(b - a) if b != a else 1j
+        pts += (a + t * (b - a) + np.array(off) * normal).tolist()
+    if not pts:
+        pts = [draw(st.builds(complex, GRID, GRID))]
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e160]))
+    return scale * np.array(pts, dtype=np.complex128)
+
+
+@given(point_sets())
+@settings(max_examples=400, deadline=None)
+def test_polygon_has_the_reference_bytes_on_degenerate_point_sets(points):
+    assert numrange._convex_hull_ccw(points).tobytes() == \
+        reference_convex_hull_ccw(points).tobytes()
+
+
+@st.composite
+def rings_with_chords(draw):
+    """(points, ring, tol): a ring whose last vertex D lies near the chord
+    from the vertex before it, C, to the first, A, which itself lies near
+    the chord from C to the second, B; dropping D gives A a new left
+    neighbour.  Coordinates are multiples of 1/64, off their chords by
+    multiples of tol / 4."""
+    unit = st.integers(-64, 64).map(lambda k: k / 64.0)
+    c, b = draw(st.builds(complex, unit, unit)), \
+        draw(st.builds(complex, unit, unit))
+    tol = draw(st.sampled_from([1e-12, 1e-3, 0.05]))
+    off = st.integers(-6, 6).map(lambda k: k * tol / 4.0)
+    s, u = draw(st.integers(1, 7)) / 8.0, draw(st.integers(1, 7)) / 8.0
+    a = c + s * (b - c) + complex(draw(off), draw(off))
+    d = c + u * (a - c) + complex(draw(off), draw(off))
+    extra = draw(st.lists(st.builds(complex, unit, unit), max_size=2))
+    return np.array([a, b, *extra, c, d]), list(range(3 + len(extra) + 1)), tol
+
+
+@given(rings_with_chords())
+@example((np.array([-0.4315290727219597 + 0.06905308558496256j,
+                    0.2048437786994437 - 0.3753285153270609j,
+                    -0.9058157592213083 + 0.4358802807860851j,
+                    -0.6967161015951198 + 0.5883594856603314j,
+                    -0.4768699584924825 + 0.10292725508008771j,
+                    -0.4590523167618486 + 0.1006636868105273j]),
+          [0, 1, 2, 3, 4, 5], 0.004622565949342819))
+@settings(max_examples=300, deadline=None)
+def test_chord_drop_has_the_reference_result_on_any_ring(case):
+    # the first vertex is tested again once the last one is dropped (the
+    # example: its old left neighbour put it outside the array screen)
+    points, ring, tol = case
+    assert numrange._drop_chord_vertices(points, ring, tol) == \
+        reference_drop(points.tolist(), ring, tol)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specrange
 from specrange import scenario
@@ -195,6 +197,42 @@ def test_dumps_canonical_is_sorted_and_newline_terminated():
     assert text.index('"m"') < text.index('"z"')
     with pytest.raises(ValueError):
         dumps_canonical({"x": math.nan})
+
+
+def stdlib_canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False,
+                      allow_nan=False) + "\n"
+
+
+# text with non-ASCII characters, quotes, backslashes and control characters
+TEXT = st.text(st.sampled_from('az "\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀'),
+               max_size=6)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([10 ** 40, -(2 ** 70)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e-05, 1e16, 0.1, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    TEXT)
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(TEXT, inner, max_size=4)), max_leaves=20)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_dumps_canonical_is_the_stdlib_canonical_form(obj):
+    assert dumps_canonical(obj) == stdlib_canonical(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 np.float64("nan"), np.float64("-inf")])
+def test_dumps_canonical_refuses_non_finite_floats(bad):
+    for obj in (bad, [1.0, bad], {"a": {"b": (bad,)}}):
+        with pytest.raises(ValueError):
+            stdlib_canonical(obj)
+        with pytest.raises(ValueError):
+            dumps_canonical(obj)
 
 
 def test_atomic_write_replaces_and_leaves_no_droppings(tmp_path):
@@ -661,6 +699,24 @@ def test_output_names_stay_inside_the_out_dir(tmp_path, capsys, verb, name):
     assert main([*argv, "--out-dir", str(out)]) == 2
     assert f"at {where}:" in capsys.readouterr().err
     assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("verb", ["run", "criteria", "construct"])
+def test_names_that_are_not_utf8_exit_two_and_write_nothing(tmp_path, capsys,
+                                                            verb):
+    # a JSON "\ud800" in the document, or an argv byte that is not UTF-8
+    # (which Python decodes to a lone surrogate): no output file could
+    # hold the name
+    out = tmp_path / "out"
+    if verb == "construct":
+        argv, where = [*CONSTRUCT, "--name", "bad\udc80"], "--name"
+    else:
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(dict(small_run_doc(), name="ok\ud800x")))
+        argv, where = [verb, str(path)], "$.name"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert f"at {where}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_construct_takes_no_seed_flag(tmp_path, capsys):
