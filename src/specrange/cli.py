@@ -7,8 +7,10 @@ succeeded, so a failing run leaves no partial artifacts.
 
 Every verb takes one path: `analyse` applies the scenario's seed, then
 assembles, sweeps the hull and classifies the eigenpairs, each at most
-once, and `build_report` writes the result up.  The spectrum is the
-classify records' pairs when classify runs.  `sweep` analyses each grid
+once, and `build_report` writes the result up as the report dict.  A verb
+forms every text it outputs first; `_write` then writes them in order, by
+file suffix, and prints each path.  The spectrum is the classify records'
+pairs when classify runs.  `sweep` analyses each grid
 point with classify alone; `construct` reports the operator, hull and
 records that `build_counterexample` computed.  Every output reads what a
 classify record decided and decides nothing again: the report copies the
@@ -42,8 +44,9 @@ from .model import (Operator, PotentialSpec, SeededRandomPotential,
 from .numrange import NumericalRangeHull, compute_hull
 from .scenario import (Scenario, atomic_write_text, check_carrier_size,
                        check_n_angles, check_name, check_real, check_seed,
-                       check_tolerance, dumps_canonical, encode_potential,
-                       encode_scenario, load_scenario, parse_scenario)
+                       check_string, check_tolerance, dumps_canonical,
+                       encode_potential, encode_scenario, load_scenario,
+                       parse_scenario)
 
 
 def resolve_max_dim(flag: int | None) -> int:
@@ -214,50 +217,45 @@ def _hull_csv(hull: NumericalRangeHull) -> str:
         f"{t!r},{s!r},{wr!r},{wi!r}\n" for t, s, wr, wi in rows)
 
 
-@dataclass
-class Execution:
-    report: dict
-    hull_csv: str | None = None
-    spectrum_csv: str | None = None
-
-
-def build_report(an: Analysis) -> Execution:
-    """The report and CSVs of an analysis, one section per stage; the
-    criteria need no operator and are evaluated here."""
+def build_report(an: Analysis) -> dict:
+    """The report of an analysis, one section per stage; the criteria need
+    no operator and are evaluated here."""
     sc = an.scenario
     results: dict = {}
-    out = Execution(report={
-        "tool": {"name": "specrange", "version": __version__},
-        "scenario": encode_scenario(sc),
-        "results": results,
-    })
     if "spectrum" in an.stages:
         results["spectrum"] = _spectrum_json(an.pairs)
-        out.spectrum_csv = _spectrum_csv(an.pairs)
     if "numrange" in an.stages:
         results["numrange"] = _hull_json(an.hull)
-        out.hull_csv = _hull_csv(an.hull)
     if "classify" in an.stages:
         results["classify"] = _classify_json(an.op, an.records, an.tol)
     if "criteria" in an.stages:
         crit = evaluate_all(sc.potential, sc.box.nu, sc.criteria)
         results["criteria"] = crit.to_json_dict(encode_potential(sc.potential))
-    return out
+    return {
+        "tool": {"name": "specrange", "version": __version__},
+        "scenario": encode_scenario(sc),
+        "results": results,
+    }
 
 
-def _write_outputs(sc: Scenario, ex: Execution, out_dir: str) -> list[str]:
+def _csv_files(an: Analysis) -> dict[str, str]:
+    """The CSVs of the stages that have one, by file suffix."""
+    files = {}
+    if "numrange" in an.stages:
+        files["hull.csv"] = _hull_csv(an.hull)
+    if "spectrum" in an.stages:
+        files["spectrum.csv"] = _spectrum_csv(an.pairs)
+    return files
+
+
+def _write(out_dir: str, name: str, files: dict[str, str]) -> None:
+    """Write each text of files (suffix -> text) to out_dir/name.suffix,
+    atomically and in order, printing each path once it is written."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    base = os.path.join(out_dir, sc.name)
-    atomic_write_text(f"{base}.report.json", dumps_canonical(ex.report))
-    written.append(f"{base}.report.json")
-    if ex.hull_csv is not None:
-        atomic_write_text(f"{base}.hull.csv", ex.hull_csv)
-        written.append(f"{base}.hull.csv")
-    if ex.spectrum_csv is not None:
-        atomic_write_text(f"{base}.spectrum.csv", ex.spectrum_csv)
-        written.append(f"{base}.spectrum.csv")
-    return written
+    for suffix, text in files.items():
+        path = os.path.join(out_dir, f"{name}.{suffix}")
+        atomic_write_text(path, text)
+        print(path)
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +264,24 @@ def _write_outputs(sc: Scenario, ex: Execution, out_dir: str) -> list[str]:
 
 def _cmd_run(args) -> int:
     sc = _apply_flags(load_scenario(args.scenario), args)
-    ex = build_report(analyse(sc, resolve_max_dim(args.max_dim)))
-    for path in _write_outputs(sc, ex, args.out_dir):
-        print(path)
+    an = analyse(sc, resolve_max_dim(args.max_dim))
+    report, csvs = build_report(an), _csv_files(an)
+    del an  # its eigenvectors are freed before the report is serialised
+    _write(args.out_dir, sc.name,
+           {"report.json": dumps_canonical(report), **csvs})
     return 0
 
 
 def _cmd_criteria(args) -> int:
     sc = _apply_flags(load_scenario(args.scenario), args)
     an = analyse(sc, resolve_max_dim(args.max_dim), stages=("criteria",))
-    report = build_report(an).report
+    report = build_report(an)
     doc = {
         "tool": report["tool"],
         "scenario": report["scenario"],
         "criteria": report["results"]["criteria"],
     }
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, f"{an.scenario.name}.criteria.json")
-    atomic_write_text(path, dumps_canonical(doc))
-    print(path)
+    _write(args.out_dir, sc.name, {"criteria.json": dumps_canonical(doc)})
     return 0
 
 
@@ -321,15 +318,12 @@ def _cmd_construct(args) -> int:
         tolerance_overrides=tuple(sorted(overrides.items())),
         criteria=CriteriaParams(b_values=(args.b,), a_values=(args.a,)),
     )
-    ex = build_report(Analysis(
-        scenario=sc, stages=sc.analysis, tol=tol, op=build.operator,
-        hull=build.hull, records=build.records))
-    os.makedirs(args.out_dir, exist_ok=True)
-    scenario_path = os.path.join(args.out_dir, f"{name}.scenario.json")
-    atomic_write_text(scenario_path, dumps_canonical(encode_scenario(sc)))
-    print(scenario_path)
-    for path in _write_outputs(sc, ex, args.out_dir):
-        print(path)
+    an = Analysis(scenario=sc, stages=sc.analysis, tol=tol,
+                  op=build.operator, hull=build.hull, records=build.records)
+    _write(args.out_dir, name,
+           {"scenario.json": dumps_canonical(encode_scenario(sc)),
+            "report.json": dumps_canonical(build_report(an)),
+            **_csv_files(an)})
     lam = build.classification.pair.value
     print(f"certified boundary eigenvalue {lam.real!r} + {lam.imag!r}i "
           f"(target {args.a:g} + {args.b:g}i)")
@@ -357,6 +351,7 @@ def _set_path(doc, dotted: str, value: float) -> None:
 def _cmd_sweep(args) -> int:
     check_real(args.start, "--from")
     check_real(args.stop, "--to")
+    check_string(args.param, "--param")
     sc0 = _apply_flags(load_scenario(args.scenario), args)
     raw = encode_scenario(sc0)
     steps = args.steps
@@ -394,10 +389,7 @@ def _cmd_sweep(args) -> int:
         except SpecrangeError as exc:
             msg = str(exc).replace("\n", " ").replace(",", ";")
             lines.append(f"{v!r},error,0,,,,{msg}")
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, f"{sc0.name}.sweep.csv")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    print(path)
+    _write(args.out_dir, sc0.name, {"sweep.csv": "\n".join(lines) + "\n"})
     return 0
 
 

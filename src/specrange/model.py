@@ -30,8 +30,6 @@ import numpy as np
 from .config import DEFAULT_MAX_DIM
 from .exceptions import DimensionLimitError
 
-Site = tuple | tuple[int, ...]
-
 # Sites are int64 arrays: keeping ||k||_1 <= 2**62 on a box leaves room for
 # the norms, offsets and 2 r + 1 scan widths computed from its coordinates.
 MAX_NORM1 = 2 ** 62
@@ -797,7 +795,7 @@ class LatticeOperator(Operator):
         return max((s for s, side in zip(self.box.strides, self.box.shape)
                     if side > 1), default=0)
 
-    def _hops(self):
+    def hops(self):
         """(stride, i) per axis longer than 1: i are the sites whose
         neighbour i + stride along that axis is in the box."""
         idx = np.arange(self.dim).reshape(self.box.shape)
@@ -805,14 +803,6 @@ class LatticeOperator(Operator):
                                                   self.box.shape)):
             if side > 1:
                 yield stride, np.moveaxis(idx, axis, 0)[:-1].ravel()
-
-    def hopping_band(self) -> np.ndarray:
-        """J in LAPACK lower band storage (row s holds the s-th
-        sub-diagonal), float64 (bandwidth + 1, n), Fortran-ordered."""
-        ab = np.zeros((self.bandwidth + 1, self.dim), order="F")
-        for stride, i in self._hops():
-            ab[stride, i] = 1.0
-        return ab
 
     def products(self, f):
         g = f.reshape((len(f),) + self.box.shape)
@@ -826,7 +816,7 @@ class LatticeOperator(Operator):
 
     def fill(self, buf):
         buf[...] = 0.0
-        for stride, i in self._hops():
+        for stride, i in self.hops():
             buf[i, i + stride] = 1.0
             buf[i + stride, i] = 1.0
         k = np.arange(self.dim)

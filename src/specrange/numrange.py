@@ -19,9 +19,12 @@ The sweep's solver is chosen once per operator from its type.
       a successful band Cholesky factorisation proves lambda_max in
       [rho, rho + delta].  delta is a fixed multiple of
       (kd + 1) * eps * (1 + max row sum |A|), Cholesky's backward error,
-      not a setting.  An angle the iteration has not certified within
-      _BAND_MAX_FACTORS factorisations goes to a real dense
-      scipy.linalg.eigh, whose n x n buffers are allocated only then.
+      not a setting.  H's sub-diagonals are the box's hopping pairs
+      (LatticeOperator.hops).  An angle the iteration has not certified
+      within _BAND_MAX_FACTORS factorisations goes to a real dense
+      scipy.linalg.eigh on real copies of Re A and Im A, taken from the
+      operator's dense matrix only then and freed of it before the
+      rotation's n x n buffers are allocated.
   any other operator (an explicit matrix, whatever its entries): a complex
       Hermitian dense scipy.linalg.eigh of Re(e^{i theta} A), rotated from
       Re A = (A + A*)/2 and Im A = (A - A*)/2i, formed once per operator.
@@ -33,7 +36,10 @@ once unscaled (entries near 1.7e308), raise EigenSolverError.
 
 The witness polygon drops witnesses that lie on the chord between their
 neighbours up to COLLINEAR_REL of the witness set's extent, so a flat
-edge's vertex list does not follow the last bits of its witnesses.
+edge's vertex list does not follow the last bits of its witnesses.  Each
+pass tests every vertex against its current neighbours, from the last to
+the first, dropping it at once; an array screen over the ring decides
+first whether any vertex could drop, and ends the passes when none can.
 
 Membership and boundary-distance queries run against the outer description.
 The sampled minimum margin equals the distance to the outer region's
@@ -88,16 +94,6 @@ def _rotation(p: np.ndarray, q: np.ndarray):
         np.multiply(q, np.sin(theta), out=tmp)
         return np.subtract(buf, tmp, out=buf)
     return build
-
-
-def _unband(ab: np.ndarray) -> np.ndarray:
-    """The symmetric n x n matrix whose lower band is ab (C-ordered)."""
-    n = ab.shape[1]
-    m = np.zeros((n, n))
-    for d in range(ab.shape[0]):
-        i = np.arange(n - d)
-        m[i + d, i] = m[i, i + d] = ab[d, :n - d]
-    return m
 
 
 # The certified bracket of the band iteration is [rho, rho + delta] with
@@ -196,12 +192,14 @@ def _band_sweep(op: LatticeOperator):
     n, kd, scale = op.dim, op.bandwidth, op.scale
     per_chunk = max(1, SWEEP_CHUNK // ((kd + 1) * n))
     re_d, im_d = op.diagonal.real / scale, op.diagonal.imag / scale
-    band = op.hopping_band()
     # J / scale, one sub-diagonal per axis longer than 1, at its stride k:
     # entry i holds J[i + k, i] / scale, 0 where i + k leaves the box, so
     # tiled over a chunk it couples no two blocks
-    hops = [(k, np.tile(band[k] / scale, per_chunk))
-            for k, side in zip(op.box.strides, op.box.shape) if side > 1]
+    hops = []
+    for k, i in op.hops():
+        sub = np.zeros(n)
+        sub[i] = 1.0 / scale
+        hops.append((k, np.tile(sub, per_chunk)))
 
     def product(diag, subs, x: np.ndarray) -> np.ndarray:
         """M x_j for each row x_j of x, M block-diagonal with diagonal diag
@@ -346,10 +344,7 @@ def _band_sweep(op: LatticeOperator):
             wit.real, wit.imag = wr * scale, wi * scale
         for i in np.flatnonzero(dense):
             if dense_solver is None:
-                re = _unband(band)
-                re[np.diag_indices(n)] = op.diagonal.real
-                dense_solver = _real_dense_solver(re, np.diag(
-                    op.diagonal.imag))
+                dense_solver = _real_dense_solver(op)
             sup[i], wit[i] = dense_solver(thetas[i])
         return sup, wit
     return sweep
@@ -390,9 +385,13 @@ def _sweep_solver(op: Operator):
     return solve
 
 
-def _real_dense_solver(re: np.ndarray, im: np.ndarray):
-    """theta -> (s(theta), witness) for the symmetric re + i im by a real
-    dense eigh, its n x n buffers allocated here."""
+def _real_dense_solver(op: LatticeOperator):
+    """theta -> (s(theta), witness) for the assembled op = re + i im, both
+    real symmetric, by a real dense eigh, its n x n buffers allocated
+    here."""
+    a = op.matrix
+    re, im = a.real.copy(), a.imag.copy()
+    del a  # freed before the rotation's buffers are allocated
     rotated = _rotation(re.T, im.T)  # symmetric: the same entries, F-ordered
 
     def real_symmetric(theta: float) -> tuple[float, complex]:
@@ -435,12 +434,10 @@ def _drop_chord_vertices(points: np.ndarray, ring: list[int],
     the last vertex to the first, each testing a vertex against its current
     neighbours and dropping it at once, until a pass drops none.
 
-    A vertex keeps its neighbours from the pass's start until the one after
-    it (or, for the first vertex, the last one) is dropped.  So each pass
-    tests in Python only the vertices that one array screen over the ring
-    flags and those next to a drop; the screen is a superset of the exact
-    test, which decides."""
+    One array screen over the ring opens each pass; it flags every vertex
+    the exact test would drop, so a pass it flags none of ends the loop."""
     x, y, z = points.real, points.imag, points.tolist()
+    ring = list(ring)
 
     def on_chord(i: int, j: int, k: int) -> bool:
         chord, rel = z[k] - z[i], z[j] - z[i]
@@ -449,38 +446,20 @@ def _drop_chord_vertices(points: np.ndarray, ring: list[int],
         return (turn <= tol * abs(chord)
                 and 0.0 <= along <= abs(chord) ** 2)
 
-    while len(ring) > 2:
+    dropped = True
+    while dropped and len(ring) > 2:
         r = np.array(ring)
         left, right = np.roll(r, 1), np.roll(r, -1)
         cx, cy = x[right] - x[left], y[right] - y[left]
         turn = (x[r] - x[left]) * cy - (y[r] - y[left]) * cx
-        todo = np.flatnonzero(turn <= 2.0 * tol * np.hypot(cx, cy)).tolist()
-        n = len(ring)
-        alive, last, dropped = n, n - 1, set()
-        # after a drop at p, p - 1 is tested next, against p's right
-        # neighbour
-        gap, gap_right = -1, 0
-        while todo or gap >= 0:
-            if gap >= 0 and (not todo or todo[-1] <= gap):
-                p, k = gap, gap_right
-                if todo and todo[-1] == p:
-                    todo.pop()
-            else:
-                p = todo.pop()
-                k = (p + 1) % n
-            gap = -1
-            if alive > 2 and on_chord(ring[last if p == 0 else p - 1],
-                                      ring[p], ring[k]):
-                dropped.add(p)
-                alive -= 1
-                if p == last:
-                    last = p - 1
-                    if not todo or todo[0] != 0:
-                        todo.insert(0, 0)  # the first vertex's left moved
-                gap, gap_right = p - 1, k
-        if not dropped:
+        if not (turn <= 2.0 * tol * np.hypot(cx, cy)).any():
             break
-        ring = [v for q, v in enumerate(ring) if q not in dropped]
+        dropped = False
+        for j in range(len(ring) - 1, -1, -1):
+            if len(ring) > 2 and on_chord(ring[j - 1], ring[j],
+                                          ring[(j + 1) % len(ring)]):
+                del ring[j]
+                dropped = True
     return ring
 
 

@@ -85,10 +85,11 @@ def check_real(data, path: str) -> float:
     return value
 
 
-def _string(data, path: str) -> str:
+def check_string(data, path: str) -> str:
     """A string that encodes as UTF-8, as every output file is written: a
     lone surrogate (a JSON "\\ud800", or an argv byte that is not UTF-8)
-    fails here, at its path."""
+    fails here, at its path.  Also the reader of sweep's --param, which
+    every sweep row's error cell may repeat."""
     if not isinstance(data, str):
         raise _fail(path, f"expected a string, got {type(data).__name__}")
     try:
@@ -168,7 +169,7 @@ def check_tolerance(value, path: str) -> float:
 def check_name(name, path: str) -> str:
     """An output basename: a nonempty plain file name, without '/' or NUL,
     so that every output file lands in the output directory."""
-    name = _string(name, path)
+    name = check_string(name, path)
     if not name:
         raise _fail(path, "name must be nonempty")
     if "/" in name or "\0" in name:
@@ -211,7 +212,7 @@ _READ = {
     "c": _complex, "amplitude": _complex,
     "exponent": check_real, "ratio": check_real,
     "b_even": check_real, "b_odd": check_real,
-    "parity": lambda v, path: None if v is None else _string(v, path),
+    "parity": lambda v, path: None if v is None else check_string(v, path),
     "seed": _int,
     "box": parse_box,
     "re_range": lambda v, path: _pair(v, path, "[lo, hi]"),
@@ -230,7 +231,7 @@ _WRITE = {
 
 def parse_potential(data, path: str = "$.potential") -> PotentialSpec:
     obj = _object(data, path, required=("kind",), optional=("params",))
-    kind = _string(obj["kind"], f"{path}.kind")
+    kind = check_string(obj["kind"], f"{path}.kind")
     cls = KINDS.get(kind)
     if cls is None:
         raise _fail(f"{path}.kind", f"unknown potential kind {kind!r}")
@@ -316,7 +317,7 @@ def parse_scenario(data) -> Scenario:
     check_site_dim(potential, box.nu)
     analysis = []
     for i, a in enumerate(_array(obj["analysis"], "$.analysis", 1)):
-        s = _string(a, f"$.analysis[{i}]")
+        s = check_string(a, f"$.analysis[{i}]")
         if s not in ANALYSES:
             raise _fail(f"$.analysis[{i}]",
                         f"unknown analysis {s!r}; expected one of {ANALYSES}")

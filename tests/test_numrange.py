@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -559,6 +560,23 @@ def test_band_iteration_that_gives_up_reaches_the_dense_solver(monkeypatch):
     assert dense_calls == [np.dtype(np.float64)] * 16
     assert np.max(np.abs(hull.supports
                          - dense_supports(op.matrix, hull.thetas))) < 1e-12
+
+
+def test_band_fallback_peak_memory_is_four_real_arrays(monkeypatch):
+    # every angle goes to the real dense solver: Re A, Im A and the
+    # rotation's two buffers, about 4.1 real n x n arrays; a fallback that
+    # keeps the complex dense matrix alive while it allocates them reads 6
+    box = LatticeBox(2, ((0, 23), (0, 23)))
+    op = assemble(box, GeometricDecayPotential(0.6 + 0.9j, 0.5))
+    monkeypatch.setattr(numrange, "_BAND_MAX_FACTORS", 0)
+    compute_hull(op, n_angles=8)
+    tracemalloc.start()
+    try:
+        compute_hull(op, n_angles=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * op.dim ** 2
 
 
 def test_box_at_the_dimension_cap_sweeps():

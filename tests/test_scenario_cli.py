@@ -701,15 +701,20 @@ def test_output_names_stay_inside_the_out_dir(tmp_path, capsys, verb, name):
     assert tree(tmp_path) == before
 
 
-@pytest.mark.parametrize("verb", ["run", "criteria", "construct"])
+@pytest.mark.parametrize("verb", ["run", "criteria", "construct", "sweep"])
 def test_names_that_are_not_utf8_exit_two_and_write_nothing(tmp_path, capsys,
                                                             verb):
     # a JSON "\ud800" in the document, or an argv byte that is not UTF-8
     # (which Python decodes to a lone surrogate): no output file could
-    # hold the name
+    # hold the name, nor a sweep row's error cell, which repeats --param
     out = tmp_path / "out"
     if verb == "construct":
         argv, where = [*CONSTRUCT, "--name", "bad\udc80"], "--name"
+    elif verb == "sweep":
+        path = write_scenario(tmp_path, small_run_doc())
+        argv = ["sweep", path, "--param", "potential.x\udc80", "--from", "0",
+                "--to", "1", "--steps", "2"]
+        where = "--param"
     else:
         path = tmp_path / "case.json"
         path.write_text(json.dumps(dict(small_run_doc(), name="ok\ud800x")))
@@ -717,6 +722,42 @@ def test_names_that_are_not_utf8_exit_two_and_write_nothing(tmp_path, capsys,
     assert main([*argv, "--out-dir", str(out)]) == 2
     assert f"at {where}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+# verb -> (argv, the suffixes of its files in write order)
+WRITTEN = {
+    "run": (["run", "{path}"], ["report.json", "hull.csv", "spectrum.csv"]),
+    "criteria": (["criteria", "{path}"], ["criteria.json"]),
+    "construct": ([*CONSTRUCT, "--name", "small"],
+                  ["scenario.json", "report.json", "hull.csv",
+                   "spectrum.csv"]),
+    "sweep": (["sweep", "{path}", *SWEEP_ARGS], ["sweep.csv"]),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(WRITTEN))
+def test_each_verb_prints_exactly_the_paths_it_writes(tmp_path, monkeypatch,
+                                                      capsys, verb):
+    # stdout lists the written paths in write order, the output directory
+    # holds nothing else, and construct's certificate line comes last
+    from specrange import cli
+    argv, suffixes = WRITTEN[verb]
+    path = write_scenario(tmp_path, small_run_doc())
+    out = tmp_path / "out"
+    written = []
+
+    def spy(target, text):
+        atomic_write_text(target, text)
+        written.append(target)
+
+    monkeypatch.setattr(cli, "atomic_write_text", spy)
+    assert main([a.format(path=path) for a in argv]
+                + ["--out-dir", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    if verb == "construct":
+        assert printed.pop().startswith("certified boundary eigenvalue ")
+    assert printed == written == [str(out / f"small.{s}") for s in suffixes]
+    assert sorted(os.listdir(out)) == sorted(f"small.{s}" for s in suffixes)
 
 
 def test_construct_takes_no_seed_flag(tmp_path, capsys):
