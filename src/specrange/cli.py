@@ -251,7 +251,12 @@ def _csv_files(an: Analysis) -> dict[str, str]:
 def _write(out_dir: str, name: str, files: dict[str, str]) -> None:
     """Write each text of files (suffix -> text) to out_dir/name.suffix,
     atomically and in order, printing each path once it is written."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"cannot create the output directory {out_dir}: "
+                          f"{exc.strerror or exc}", path="--out-dir",
+                          where="cli.write")
     for suffix, text in files.items():
         path = os.path.join(out_dir, f"{name}.{suffix}")
         atomic_write_text(path, text)
@@ -481,10 +486,6 @@ def main(argv: list[str] | None = None) -> int:
     except SpecrangeError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"schema error: cannot read scenario file: {exc}",
-              file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

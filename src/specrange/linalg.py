@@ -52,21 +52,6 @@ def residual_blocks(n: int):
             for j in range(0, n, RESIDUAL_BLOCK))
 
 
-def _permute_rows(m: np.ndarray, order: np.ndarray) -> None:
-    """m[:] = m[order] in place, following each cycle of the permutation
-    with one row of scratch instead of a second copy of m."""
-    done = np.zeros(len(order), dtype=bool)
-    for start in range(len(order)):
-        if done[start]:
-            continue
-        row, j = m[start].copy(), start
-        while not done[j]:
-            done[j] = True
-            k = int(order[j])
-            m[j] = row if k == start else m[k]
-            j = k
-
-
 def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
     """All eigenpairs of a general complex matrix (an Operator or an array).
 
@@ -78,10 +63,10 @@ def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
     LAPACK ?geev (the routine and workspace size np.linalg.eig uses, so the
     same bits with the same BLAS) overwrites the one dense copy of A that
     op.fill writes into its Fortran-ordered buffer, divided by
-    op.lapack_scale, and the eigenvector matrix it returns is sorted in
-    place: two n x n arrays at most.  The residuals come from op.products
-    on f / op.scale, exactly scaled, so they stay finite whenever ||A||_F
-    is.
+    op.lapack_scale, and the eigenvector matrix it returns is normalised
+    in place and read in (Re, Im) order through an index: two n x n arrays
+    at most.  The residuals come from op.products on f / op.scale, exactly
+    scaled, so they stay finite whenever ||A||_F is.
     """
     op = as_operator(op)
     if not op.finite:
@@ -115,9 +100,8 @@ def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
     # One contiguous row per eigenvector, normalised in place: each pair's
     # vector is a view of this one block rather than a separate small array,
     # so n pairs do not scatter n allocations (and their temporaries) over
-    # the heap, and a run of rows is one operand of the residual product.
+    # the heap.
     vecs = vr.T
-    _permute_rows(vecs, order)
     for v in vecs:
         nrm = np.linalg.norm(v)
         if nrm == 0:
@@ -128,12 +112,13 @@ def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
     scale = op.scale
     res = np.empty(len(vals))
     for b in residual_blocks(len(vals)):
-        f = vecs[b]
+        f = vecs[order[b]]
         af, _ = op.products(f / scale)  # rows A f_j / scale
         res[b] = scale * np.linalg.norm(af - (vals[b, None] / scale) * f,
                                         axis=1)
     worst = float(res.max()) if len(res) else 0.0
-    pairs = list(map(EigenPair, vals.tolist(), vecs, res.tolist()))
+    pairs = list(map(EigenPair, vals.tolist(), (vecs[k] for k in order),
+                     res.tolist()))
     bound = tol.eig * (1.0 + frob)
     if worst > bound:
         raise EigenSolverError(

@@ -418,8 +418,14 @@ def loads_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_scenario(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read the scenario file: "
+                          f"{getattr(exc, 'strerror', None) or exc}",
+                          path=os.fspath(path), where="scenario.load_scenario")
+    return loads_scenario(text)
 
 
 # ---------------------------------------------------------------------------

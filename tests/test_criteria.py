@@ -1,6 +1,7 @@
 """Absence criteria: every check's certifying branch and its refusals."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,9 @@ from specrange.model import (Alternating1DPotential, ConstantPotential,
                              GeometricDecayPotential, LatticeBox,
                              PowerDecayPotential, SeededRandomPotential,
                              SumPotential, TablePotential)
+from specrange.scenario import load_scenario
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 ABSENT = "absence_guaranteed"
 INCONCLUSIVE = "inconclusive"
 
@@ -242,6 +245,37 @@ def test_evaluate_all_notes_selfadjoint_degeneracy():
     assert any("selfadjoint" in n for n in rep.notes)
     assert rep.nonreal_excluded
     assert not rep.no_boundary_eigenvalues
+
+
+# The classes of boundary eigenvalues each bundled absence scenario is built
+# to exclude.  The JSON files are the corpus; this pins what they claim.
+ABSENCE_CLAIMS = {
+    "power_decay_pair_all": [Target("all"), Target("nonreal"),
+                             Target("im", 0.0), Target("im", 0.4)],
+    "alternating_01_all": [Target("all")],
+    "geometric_pair_all": [Target("all"), Target("nonreal"),
+                           Target("im", 0.0), Target("im", 0.5)],
+    "table_bump_pair_all": [Target("all"), Target("nonreal"),
+                            Target("im", 0.0), Target("im", 0.7)],
+    "real_power_nonreal": [Target("nonreal"), Target("im", 0.5)],
+    "seeded_box_pair_all": [Target("all"), Target("nonreal"),
+                            Target("im", 0.0)],
+    "halfspace_table_im07": [Target("im", 0.7), Target("nonreal"),
+                             Target("all")],
+    "levelset_gap_im2": [Target("im", 2.0)],
+    "summability_even_all": [Target("all")],
+    "pair_b1_table": [Target("im", 1.0), Target("nonreal")],
+    "real_window_am3": [Target("re", -3.0), Target("nonreal"), Target("all")],
+    "summability_geometric_all": [Target("all")],
+}
+
+
+@pytest.mark.parametrize("name", ABSENCE_CLAIMS)
+def test_bundled_scenario_guarantees_its_absence_claims(name):
+    sc = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    rep = evaluate_all(sc.potential, sc.box.nu, sc.criteria)
+    guaranteed = rep.guaranteed_targets()
+    assert [t for t in ABSENCE_CLAIMS[name] if t not in guaranteed] == []
 
 
 CARRIER = LatticeBox(1, ((-4, 4),))

@@ -587,6 +587,11 @@ def test_exit_code_two_for_schema_problems(tmp_path):
         notjson = tmp_path / "notjson.json"
         notjson.write_text(text + "\n")
         assert main(["run", str(notjson), "--out-dir", str(tmp_path)]) == 2
+    # a file that is not UTF-8, and a directory, cannot be read
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    for unreadable in (undecodable, tmp_path):
+        assert main(["run", str(unreadable), "--out-dir", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("field,literal", [
@@ -758,6 +763,24 @@ def test_each_verb_prints_exactly_the_paths_it_writes(tmp_path, monkeypatch,
         assert printed.pop().startswith("certified boundary eigenvalue ")
     assert printed == written == [str(out / f"small.{s}") for s in suffixes]
     assert sorted(os.listdir(out)) == sorted(f"small.{s}" for s in suffixes)
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_a_file"])
+@pytest.mark.parametrize("verb", sorted(WRITTEN))
+def test_out_dir_that_cannot_be_created_exits_two(tmp_path, capsys, verb,
+                                                  below):
+    # --out-dir names a file, or a directory under one: nothing is written
+    # and nothing is printed, construct's certificate line included
+    argv, _ = WRITTEN[verb]
+    path = write_scenario(tmp_path, small_run_doc())
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    before = tree(tmp_path)
+    assert main([a.format(path=path) for a in argv]
+                + ["--out-dir", str(blocker / below)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at --out-dir: " in err
+    assert tree(tmp_path) == before
 
 
 def test_construct_takes_no_seed_flag(tmp_path, capsys):
