@@ -250,15 +250,20 @@ def _csv_files(an: Analysis) -> dict[str, str]:
 
 def _write(out_dir: str, name: str, files: dict[str, str]) -> None:
     """Write each text of files (suffix -> text) to out_dir/name.suffix,
-    atomically and in order, printing each path once it is written."""
+    atomically and in order, printing each path once it is written.  A
+    target that is a directory is refused before anything is written."""
+    paths = [os.path.join(out_dir, f"{name}.{suffix}") for suffix in files]
+    for path in paths:
+        if os.path.isdir(path):
+            raise SchemaError(f"the output path {path} is a directory",
+                              path="--out-dir", where="cli.write")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise SchemaError(f"cannot create the output directory {out_dir}: "
                           f"{exc.strerror or exc}", path="--out-dir",
                           where="cli.write")
-    for suffix, text in files.items():
-        path = os.path.join(out_dir, f"{name}.{suffix}")
+    for path, text in zip(paths, files.values()):
         atomic_write_text(path, text)
         print(path)
 

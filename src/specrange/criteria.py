@@ -18,6 +18,7 @@ than trusting any finite window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -96,6 +97,19 @@ def _margin(b: float) -> float:
     return NEAR_EQ * max(1.0, abs(b))
 
 
+def _distance(im: np.ndarray, b: float) -> np.ndarray:
+    """|im - b|, inf where it exceeds the float64 range."""
+    with np.errstate(over="ignore"):
+        return np.abs(im - b)
+
+
+def _relation(relation: str, x: float) -> str:
+    """'relation x' for a distance x, or words when x is beyond the float64
+    range."""
+    return (f"{relation} {x:.3e}" if x < math.inf
+            else "exceeds the float64 range")
+
+
 class _Level(NamedTuple):
     """Where the level b sits in Im d on the scan grid."""
 
@@ -135,8 +149,12 @@ class _Scan:
         None when no tail certificate exists or the scan cannot reach it."""
         if self.tail is None or self.tail.radius > self.radius:
             return None
-        return abs(b - self.tail.base.imag) - self.tail.im_sup_beyond(
+        base, sup = self.tail.base.imag, self.tail.im_sup_beyond(
             self.radius + 1)
+        dist = abs(b - base)
+        if dist == math.inf:  # b - base overflowed: halve, then double
+            return 2.0 * (abs(b / 2.0 - base / 2.0) - sup / 2.0)
+        return dist - sup
 
     @cached_property
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +166,7 @@ class _Scan:
         """The level b on the grid, computed once for all checks of b."""
         if b not in self._levels:
             sites, im = self.grid
-            dist = np.abs(im - b)
+            dist = _distance(im, b)
             nearest = int(np.argmin(dist))
             self._levels[b] = _Level(sites[nearest], float(dist[nearest]),
                                      sites[dist <= _margin(b)])
@@ -182,9 +200,10 @@ def _level_set_empty(scan: _Scan, b: float) -> CriterionResult:
             f"certificate cannot separate Im d from b = {b} beyond it")
     return result(
         ABSENT,
-        f"min |Im d(k) - b| = {level.nearest_dist:.3e} over the scan "
-        f"(radius {radius}); beyond it |Im d - b| >= {gap:.3e} by the tail "
-        "certificate: the level set is empty")
+        f"min |Im d(k) - b| {_relation('=', level.nearest_dist)} over the "
+        f"scan (radius {radius}); beyond it |Im d - b| "
+        f"{_relation('>=', gap)} by the tail certificate: the level set is "
+        "empty")
 
 
 def _halfspace_support(scan: _Scan, b: float, axis: int,
@@ -223,7 +242,7 @@ def _halfspace_support(scan: _Scan, b: float, axis: int,
         ABSENT,
         f"{word} {{k_{axis} : Im d(k) = b}} = {bound} is finite: hits are "
         f"confined to the scan (radius {radius}) since the tail certificate "
-        f"gives |Im d - b| >= {gap:.3e} beyond it")
+        f"gives |Im d - b| {_relation('>=', gap)} beyond it")
 
 
 def _decay(scan: _Scan, axes: tuple[int, ...]) -> list[CriterionResult]:
@@ -266,7 +285,7 @@ def _pair_condition(scan: _Scan, b: float) -> CriterionResult:
         return result(INCONCLUSIVE, scan.one_dim_only)
     radius = detail["scan_radius"] = scan.radius
     sites, im = scan.grid
-    away = np.abs(im - b) > _margin(b)
+    away = _distance(im, b) > _margin(b)
     both = away[:-1] & away[1:]
     if not both.any():
         return result(

@@ -9,7 +9,10 @@ implements a small certificate protocol consumed by the criteria module.
 
 Operators (the Operator interface) are read through their box (None for
 an explicit matrix), diagonal, norm, products A f and A* f of blocks of
-vectors, and a dense copy written into a caller's buffer.  `assemble`
+vectors, and a dense copy written into a caller's buffer.  A
+LatticeOperator whose d is invariant under exchanging two axes of a square
+box also writes its two blocks on that exchange's even and odd vectors
+(`swap`, `fill_split`).  `assemble`
 returns a LatticeOperator, which stores the box and the diagonal d alone
 (A = J + diag(d), O(n) memory, stencil products); explicit matrices, the
 only storage for input that was not assembled on a box, are OperatorMatrix
@@ -20,6 +23,7 @@ numrange forms them, and the certificates read them through the products.
 from __future__ import annotations
 
 import abc
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -652,10 +656,13 @@ class Operator(abc.ABC):
     size, diagonal and norm, the products A f and A* f of blocks of vectors,
     and a dense copy written into a caller's buffer.  `diagonal` is A's
     diagonal (complex128, n), `matrix` is A as an n x n array and `box`
-    the lattice box A was assembled on (None for an explicit matrix)."""
+    the lattice box A was assembled on (None for an explicit matrix).
+    `swap` is None, or the exchange of two axes of the box that A commutes
+    with, with its even and odd sites (LatticeOperator.swap)."""
 
     box: LatticeBox | None
     diagonal: np.ndarray
+    swap = None
 
     @property
     @abc.abstractmethod
@@ -821,6 +828,59 @@ class LatticeOperator(Operator):
             buf[i + stride, i] = 1.0
         k = np.arange(self.dim)
         buf[k, k] = self.diagonal
+
+    @cached_property
+    def swap(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(sigma, even, odd) for the first two axes of the box that have
+        the same range, longer than one site, and whose exchange leaves d
+        exactly as it is; None when no two axes do.  sigma[k] is the index
+        of site k with those two coordinates exchanged: the box and its
+        hops are symmetric under sigma, so A commutes with it.  even holds
+        the sites k <= sigma[k] and odd the sites k < sigma[k], ascending:
+        the sites that index the blocks of fill_split."""
+        box, d = self.box, self.diagonal
+        k = np.arange(self.dim)
+        for a, b in itertools.combinations(range(box.nu), 2):
+            if box.ranges[a] != box.ranges[b] or box.shape[a] == 1:
+                continue
+            sigma = np.swapaxes(k.reshape(box.shape), a, b).ravel()
+            if np.array_equal(d[sigma], d):
+                return (sigma, np.flatnonzero(sigma >= k),
+                        np.flatnonzero(sigma > k))
+        return None
+
+    def fill_split(self, even: np.ndarray, odd: np.ndarray) -> None:
+        """Write A's blocks on the even and odd vectors of swap into the
+        square arrays even and odd, one row and column per even and odd
+        site of swap.  Column j of even is A u_j in the basis
+        u_j = e_k + e_sigma(k) (e_k when k = sigma(k)), k the j-th even
+        site, read off at the even sites; odd is the same in the basis
+        e_k - e_sigma(k) at the odd sites.  Every entry is d(k) or a sum
+        of at most two hops (+1 or -1), since no hop joins k and sigma(k),
+        so it is exact; the dense A is never formed."""
+        sigma, ev, od = self.swap
+        n = self.dim
+        k = np.arange(n)
+        rep = np.minimum(k, sigma)
+        # the sign of site k in the odd basis vector of its pair: +1 at the
+        # odd sites, -1 at their images, 0 at the fixed points
+        sign = np.sign(sigma - k).astype(np.float64)
+        # A[row, col] = 1 over the hops (i, j), both directions
+        hops = list(self.hops())
+        i = np.concatenate([lo for _, lo in hops])
+        j = np.concatenate([lo + s for s, lo in hops])
+        row, col = np.concatenate([i, j]), np.concatenate([j, i])
+        for buf, sites, value in ((even, ev, np.ones(len(col))),
+                                  (odd, od, sign[col])):
+            # at[k]: the row and column of basis site k, -1 off the basis
+            at = np.full(n, -1)
+            at[sites] = np.arange(len(sites))
+            r, c = at[row], at[rep[col]]
+            keep = (r >= 0) & (c >= 0)
+            buf[...] = 0.0
+            np.add.at(buf, (r[keep], c[keep]), value[keep])
+            j = np.arange(len(sites))
+            buf[j, j] = self.diagonal[sites]
 
     @property
     def matrix(self) -> np.ndarray:

@@ -108,8 +108,13 @@ _BAND_MAX_FACTORS = 60
 _WARM_UP_SOLVES = 3
 # Band elements per chunk of angles: a chunk holds
 # max(1, SWEEP_CHUNK // ((kd + 1) n)) angles, so its arrays stay near
-# 128 KB whatever the operator.
-SWEEP_CHUNK = 2 ** 14
+# 256 KB whatever the operator, and one angle once kd > _CHUNK_MAX_KD.
+SWEEP_CHUNK = 2 ** 15
+# The largest half-bandwidth whose angles share a chunk: ?pbtrf factors a
+# band column by column up to kd = 64 and in blocks beyond, and only
+# column by column is each angle's factor its own entries' (see
+# _band_sweep).
+_CHUNK_MAX_KD = 63
 # A vector norm below this has lost bits to underflow in its squares.
 _FAINT = 2.0 ** -500
 
@@ -186,11 +191,12 @@ def _band_sweep(op: LatticeOperator):
 
     Products and norms are elementwise numpy operations and sums along one
     angle's row, and the factorisation and solve sweep column by column
-    (LAPACK blocks ?pbtrf only for kd > 64, where a chunk holds one angle),
-    so an angle's bits depend neither on the chunk it shares nor on the
-    BLAS thread count."""
+    (LAPACK blocks ?pbtrf only for kd > 64, and angles share a chunk only
+    while kd <= _CHUNK_MAX_KD), so an angle's bits depend neither on the
+    chunk it shares nor on the BLAS thread count."""
     n, kd, scale = op.dim, op.bandwidth, op.scale
-    per_chunk = max(1, SWEEP_CHUNK // ((kd + 1) * n))
+    per_chunk = (max(1, SWEEP_CHUNK // ((kd + 1) * n))
+                 if kd <= _CHUNK_MAX_KD else 1)
     re_d, im_d = op.diagonal.real / scale, op.diagonal.imag / scale
     # J / scale, one sub-diagonal per axis longer than 1, at its stride k:
     # entry i holds J[i + k, i] / scale, 0 where i + k leaves the box, so
@@ -229,7 +235,7 @@ def _band_sweep(op: LatticeOperator):
         the mask of the blocks that factored.  The factorisation stops at
         the first block that does not factor; that block becomes the
         identity and the call resumes after it.  Blocks share a chunk only
-        when kd <= 63 (since n >= 2 kd), where the factorisation sweeps
+        when kd <= _CHUNK_MAX_KD, where the factorisation sweeps
         column by column, so a block's factor is its own entries' and the
         blocks before a failing one are factored in full.  kd columns of
         the identity close the band, so the last block's solve sees the

@@ -496,12 +496,23 @@ def _encode(o, newline: str, out: list[str]) -> None:
                         f"serializable")
 
 
+def _umask() -> int:
+    """The process's umask, which can only be read by setting it."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path through a temporary file in its directory and
+    one rename, with the mode a new file gets under the umask (mkstemp's
+    file is private to its owner)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -79,6 +79,25 @@ def test_level_set_needs_usable_tail_certificate():
     assert "tail certificate" in res.witness
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_distance_beyond_the_float64_range_is_said_in_words():
+    # |Im d - b| = 3.4e308 is beyond the float64 range: no overflow warning,
+    # and the witness says so instead of printing inf
+    rep = evaluate_all(ConstantPotential(1.7e308j), nu=1,
+                       params=levels(-1.7e308))
+    by_name = {e.criterion: e for e in rep.entries
+               if e.target == Target("im", -1.7e308)}
+    level = by_name["level_set_empty"]
+    assert level.verdict == ABSENT
+    assert level.witness == (
+        "min |Im d(k) - b| exceeds the float64 range over the scan (radius "
+        f"{level.detail['scan_radius']}); beyond it |Im d - b| exceeds the "
+        "float64 range by the tail certificate: the level set is empty")
+    assert by_name["halfspace_support"].verdict == ABSENT
+    assert by_name["pair_condition"].verdict == ABSENT
+    assert not any("= inf" in e.witness for e in rep.entries)
+
+
 def test_halfspace_confines_finite_level_set():
     pot = TablePotential({(-2,): 0.7j, (3,): 0.7j, (4,): 0.1 + 0.2j})
     sup, inf = pick(pot, "halfspace_support", Target("im", 0.7),

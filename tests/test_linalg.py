@@ -8,12 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
-from specrange.config import Tolerances
+from specrange.config import DEFAULT_TOLERANCES, Tolerances
 from specrange.exceptions import EigenSolverError
 from specrange.linalg import RESIDUAL_BLOCK, eig_general, eig_hermitian
-from specrange.model import (GeometricDecayPotential, LatticeBox,
-                             OperatorMatrix, TablePotential, assemble)
+from specrange.model import (ConstantPotential, GeometricDecayPotential,
+                             LatticeBox, LatticeOperator, OperatorMatrix,
+                             TablePotential, assemble)
 
 
 def companion(*coeffs):
@@ -257,3 +260,148 @@ def test_construct_follows_the_blas_thread_count_only_in_its_residuals(
         for key in ("is_boundary", "normality", "split", "support_size"):
             if key in a:
                 assert a[key] == b[key]
+
+
+def centred_box(nu, side, *more):
+    lo = -(side // 2)
+    return LatticeBox(nu, ((lo, lo + side - 1),) * (nu - len(more)) + more)
+
+
+# boxes whose d is invariant under exchanging their first two axes
+SWAP_INVARIANT = [
+    pytest.param(assemble(centred_box(2, 8), GeometricDecayPotential(
+        0.4 + 0.7j, 0.6)), id="8x8"),
+    pytest.param(assemble(centred_box(2, 16), GeometricDecayPotential(
+        0.45 + 0.6j, 0.7)), id="16x16"),
+    pytest.param(assemble(LatticeBox(2, ((0, 5), (0, 5))),
+                          ConstantPotential(0.3 + 0.7j)), id="constant_6x6"),
+    pytest.param(assemble(centred_box(3, 4, (0, 2)), GeometricDecayPotential(
+        -1.3 + 0.9j, 0.5)), id="4x4x3"),
+    # scale 2^82, beyond 2^64, so ?geev sees A / 2^82
+    pytest.param(assemble(centred_box(2, 6), GeometricDecayPotential(
+        1e25 * (0.4 + 0.7j), 0.6)), id="scaled_6x6"),
+]
+
+
+def test_scaled_invariant_box_is_handed_to_lapack_scaled():
+    assert SWAP_INVARIANT[-1].values[0].lapack_scale == 2.0 ** 82
+
+
+def fixed_points(op):
+    sigma = op.swap[0]
+    return int(np.count_nonzero(sigma == np.arange(op.dim)))
+
+
+@pytest.mark.parametrize("op", SWAP_INVARIANT)
+def test_split_vectors_are_exactly_even_or_odd(op):
+    sigma = op.swap[0]
+    signs = []
+    for p in eig_general(op):
+        f = p.vector
+        even, odd = np.array_equal(f[sigma], f), np.array_equal(f[sigma], -f)
+        assert even != odd
+        signs.append(even)
+    f = fixed_points(op)
+    assert signs.count(True) == (op.dim + f) // 2
+    assert signs.count(False) == (op.dim - f) // 2
+
+
+@pytest.mark.parametrize("op", SWAP_INVARIANT)
+def test_split_pairs_match_the_dense_solve_within_rounding(op):
+    # the two block solves agree with one solve of the n x n matrix as a
+    # multiset of eigenvalues, and every pair meets the residual contract of
+    # the full operator
+    pairs, dense = eig_general(op), eig_general(op.matrix)
+    got = np.array([p.value for p in pairs])
+    ref = np.array([q.value for q in dense])
+    cost = np.abs(got[:, None] - ref[None, :]) / (1.0 + np.abs(got[:, None]))
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-12
+    a = op.matrix
+    bound = DEFAULT_TOLERANCES.eig * (1.0 + op.frobenius)
+    for p in pairs:
+        assert p.residual <= bound
+        direct = np.linalg.norm(a @ p.vector - p.value * p.vector)
+        assert abs(direct - p.residual) <= 1e-13 * (1.0 + abs(p.value))
+        assert abs(np.linalg.norm(p.vector) - 1.0) < 1e-13
+
+
+def test_invariant_box_solves_two_blocks_carved_from_one_buffer(monkeypatch):
+    op = assemble(centred_box(2, 16), GeometricDecayPotential(0.45 + 0.6j,
+                                                              0.7))
+    blocks = []
+    real = scipy.linalg.get_lapack_funcs
+
+    def get_lapack_funcs(names, *args, **kwargs):
+        funcs = real(names, *args, **kwargs)
+        if names[0] != "geev":
+            return funcs
+
+        def spy(a, *a_args, **a_kwargs):
+            blocks.append(a)
+            return funcs[0](a, *a_args, **a_kwargs)
+        return (spy, *funcs[1:])
+
+    def no_dense(*args):
+        raise AssertionError("the dense matrix was formed")
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    monkeypatch.setattr(LatticeOperator, "fill", no_dense)
+    monkeypatch.setattr(LatticeOperator, "matrix", property(no_dense))
+    pairs = eig_general(op)
+    n, f = op.dim, fixed_points(op)
+    assert [b.shape for b in blocks] == [((n + f) // 2,) * 2,
+                                         ((n - f) // 2,) * 2] == [(136, 136),
+                                                                  (120, 120)]
+    assert all(b.flags.f_contiguous for b in blocks)
+    # both blocks are carved from one n x n buffer, which then holds the
+    # lifted eigenvectors
+    buf = blocks[0].base
+    assert blocks[1].base is buf and buf.size == n * n
+    assert len(pairs) == n and all(p.vector.base is buf for p in pairs)
+
+
+SQUARE_FIELD = """
+import numpy as np
+import scipy.linalg
+from specrange.linalg import eig_general
+from specrange.model import (GeometricDecayPotential, LatticeBox,
+                             SeededRandomPotential, SumPotential, assemble)
+box = LatticeBox(2, ((-6, 5), (-6, 5)))
+op = assemble(box, SumPotential((
+    SeededRandomPotential(7, box, (-0.5, 0.5), (0.0, 1.0)),
+    GeometricDecayPotential(0.12 + 0.25j, 0.7))))
+assert op.swap is None
+sizes = []
+real = scipy.linalg.get_lapack_funcs
+def get_lapack_funcs(names, *args, **kwargs):
+    funcs = real(names, *args, **kwargs)
+    if names[0] != "geev":
+        return funcs
+    def spy(a, *a_args, **a_kwargs):
+        sizes.append(a.shape)
+        return funcs[0](a, *a_args, **a_kwargs)
+    return (spy, *funcs[1:])
+scipy.linalg.get_lapack_funcs = get_lapack_funcs
+pairs = eig_general(op)
+assert sizes == [(144, 144)], sizes
+dense = eig_general(op.matrix)
+assert [p.value for p in pairs] == [q.value for q in dense]
+for p, q in zip(pairs, dense):
+    assert p.vector.tobytes() == q.vector.tobytes()
+print("ok")
+"""
+
+
+def test_square_box_without_invariance_solves_unsplit_bit_for_bit():
+    # a seeded field breaks the exchange symmetry of a square box: one
+    # size-n ?geev on the buffer fill writes, the bits of the dense path
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                 if p]))
+    proc = subprocess.run([sys.executable, "-c", SQUARE_FIELD],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -323,15 +323,38 @@ def test_chain_sweep_equals_eigh_tridiagonal_bit_for_bit(monkeypatch, op):
                  720, id="box_2d"),
     pytest.param(assemble(centred_box(2, 16), GeometricDecayPotential(
         0.45 + 0.6j, 0.7)), 32, id="box_16x16"),
+    pytest.param(assemble(centred_box(2, 24), GeometricDecayPotential(
+        0.4 + 0.7j, 0.6)), 32, id="box_24x24"),
 ])
 def test_one_angle_has_the_bits_of_its_chunked_hull_sample(op, n_angles):
-    # compute_hull sweeps its grid in chunks of angles (27 to a chunk on the
-    # 301-site chain, 3 on the 16 x 16 box); the same angle alone gives the
-    # same bits
+    # compute_hull sweeps its grid in chunks of angles (54 to a chunk on
+    # the 301-site chain, 7 on the 16 x 16 box, 2 on the 24 x 24 box); the
+    # same angle alone gives the same bits
     hull = compute_hull(op, n_angles=n_angles)
     solve = numrange._sweep_solver(op)
     for t, s, w in zip(hull.thetas, hull.supports, hull.witnesses):
         assert solve(t) == (s, w)
+
+
+@pytest.mark.parametrize("ranges, per_chunk", [
+    (((0, 1), (0, 63)), 1),  # kd = 64: one angle a chunk, whatever its size
+    (((-12, 11), (-12, 11)), 2),
+])
+def test_angles_share_a_chunk_only_while_kd_is_at_most_63(monkeypatch,
+                                                          ranges, per_chunk):
+    op = assemble(LatticeBox(2, ranges), GeometricDecayPotential(0.4 + 0.7j,
+                                                                 0.6))
+    rows = []
+    band_cholesky = numrange._band_cholesky
+
+    def spy(kd):
+        cholesky, backsolve = band_cholesky(kd)
+        return (lambda ab: rows.append(len(ab)) or cholesky(ab)), backsolve
+
+    monkeypatch.setattr(numrange, "_band_cholesky", spy)
+    compute_hull(op, n_angles=8)
+    n, kd = op.dim, op.bandwidth
+    assert max(rows) == per_chunk * n + kd
 
 
 def table_chain(values):

@@ -783,6 +783,43 @@ def test_out_dir_that_cannot_be_created_exits_two(tmp_path, capsys, verb,
     assert tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("verb", sorted(WRITTEN))
+def test_output_path_that_is_a_directory_exits_two_and_writes_nothing(
+        tmp_path, capsys, verb):
+    # the last file of the verb names a directory: refused before the first
+    # write, so none of the files before it is left behind
+    argv, suffixes = WRITTEN[verb]
+    path = write_scenario(tmp_path, small_run_doc())
+    out = tmp_path / "out"
+    (out / f"small.{suffixes[-1]}").mkdir(parents=True)
+    before = tree(tmp_path)
+    assert main([a.format(path=path) for a in argv]
+                + ["--out-dir", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and "at --out-dir: " in err and "is a directory" in err
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask_022", "umask_027"])
+def test_written_files_take_the_mode_the_umask_gives(tmp_path, umask, mode):
+    # a new file and one that exists already, whatever its mode, both get
+    # 0o666 less the umask, as a file opened for writing would
+    path = write_scenario(tmp_path, small_run_doc())
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "small.report.json").write_text("")
+    (out / "small.report.json").chmod(0o600)
+    old = os.umask(umask)
+    try:
+        assert main(["run", path, "--out-dir", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {f.name: f.stat().st_mode & 0o777 for f in out.iterdir()}
+    assert modes == {f"small.{s}": mode for s in WRITTEN["run"][1]}
+
+
 def test_construct_takes_no_seed_flag(tmp_path, capsys):
     # construct builds no seeded potential, so --seed is not one of its flags
     with pytest.raises(SystemExit) as e:
