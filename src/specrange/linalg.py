@@ -8,12 +8,16 @@ are reproducible run to run.
 
 eig_general takes any model.Operator: the only dense copy of A it makes is
 the buffer LAPACK ?geev overwrites, and its residuals come from the
-operator's own products (a stencil for an assembled operator), formed on A
-scaled by a power of two so that they overflow only with ||A||_F.  An
+operator's own product A f (a stencil for an assembled operator), formed on
+A scaled by a power of two so that they overflow only with ||A||_F.  An
 assembled operator that commutes with the exchange of two axes of its box
 (Operator.swap) is solved as two half-size blocks carved from that one
 buffer, and its eigenvectors are lifted exactly into the n x n rows that
-the rest of the solve reads as it reads an unsplit one.
+the rest of the solve reads as it reads an unsplit one.  An assembled
+operator whose Im d is a constant c (Operator.normal_shift) is normal, and
+its pairs are (mu + i c, u) for the eigenpairs of the real symmetric Re A:
+each block is then the real part alone, solved by LAPACK ?syevr instead of
+?geev, in either layout.
 """
 
 from __future__ import annotations
@@ -78,14 +82,48 @@ def _geev(a: np.ndarray, solve_scale: float):
     return vals, vr
 
 
+def _syevr(a: np.ndarray, solve_scale: float, shift: float):
+    """(eigenvalues mu + i shift, orthonormal eigenvector columns) for the
+    eigenpairs (mu, u) of the real symmetric Fortran-ordered a, by LAPACK
+    ?syevr on the upper triangle of a / solve_scale, overwriting a."""
+    syevr, syevr_lwork = scipy.linalg.get_lapack_funcs(
+        ("syevr", "syevr_lwork"), dtype=np.float64)
+    work, iwork, info = syevr_lwork(len(a))
+    if solve_scale != 1.0:
+        a /= solve_scale
+    mu, z, _, _, info = syevr(a, compute_v=1, lwork=int(work),
+                              liwork=int(iwork), overwrite_a=1)
+    if info != 0:
+        raise EigenSolverError(
+            f"eigensolver did not converge: LAPACK syevr returned info = "
+            f"{info}",
+            worst_residual=float("nan"),
+            where="linalg.eig_general",
+        )
+    vals = (mu * solve_scale).astype(np.complex128)
+    vals.imag = shift
+    return vals, z
+
+
 def _solve(op, solve_scale: float):
     """(eigenvalues, eigenvectors as rows) of op from one ?geev on the
-    buffer op.fill writes: two n x n arrays at most."""
-    n = op.dim
-    buf = np.empty((n, n), dtype=np.complex128, order="F")
-    op.fill(buf)
-    vals, vr = _geev(buf, solve_scale)
-    return vals, vr.T
+    buffer op.fill writes: two n x n arrays at most.  A normal op is
+    instead solved by ?syevr on Re A, written as a real array into the
+    first half of that buffer, whose n rows then take the real
+    eigenvectors: 1.5 n x n complex arrays at most."""
+    n, shift = op.dim, op.normal_shift
+    flat = np.empty(n * n, dtype=np.complex128)
+    if shift is None:
+        buf = flat.reshape((n, n), order="F")
+        op.fill(buf)
+        vals, vr = _geev(buf, solve_scale)
+        return vals, vr.T
+    re = flat.view(np.float64)[:n * n].reshape((n, n), order="F")
+    op.fill(re)
+    vals, z = _syevr(re, solve_scale, shift)
+    vecs = flat.reshape(n, n)
+    vecs[...] = z.T
+    return vals, vecs
 
 
 def _solve_split(op, solve_scale: float):
@@ -93,15 +131,33 @@ def _solve_split(op, solve_scale: float):
     of op.fill_split, both carved from one n x n buffer, which then takes
     the block eigenvectors lifted into its n rows: the even ones' entries
     repeat at sigma(k), the odd ones' change sign there and vanish on the
-    fixed points, so the lift is exact.  The even rows come first."""
+    fixed points, so the lift is exact.  The even rows come first.
+
+    A normal op's blocks are those of Re A, real, solved by ?syevr.  The
+    odd block is symmetric; the even one, written on the unnormalised
+    basis e_k + e_sigma(k), is made so by the diagonal similarity
+    N B N^-1 with N = sqrt 2 on the pair sites and 1 on the fixed points
+    (its entries between the two take sqrt 2 and 2 sqrt(1/2), the same
+    float), and its eigenvectors are divided by N before the lift."""
     sigma, ev, od = op.swap
+    shift = op.normal_shift
     n, ne, no = op.dim, len(ev), len(od)
     flat = np.empty(n * n, dtype=np.complex128)
-    even = flat[:ne * ne].reshape((ne, ne), order="F")
-    odd = flat[ne * ne:ne * ne + no * no].reshape((no, no), order="F")
+    mem = flat if shift is None else flat.view(np.float64)
+    even = mem[:ne * ne].reshape((ne, ne), order="F")
+    odd = mem[ne * ne:ne * ne + no * no].reshape((no, no), order="F")
     op.fill_split(even, odd)
-    vals_e, vr_e = _geev(even, solve_scale)
-    vals_o, vr_o = _geev(odd, solve_scale)
+    if shift is None:
+        vals_e, vr_e = _geev(even, solve_scale)
+        vals_o, vr_o = _geev(odd, solve_scale)
+    else:
+        fixed = sigma[ev] == ev
+        pair, fix = np.flatnonzero(~fixed), np.flatnonzero(fixed)
+        even[np.ix_(pair, fix)] *= np.sqrt(2.0)
+        even[np.ix_(fix, pair)] *= np.sqrt(0.5)
+        vals_e, vr_e = _syevr(even, solve_scale, shift)
+        vr_e *= np.where(fixed, 1.0, np.sqrt(0.5))[:, None]
+        vals_o, vr_o = _syevr(odd, solve_scale, shift)
     del even, odd
     vecs = flat.reshape(n, n)
     vecs[:ne, ev] = vr_e.T
@@ -129,9 +185,19 @@ def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
     of sizes (n + f) / 2 and (n - f) / 2 for f fixed sites, about a
     quarter of the work in about 1.5 n x n arrays; the lifted vectors are
     exactly even or odd under the exchange, and the pairs agree with the
-    unsplit solve to rounding, not bit for bit.  The residuals come from
-    op.products on f / op.scale, exactly scaled, so they stay finite
-    whenever ||A||_F is.
+    unsplit solve to rounding, not bit for bit.
+
+    A normal operator (op.normal_shift is c, not None: an assembled
+    operator with Im d = c on its box) has the eigenpairs (mu + i c, u)
+    of the real symmetric Re A.  Each block, unsplit or split, is then
+    Re A's, written as a real array into the same buffer, divided by
+    op.lapack_scale and solved by ?syevr, a fraction of ?geev's work; the
+    pairs have Im lambda = c exactly and real vectors, and agree with the
+    ?geev solve of the same matrix to rounding.  An explicit matrix is
+    never taken for normal.
+
+    The residuals come from op.apply on f / op.scale, exactly scaled, so
+    they stay finite whenever ||A||_F is.
     """
     op = as_operator(op)
     if not op.finite:
@@ -159,10 +225,16 @@ def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
     scale = op.scale
     res = np.empty(len(vals))
     for b in residual_blocks(len(vals)):
+        # rows A f_j / scale - (lambda_j / scale) f_j and their norms, with
+        # the operations of np.linalg.norm(..., axis=1) on three blocks of
+        # temporaries; f / scale is f itself for a scale of 1
         f = vecs[order[b]]
-        af, _ = op.products(f / scale)  # rows A f_j / scale
-        res[b] = scale * np.linalg.norm(af - (vals[b, None] / scale) * f,
-                                        axis=1)
+        r = op.apply(f if scale == 1.0 else f / scale)
+        t = (vals[b, None] / scale) * f
+        r -= t
+        np.conjugate(r, out=t)
+        t *= r
+        res[b] = scale * np.sqrt(np.add.reduce(t.real, axis=1))
     worst = float(res.max()) if len(res) else 0.0
     pairs = list(map(EigenPair, vals.tolist(), (vecs[k] for k in order),
                      res.tolist()))

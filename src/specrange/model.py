@@ -12,7 +12,9 @@ an explicit matrix), diagonal, norm, products A f and A* f of blocks of
 vectors, and a dense copy written into a caller's buffer.  A
 LatticeOperator whose d is invariant under exchanging two axes of a square
 box also writes its two blocks on that exchange's even and odd vectors
-(`swap`, `fill_split`).  `assemble`
+(`swap`, `fill_split`); one whose Im d is constant is normal
+(`normal_shift`), and `fill` and `fill_split` write Re A alone into
+real buffers.  `assemble`
 returns a LatticeOperator, which stores the box and the diagonal d alone
 (A = J + diag(d), O(n) memory, stencil products); explicit matrices, the
 only storage for input that was not assembled on a box, are OperatorMatrix
@@ -658,11 +660,15 @@ class Operator(abc.ABC):
     diagonal (complex128, n), `matrix` is A as an n x n array and `box`
     the lattice box A was assembled on (None for an explicit matrix).
     `swap` is None, or the exchange of two axes of the box that A commutes
-    with, with its even and odd sites (LatticeOperator.swap)."""
+    with, with its even and odd sites (LatticeOperator.swap).
+    `normal_shift` is None, or the constant c = Im a_kk of an operator
+    whose type makes it normal with Im A = c I (LatticeOperator.normal_shift):
+    no entries are scanned to find it."""
 
     box: LatticeBox | None
     diagonal: np.ndarray
     swap = None
+    normal_shift = None
 
     @property
     @abc.abstractmethod
@@ -698,6 +704,11 @@ class Operator(abc.ABC):
         not undo it (it returns the eigenvalues of 1e160 as 1.5e138)."""
         s = self.scale
         return 1.0 if LAPACK_UNSCALED[0] <= s <= LAPACK_UNSCALED[1] else s
+
+    @abc.abstractmethod
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """A f_j as rows, for the rows f_j of the (k, n) block f: the first
+        of products(f), with the same bits."""
 
     @abc.abstractmethod
     def products(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -743,9 +754,12 @@ class OperatorMatrix(Operator):
     def scale(self) -> float:
         return pow2_floor(float(np.abs(self.matrix.view(np.float64)).max()))
 
+    def apply(self, f):
+        return f @ self.matrix.T
+
     def products(self, f):
-        a = self.matrix
-        return f @ a.T, (f.conj() @ a).conj()  # A* f without copying A
+        # A* f without copying A
+        return self.apply(f), (f.conj() @ self.matrix).conj()
 
     def fill(self, buf):
         buf[...] = self.matrix
@@ -811,23 +825,50 @@ class LatticeOperator(Operator):
             if side > 1:
                 yield stride, np.moveaxis(idx, axis, 0)[:-1].ravel()
 
-    def products(self, f):
+    def _hop(self, f):
+        """J f_j as rows, a new array: the stencil over box.shape."""
         g = f.reshape((len(f),) + self.box.shape)
         jf = np.zeros_like(g)
         for axis in range(1, g.ndim):
             head = (slice(None),) * axis
             jf[head + (slice(None, -1),)] += g[head + (slice(1, None),)]
             jf[head + (slice(1, None),)] += g[head + (slice(None, -1),)]
-        jf = jf.reshape(f.shape)
+        return jf.reshape(f.shape)
+
+    def apply(self, f):
+        af = self._hop(f)
+        af += self.diagonal * f
+        return af
+
+    def products(self, f):
+        jf = self._hop(f)
         return jf + self.diagonal * f, jf + self.diagonal.conj() * f
 
+    def _diagonal_for(self, buf):
+        """d for a complex buf, Re d for a real one."""
+        return self.diagonal if buf.dtype.kind == "c" else self.diagonal.real
+
     def fill(self, buf):
+        """Write A into the n x n complex128 array buf, or Re A into a
+        float64 one."""
         buf[...] = 0.0
         for stride, i in self.hops():
             buf[i, i + stride] = 1.0
             buf[i + stride, i] = 1.0
         k = np.arange(self.dim)
-        buf[k, k] = self.diagonal
+        buf[k, k] = self._diagonal_for(buf)
+
+    @cached_property
+    def normal_shift(self) -> float | None:
+        """c when Im d is the constant c on the box (+0.0 for c = -0.0),
+        else None.  [Re A, Im A] = [J, diag(Im d)] has the entry
+        Im d(j) - Im d(i) at each hop (i, j), and the hops connect the box,
+        so A is normal exactly then: its eigenpairs are (mu + i c, u) for
+        the eigenpairs (mu, u) of the real symmetric Re A = J + diag(Re d),
+        every eigenvector reducing A."""
+        im = self.diagonal.imag
+        c = float(im[0])
+        return c + 0.0 if np.all(im == c) else None
 
     @cached_property
     def swap(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -851,13 +892,13 @@ class LatticeOperator(Operator):
 
     def fill_split(self, even: np.ndarray, odd: np.ndarray) -> None:
         """Write A's blocks on the even and odd vectors of swap into the
-        square arrays even and odd, one row and column per even and odd
-        site of swap.  Column j of even is A u_j in the basis
-        u_j = e_k + e_sigma(k) (e_k when k = sigma(k)), k the j-th even
-        site, read off at the even sites; odd is the same in the basis
-        e_k - e_sigma(k) at the odd sites.  Every entry is d(k) or a sum
-        of at most two hops (+1 or -1), since no hop joins k and sigma(k),
-        so it is exact; the dense A is never formed."""
+        square arrays even and odd (Re A's into float64 ones), one row and
+        column per even and odd site of swap.  Column j of even is A u_j
+        in the basis u_j = e_k + e_sigma(k) (e_k when k = sigma(k)), k the
+        j-th even site, read off at the even sites; odd is the same in the
+        basis e_k - e_sigma(k) at the odd sites.  Every entry is d(k) or a
+        sum of at most two hops (+1 or -1), since no hop joins k and
+        sigma(k), so it is exact; the dense A is never formed."""
         sigma, ev, od = self.swap
         n = self.dim
         k = np.arange(n)
@@ -880,7 +921,7 @@ class LatticeOperator(Operator):
             buf[...] = 0.0
             np.add.at(buf, (r[keep], c[keep]), value[keep])
             j = np.arange(len(sites))
-            buf[j, j] = self.diagonal[sites]
+            buf[j, j] = self._diagonal_for(buf)[sites]
 
     @property
     def matrix(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Boundary classification and the two certificates."""
 
+import json
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from specrange.classify import (EigenClassification, NormalityVerdict,
                                 SplitVerdict, classify,
                                 hildebrandt_certificate, split_certificate)
+from specrange.cli import main
 from specrange.config import DEFAULT_TOLERANCES
 from specrange.exceptions import ProvenanceError
 from specrange.linalg import RESIDUAL_BLOCK, eig_general
@@ -194,3 +196,24 @@ def test_assembled_diagonal_is_the_potential_sitewise():
         for idx in (np.arange(n), rng.permutation(n)[:n // 3]):
             assert (pot.values(box.sites[idx]).imag.tobytes()
                     == diagonal.imag[idx].tobytes())
+
+
+@pytest.mark.parametrize("name, count", [("free_1d", 200),
+                                         ("levelset_gap_im2", 40),
+                                         ("real_power_nonreal", 40)])
+def test_normal_bundled_scenarios_certify_every_record(tmp_path, name,
+                                                       count):
+    # Im d is constant on these boxes, so A is normal, every eigenvector
+    # reduces it and every eigenvalue lies on the boundary of W(A)
+    path = SCENARIO_DIR / f"{name}.json"
+    sc = load_scenario(str(path))
+    assert assemble(sc.box, sc.potential).normal_shift is not None
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"{name}.report.json").read_text())
+    records = report["results"]["classify"]["records"]
+    assert len(records) == count
+    assert report["results"]["classify"]["certified_boundary_count"] == count
+    for rec in records:
+        assert rec["is_boundary"] is True
+        assert rec["normality"] == NormalityVerdict.CERTIFIED_NORMAL.value
+        assert rec["split"] == SplitVerdict.CERTIFIED.value

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from specrange.exceptions import EigenSolverError
 from specrange.linalg import RESIDUAL_BLOCK, eig_general, eig_hermitian
 from specrange.model import (ConstantPotential, GeometricDecayPotential,
                              LatticeBox, LatticeOperator, OperatorMatrix,
+                             PowerDecayPotential, SumPotential,
                              TablePotential, assemble)
 
 
@@ -277,6 +279,10 @@ SWAP_INVARIANT = [
                           ConstantPotential(0.3 + 0.7j)), id="constant_6x6"),
     pytest.param(assemble(centred_box(3, 4, (0, 2)), GeometricDecayPotential(
         -1.3 + 0.9j, 0.5)), id="4x4x3"),
+    # Im d constant: two ?syevr blocks of Re A
+    pytest.param(assemble(centred_box(2, 9), SumPotential((
+        GeometricDecayPotential(-0.4, 0.6), ConstantPotential(0.5j)))),
+        id="normal_9x9"),
     # scale 2^82, beyond 2^64, so ?geev sees A / 2^82
     pytest.param(assemble(centred_box(2, 6), GeometricDecayPotential(
         1e25 * (0.4 + 0.7j), 0.6)), id="scaled_6x6"),
@@ -405,3 +411,92 @@ def test_square_box_without_invariance_solves_unsplit_bit_for_bit():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_residual_loop_stays_below_the_split_solve_peak():
+    # the residuals ask for A f alone, on three blocks of temporaries, so
+    # on a 24 x 24 box the solve's 1.61 n x n complex arrays set the peak
+    # (measured: 1.613; 1.81 while the loop formed A* f as well)
+    op = assemble(centred_box(2, 24), GeometricDecayPotential(0.45 + 0.6j,
+                                                              0.7))
+    n = op.dim
+    op.swap, op.frobenius, op.scale
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pairs = eig_general(op)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == n
+    assert peak <= 1.65 * 16 * n * n
+
+
+def normal(box, potential, c):
+    op = assemble(box, potential)
+    assert op.normal_shift == c
+    return pytest.param(op, c, id="x".join(map(str, box.shape)))
+
+
+# operators whose Im d is the constant c: normal, solved on Re A by ?syevr
+NORMAL = [
+    normal(LatticeBox(1, ((-100, 99),)), TablePotential({}), 0.0),
+    normal(LatticeBox(1, ((-20, 19),)), SumPotential((
+        PowerDecayPotential(0.5, 1.5), ConstantPotential(-0.75j))), -0.75),
+    normal(LatticeBox(2, ((-3, 4), (-2, 2))), SumPotential((
+        GeometricDecayPotential(0.6, 0.5), ConstantPotential(0.25j))), 0.25),
+    # swap-invariant: two blocks, with 9 fixed sites (SWAP_INVARIANT has
+    # it too, for the exactly even or odd vectors)
+    normal(centred_box(2, 9), SumPotential((
+        GeometricDecayPotential(-0.4, 0.6), ConstantPotential(0.5j))), 0.5),
+    normal(LatticeBox(1, ((3, 3),)), ConstantPotential(0.2 - 1.5j), -1.5),
+    # scale 2^83, beyond 2^64, so ?syevr sees Re A / 2^83
+    normal(LatticeBox(1, ((-10, 10),)), SumPotential((
+        GeometricDecayPotential(1e25, 0.6), ConstantPotential(-2e24j))),
+        -2e24),
+]
+
+
+@pytest.mark.parametrize("op, c", NORMAL)
+def test_normal_operator_is_solved_by_syevr_on_its_real_part(op, c,
+                                                             monkeypatch):
+    solves = []
+    real = scipy.linalg.get_lapack_funcs
+
+    def get_lapack_funcs(names, *args, **kwargs):
+        funcs = real(names, *args, **kwargs)
+
+        def spy(a, *a_args, **a_kwargs):
+            solves.append((names[0], a.dtype, a.shape))
+            return funcs[0](a, *a_args, **a_kwargs)
+        return (spy, *funcs[1:])
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    pairs = eig_general(op)
+    monkeypatch.undo()
+    n = op.dim
+    if op.swap is None:
+        assert solves == [("syevr", np.float64, (n, n))]
+    else:
+        f = fixed_points(op)
+        assert solves == [("syevr", np.float64, ((n + f) // 2,) * 2),
+                          ("syevr", np.float64, ((n - f) // 2,) * 2)]
+    # Im lambda is c itself, +0.0 for c = 0
+    assert [(p.value.imag, np.signbit(p.value.imag)) for p in pairs] == \
+        [(c, np.signbit(c))] * n
+    assert all(not p.vector.imag.any() for p in pairs)
+    dense = eig_general(op.matrix)
+    for p, q in zip(pairs, dense, strict=True):
+        assert abs(p.value - q.value) <= 1e-12 * (1.0 + abs(p.value))
+        assert abs(p.residual - q.residual) <= 1e-12 * (1.0 + abs(p.value))
+    a = op.matrix
+    bound = DEFAULT_TOLERANCES.eig * (1.0 + op.frobenius)
+    for p in pairs:
+        assert p.residual <= bound
+        direct = np.linalg.norm(a @ p.vector - p.value * p.vector)
+        assert abs(direct - p.residual) <= 1e-13 * (1.0 + abs(p.value))
+        assert abs(np.linalg.norm(p.vector) - 1.0) < 1e-13
+
+
+def test_scaled_normal_chain_is_handed_to_lapack_scaled():
+    assert NORMAL[-1].values[0].lapack_scale == 2.0 ** 83

@@ -123,6 +123,10 @@ def test_lattice_operator_is_the_dense_assembly(ranges):
     buf = np.full((op.dim, op.dim), np.nan + 0j, order="F")
     op.fill(buf)
     assert np.array_equal(buf, m)
+    # into a real buffer, the real part alone
+    re = np.full((op.dim, op.dim), np.nan, order="F")
+    op.fill(re)
+    assert np.array_equal(re, m.real)
     assert np.array_equal(op.diagonal, np.diagonal(m))
     assert op.frobenius == pytest.approx(np.linalg.norm(m), rel=1e-15)
     i, j = np.nonzero(np.triu(m, 1))
@@ -137,6 +141,37 @@ def test_lattice_operator_is_the_dense_assembly(ranges):
     af, ahf = op.products(f)
     for got, ref in ((af, f @ m.T), (ahf, f @ m.conj())):
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert np.array_equal(op.apply(f), af)
+    explicit = OperatorMatrix(m)
+    assert np.array_equal(explicit.apply(f), explicit.products(f)[0])
+
+
+@pytest.mark.parametrize("potential, shift", [
+    (TablePotential({}), 0.0),
+    (ConstantPotential(complex(0.5, -0.0)), 0.0),
+    (ConstantPotential(0.25 - 0.5j), -0.5),
+    (SumPotential((GeometricDecayPotential(0.6, 0.5),
+                   ConstantPotential(0.25j))), 0.25),
+    (GeometricDecayPotential(0.4 + 0.7j, 0.6), None),
+    (PowerDecayPotential(0.3j, 2.0, parity="even"), None),
+])
+def test_normal_shift_is_the_constant_imaginary_part(potential, shift):
+    # A = J + diag(d) is normal exactly when Im d is constant on the box,
+    # whose hops connect every site; -0.0 reads as +0.0
+    op = assemble(LatticeBox(2, ((-2, 2), (0, 3))), potential)
+    assert op.normal_shift == shift
+    if shift is not None:
+        assert np.signbit(op.normal_shift) == (shift < 0)
+        re, im = op.matrix.real, op.matrix.imag
+        assert np.array_equal(re @ im, im @ re)
+
+
+def test_explicit_matrix_is_never_taken_for_normal():
+    # the type does not say that A is normal, and no entries are scanned
+    op = assemble(LatticeBox(1, ((0, 5),)), ConstantPotential(0.5j))
+    assert op.normal_shift == 0.5
+    assert OperatorMatrix(op.matrix).normal_shift is None
+    assert OperatorMatrix(np.eye(3)).normal_shift is None
 
 
 def test_lattice_operator_with_real_potential_is_hermitian():
