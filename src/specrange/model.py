@@ -9,17 +9,19 @@ implements a small certificate protocol consumed by the criteria module.
 
 Operators (the Operator interface) are read through their box (None for
 an explicit matrix), diagonal, norm, products A f and A* f of blocks of
-vectors, and a dense copy written into a caller's buffer.  A
-LatticeOperator whose d is invariant under exchanging two axes of a square
-box also writes its two blocks on that exchange's even and odd vectors
-(`swap`, `fill_split`); one whose Im d is constant is normal
-(`normal_shift`), and `fill` and `fill_split` write Re A alone into
-real buffers.  `assemble`
-returns a LatticeOperator, which stores the box and the diagonal d alone
-(A = J + diag(d), O(n) memory, stencil products); explicit matrices, the
-only storage for input that was not assembled on a box, are OperatorMatrix
-and keep their dense array.  Re A and Im A are not stored: the sweep in
-numrange forms them, and the certificates read them through the products.
+vectors, and dense entries written into a caller's buffers by one method,
+`fill_blocks`: A's blocks on the even and odd vectors of an exchange of
+sites that A commutes with.  That is `swap` for a LatticeOperator whose d
+is invariant under exchanging two axes of a square box, and otherwise the
+trivial exchange (`trivial_swap`), whose even block is A itself and whose
+odd block is empty.  A LatticeOperator whose Im d is constant is normal
+(`normal_shift`), and `fill_blocks` writes Re A's blocks alone into real
+buffers.  `assemble` returns a LatticeOperator, which stores the box and
+the diagonal d alone (A = J + diag(d), O(n) memory, stencil products);
+explicit matrices, the only storage for input that was not assembled on a
+box, are OperatorMatrix and keep their dense array.  Re A and Im A are not
+stored: the sweep in numrange forms them, and the certificates read them
+through the products.
 """
 
 from __future__ import annotations
@@ -656,7 +658,7 @@ LAPACK_UNSCALED = (2.0 ** -64, 2.0 ** 64)
 class Operator(abc.ABC):
     """A square complex matrix A as the rest of the package reads it: its
     size, diagonal and norm, the products A f and A* f of blocks of vectors,
-    and a dense copy written into a caller's buffer.  `diagonal` is A's
+    and its dense blocks written into a caller's buffers.  `diagonal` is A's
     diagonal (complex128, n), `matrix` is A as an n x n array and `box`
     the lattice box A was assembled on (None for an explicit matrix).
     `swap` is None, or the exchange of two axes of the box that A commutes
@@ -715,8 +717,10 @@ class Operator(abc.ABC):
         """(A f_j, A* f_j) as rows, for the rows f_j of the (k, n) block f."""
 
     @abc.abstractmethod
-    def fill(self, buf: np.ndarray) -> None:
-        """Write A into the n x n complex128 array buf, in its own order."""
+    def fill_blocks(self, swap, even: np.ndarray, odd: np.ndarray) -> None:
+        """Write A's blocks on the even and odd vectors of the exchange swap
+        (self.swap, or trivial_swap(n), on which even is A itself and odd
+        is empty) into the square complex128 arrays even and odd."""
 
 
 @dataclass(frozen=True)
@@ -761,8 +765,9 @@ class OperatorMatrix(Operator):
         # A* f without copying A
         return self.apply(f), (f.conj() @ self.matrix).conj()
 
-    def fill(self, buf):
-        buf[...] = self.matrix
+    def fill_blocks(self, swap, even, odd):
+        # an explicit matrix has no swap: its one block is A
+        even[...] = self.matrix
 
 
 @dataclass(frozen=True)
@@ -844,20 +849,6 @@ class LatticeOperator(Operator):
         jf = self._hop(f)
         return jf + self.diagonal * f, jf + self.diagonal.conj() * f
 
-    def _diagonal_for(self, buf):
-        """d for a complex buf, Re d for a real one."""
-        return self.diagonal if buf.dtype.kind == "c" else self.diagonal.real
-
-    def fill(self, buf):
-        """Write A into the n x n complex128 array buf, or Re A into a
-        float64 one."""
-        buf[...] = 0.0
-        for stride, i in self.hops():
-            buf[i, i + stride] = 1.0
-            buf[i + stride, i] = 1.0
-        k = np.arange(self.dim)
-        buf[k, k] = self._diagonal_for(buf)
-
     @cached_property
     def normal_shift(self) -> float | None:
         """c when Im d is the constant c on the box (+0.0 for c = -0.0),
@@ -878,7 +869,7 @@ class LatticeOperator(Operator):
         of site k with those two coordinates exchanged: the box and its
         hops are symmetric under sigma, so A commutes with it.  even holds
         the sites k <= sigma[k] and odd the sites k < sigma[k], ascending:
-        the sites that index the blocks of fill_split."""
+        the sites that index the blocks of fill_blocks."""
         box, d = self.box, self.diagonal
         k = np.arange(self.dim)
         for a, b in itertools.combinations(range(box.nu), 2):
@@ -890,26 +881,28 @@ class LatticeOperator(Operator):
                         np.flatnonzero(sigma > k))
         return None
 
-    def fill_split(self, even: np.ndarray, odd: np.ndarray) -> None:
-        """Write A's blocks on the even and odd vectors of swap into the
-        square arrays even and odd (Re A's into float64 ones), one row and
-        column per even and odd site of swap.  Column j of even is A u_j
-        in the basis u_j = e_k + e_sigma(k) (e_k when k = sigma(k)), k the
-        j-th even site, read off at the even sites; odd is the same in the
-        basis e_k - e_sigma(k) at the odd sites.  Every entry is d(k) or a
-        sum of at most two hops (+1 or -1), since no hop joins k and
-        sigma(k), so it is exact; the dense A is never formed."""
-        sigma, ev, od = self.swap
+    def fill_blocks(self, swap, even, odd):
+        """Write A's blocks on the even and odd vectors of the exchange swap
+        into the square arrays even and odd (Re A's into float64 ones), one
+        row and column per even and odd site of swap.  Column j of even is
+        A u_j in the basis u_j = e_k + e_sigma(k) (e_k when k = sigma(k)),
+        k the j-th even site, read off at the even sites; odd is the same
+        in the basis e_k - e_sigma(k) at the odd sites.  Every entry is
+        d(k) or a sum of at most two hops (+1 or -1), since no hop joins k
+        and sigma(k), so it is exact; on trivial_swap(n) even is A (Re A)
+        entry for entry, and odd is empty."""
+        sigma, ev, od = swap
         n = self.dim
         k = np.arange(n)
         rep = np.minimum(k, sigma)
         # the sign of site k in the odd basis vector of its pair: +1 at the
         # odd sites, -1 at their images, 0 at the fixed points
         sign = np.sign(sigma - k).astype(np.float64)
-        # A[row, col] = 1 over the hops (i, j), both directions
+        # A[row, col] = 1 over the hops (i, j), both directions; a single
+        # site has none
         hops = list(self.hops())
-        i = np.concatenate([lo for _, lo in hops])
-        j = np.concatenate([lo + s for s, lo in hops])
+        i = np.concatenate([k[:0]] + [lo for _, lo in hops])
+        j = np.concatenate([k[:0]] + [lo + s for s, lo in hops])
         row, col = np.concatenate([i, j]), np.concatenate([j, i])
         for buf, sites, value in ((even, ev, np.ones(len(col))),
                                   (odd, od, sign[col])):
@@ -921,14 +914,22 @@ class LatticeOperator(Operator):
             buf[...] = 0.0
             np.add.at(buf, (r[keep], c[keep]), value[keep])
             j = np.arange(len(sites))
-            buf[j, j] = self._diagonal_for(buf)[sites]
+            d = self.diagonal if buf.dtype.kind == "c" else self.diagonal.real
+            buf[j, j] = d[sites]
 
     @property
     def matrix(self) -> np.ndarray:
         m = np.empty((self.dim, self.dim), dtype=np.complex128)
-        self.fill(m)
+        self.fill_blocks(trivial_swap(self.dim), m, m[:0, :0])
         m.setflags(write=False)
         return m
+
+
+def trivial_swap(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma, even, odd) of the identity exchange on n sites: every site
+    is fixed, so the even block is A itself and the odd block is empty."""
+    k = np.arange(n)
+    return k, k, k[:0]
 
 
 def pow2_floor(x: float) -> float:

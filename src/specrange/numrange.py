@@ -510,8 +510,11 @@ class NumericalRangeHull:
 
     def margins(self, z) -> np.ndarray:
         """s(theta) - Re(e^{i theta} z) over all sampled angles; for a
-        column of k points, a (k, n_angles) array of their rows."""
-        return self.supports - (self._phases * z).real
+        column of k points, a (k, n_angles) array of their rows.  A margin
+        beyond the float64 range is inf with its sign, as IEEE arithmetic
+        rounds it; a point inside has min margin at most half the width."""
+        with np.errstate(over="ignore"):
+            return self.supports - (self._phases * z).real
 
     def contains(self, z: complex, tol: float = 0.0) -> bool:
         """Outer membership test: all sampled half-plane constraints within tol."""

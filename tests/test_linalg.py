@@ -68,7 +68,12 @@ def test_general_vectors_are_rows_of_one_block_with_unchanged_values():
     a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     pairs = eig_general(OperatorMatrix(a))
     base = pairs[0].vector.base
-    assert base is not None and base.shape == (9, 9)
+    assert base is not None and base.size == 81
+    # the 9 vectors are the 9 rows of that block, one each
+    start = base.__array_interface__["data"][0]
+    rows = sorted(p.vector.__array_interface__["data"][0] - start
+                  for p in pairs)
+    assert rows == [9 * 16 * k for k in range(9)]
     vals, vecs = np.linalg.eig(a)
     order = np.lexsort((vals.imag, vals.real))
     for p, j in zip(pairs, order):
@@ -126,6 +131,29 @@ def test_hermitian_free_chain_matches_cosine_oracle():
     assert np.max(np.abs(vals - oracle)) < 1e-12
     gram = vecs.conj().T @ vecs
     assert np.max(np.abs(gram - np.eye(n))) < 1e-10
+
+
+@pytest.mark.parametrize("m", [[[np.nan, 0.0], [0.0, 1.0]],
+                               [[np.inf, 0.0], [0.0, 1.0]],
+                               [[1.0, np.inf], [np.inf, 1.0]]],
+                         ids=["nan", "inf_diagonal", "inf_hop"])
+def test_hermitian_refuses_input_that_is_not_finite(m):
+    # NaN deviations and residuals pass every > check, so the entries are
+    # checked first, as eig_general checks them
+    with pytest.raises(EigenSolverError):
+        eig_hermitian(OperatorMatrix(m))
+
+
+def test_hermitian_vectors_are_eigh_normalised_and_phased():
+    a = random_matrix(11, seed=6)
+    a = a + a.conj().T
+    vals, vecs = eig_hermitian(OperatorMatrix(a))
+    ref_vals, ref = np.linalg.eigh(a)
+    assert vals.tobytes() == ref_vals.tobytes()
+    for j in range(len(a)):
+        v = ref[:, j] / np.linalg.norm(ref[:, j])
+        k = int(np.argmax(np.abs(v)))
+        assert vecs[:, j].tobytes() == (v * (abs(v[k]) / v[k])).tobytes()
 
 
 def test_hermitian_rejects_nonhermitian_input():
@@ -332,29 +360,43 @@ def test_split_pairs_match_the_dense_solve_within_rounding(op):
         assert abs(np.linalg.norm(p.vector) - 1.0) < 1e-13
 
 
-def test_invariant_box_solves_two_blocks_carved_from_one_buffer(monkeypatch):
-    op = assemble(centred_box(2, 16), GeometricDecayPotential(0.45 + 0.6j,
-                                                              0.7))
-    blocks = []
+def spy_lapack(monkeypatch):
+    """A list that gets (routine, block) for each LAPACK solve made while
+    monkeypatch is in place."""
+    solves = []
     real = scipy.linalg.get_lapack_funcs
 
     def get_lapack_funcs(names, *args, **kwargs):
         funcs = real(names, *args, **kwargs)
-        if names[0] != "geev":
-            return funcs
 
         def spy(a, *a_args, **a_kwargs):
-            blocks.append(a)
+            solves.append((names[0], a))
             return funcs[0](a, *a_args, **a_kwargs)
         return (spy, *funcs[1:])
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    return solves
+
+
+def test_invariant_box_solves_two_blocks_carved_from_one_buffer(monkeypatch):
+    op = assemble(centred_box(2, 16), GeometricDecayPotential(0.45 + 0.6j,
+                                                              0.7))
+    solves = spy_lapack(monkeypatch)
 
     def no_dense(*args):
         raise AssertionError("the dense matrix was formed")
 
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
-    monkeypatch.setattr(LatticeOperator, "fill", no_dense)
+    fill_blocks = LatticeOperator.fill_blocks
+
+    def swap_blocks_only(self, swap, even, odd):
+        assert swap is op.swap, "blocks of another exchange were written"
+        fill_blocks(self, swap, even, odd)
+
+    monkeypatch.setattr(LatticeOperator, "fill_blocks", swap_blocks_only)
     monkeypatch.setattr(LatticeOperator, "matrix", property(no_dense))
     pairs = eig_general(op)
+    assert [name for name, _ in solves] == ["geev", "geev"]
+    blocks = [a for _, a in solves]
     n, f = op.dim, fixed_points(op)
     assert [b.shape for b in blocks] == [((n + f) // 2,) * 2,
                                          ((n - f) // 2,) * 2] == [(136, 136),
@@ -391,17 +433,22 @@ def get_lapack_funcs(names, *args, **kwargs):
 scipy.linalg.get_lapack_funcs = get_lapack_funcs
 pairs = eig_general(op)
 assert sizes == [(144, 144)], sizes
-dense = eig_general(op.matrix)
-assert [p.value for p in pairs] == [q.value for q in dense]
-for p, q in zip(pairs, dense):
-    assert p.vector.tobytes() == q.vector.tobytes()
+# np.linalg.eig on the dense matrix, normalised and phased
+vals, vecs = np.linalg.eig(op.matrix)
+order = np.lexsort((vals.imag, vals.real))
+assert [p.value for p in pairs] == vals[order].tolist()
+for p, j in zip(pairs, order, strict=True):
+    v = vecs[:, j] / np.linalg.norm(vecs[:, j])
+    k = int(np.argmax(np.abs(v)))
+    assert p.vector.tobytes() == (v * (abs(v[k]) / v[k])).tobytes()
 print("ok")
 """
 
 
 def test_square_box_without_invariance_solves_unsplit_bit_for_bit():
     # a seeded field breaks the exchange symmetry of a square box: one
-    # size-n ?geev on the buffer fill writes, the bits of the dense path
+    # size-n ?geev on the trivial exchange's one block, the bits of
+    # np.linalg.eig on the dense matrix
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
@@ -411,6 +458,14 @@ def test_square_box_without_invariance_solves_unsplit_bit_for_bit():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_explicit_matrix_is_one_geev_of_its_size(monkeypatch):
+    # the trivial exchange's odd block is empty and not handed to LAPACK
+    solves = spy_lapack(monkeypatch)
+    pairs = eig_general(OperatorMatrix(random_matrix(13, seed=5)))
+    assert [(name, a.shape) for name, a in solves] == [("geev", (13, 13))]
+    assert len(pairs) == 13
 
 
 def test_residual_loop_stays_below_the_split_solve_peak():
@@ -460,20 +515,10 @@ NORMAL = [
 @pytest.mark.parametrize("op, c", NORMAL)
 def test_normal_operator_is_solved_by_syevr_on_its_real_part(op, c,
                                                              monkeypatch):
-    solves = []
-    real = scipy.linalg.get_lapack_funcs
-
-    def get_lapack_funcs(names, *args, **kwargs):
-        funcs = real(names, *args, **kwargs)
-
-        def spy(a, *a_args, **a_kwargs):
-            solves.append((names[0], a.dtype, a.shape))
-            return funcs[0](a, *a_args, **a_kwargs)
-        return (spy, *funcs[1:])
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    spied = spy_lapack(monkeypatch)
     pairs = eig_general(op)
     monkeypatch.undo()
+    solves = [(name, a.dtype, a.shape) for name, a in spied]
     n = op.dim
     if op.swap is None:
         assert solves == [("syevr", np.float64, (n, n))]

@@ -13,7 +13,7 @@ from specrange.model import (Alternating1DPotential, ConstantPotential,
                              GeometricDecayPotential, LatticeBox,
                              OperatorMatrix, PowerDecayPotential,
                              SeededRandomPotential, SumPotential,
-                             TablePotential, assemble)
+                             TablePotential, assemble, trivial_swap)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +120,14 @@ def test_lattice_operator_is_the_dense_assembly(ranges):
     m = dense_assembly(box, pot)
     assert np.array_equal(op.matrix, m)
     assert op.matrix is not op.matrix  # built on each read, not kept
+    # the trivial exchange's even block is A itself, its odd one empty
+    swap = trivial_swap(op.dim)
     buf = np.full((op.dim, op.dim), np.nan + 0j, order="F")
-    op.fill(buf)
+    op.fill_blocks(swap, buf, buf[:0, :0])
     assert np.array_equal(buf, m)
     # into a real buffer, the real part alone
     re = np.full((op.dim, op.dim), np.nan, order="F")
-    op.fill(re)
+    op.fill_blocks(swap, re, re[:0, :0])
     assert np.array_equal(re, m.real)
     assert np.array_equal(op.diagonal, np.diagonal(m))
     assert op.frobenius == pytest.approx(np.linalg.norm(m), rel=1e-15)

@@ -123,6 +123,27 @@ def test_block_distances_clamp_near_points_and_name_the_first_far_one():
         hull.boundary_distances([0.25, 2.0 + 2.0j, 3.0])
 
 
+def test_margins_beyond_the_float_range_raise_no_warning():
+    # a 2-site chain with d = (1e308, -1e308): the hull is about the
+    # segment [-1e308, 1e308], and an eigenvalue's margin at the opposite
+    # angle is about 2e308, beyond the float64 range
+    op = assemble(LatticeBox(1, ((0, 1),)),
+                  TablePotential({(0,): 1e308, (1,): -1e308}))
+    hull = compute_hull(op, n_angles=360)
+    values = np.linalg.eigvals(op.matrix)
+    tol = 1e-12 * op.frobenius
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = hull.boundary_distances(values, outside_tol=tol)
+        assert np.isfinite(dist).all() and (dist <= tol).all()
+        assert hull.margins(values[:, None]).max() == np.inf
+        assert hull.contains(values[0], tol=tol)
+        for outside in (1.7e308, -1.7e308, 1e307j):
+            assert not hull.contains(outside, tol=tol)
+            with pytest.raises(HullDomainError, match="lies outside"):
+                hull.boundary_distance(outside, outside_tol=tol)
+
+
 def test_refining_angles_tightens_the_outer_polygon():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))

@@ -1123,15 +1123,19 @@ def box_doc(ranges):
 def test_run_path_never_reads_the_dense_matrix(tmp_path, monkeypatch,
                                                ranges):
     # an assembled operator is the box and d: the one dense copy of A is
-    # the buffer eig_general hands to ?geev, written by fill
+    # the buffer eig_general hands to ?geev, written by fill_blocks
     def no_matrix(self):
         raise AssertionError("the dense matrix was read")
 
     fills = []
-    fill = LatticeOperator.fill
+    fill_blocks = LatticeOperator.fill_blocks
+
+    def counted(self, *args):
+        fills.append(1)
+        fill_blocks(self, *args)
+
     monkeypatch.setattr(LatticeOperator, "matrix", property(no_matrix))
-    monkeypatch.setattr(LatticeOperator, "fill",
-                        lambda self, buf: fills.append(1) or fill(self, buf))
+    monkeypatch.setattr(LatticeOperator, "fill_blocks", counted)
     path = write_scenario(tmp_path, box_doc(ranges))
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 0
     assert fills == [1]
