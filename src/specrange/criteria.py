@@ -292,9 +292,8 @@ def _pair_condition(scan: _Scan, b: float) -> CriterionResult:
             INCONCLUSIVE,
             f"no adjacent pair with Im d != b on both sites within scan "
             f"radius {radius}")
-    m = int(sites[int(np.argmax(both)), 0])
-    dm = scan.potential.value((m,)).imag
-    dm1 = scan.potential.value((m + 1,)).imag
+    i = int(np.argmax(both))
+    m, dm, dm1 = int(sites[i, 0]), float(im[i]), float(im[i + 1])
     detail["witness_site"] = m
     return result(
         ABSENT,

@@ -33,8 +33,9 @@ from .model import as_operator, frobenius_norm, trivial_swap
 
 HERMITIAN_TOL = 1e-12
 ORTHO_TOL = 1e-10
-# Eigenvectors per residual product: one matrix product per block replaces
-# a mat-vec per vector, and the block's temporaries stay O(n * block).
+# Eigenvectors per residual product: one product per block (a stencil for
+# an assembled operator) replaces a mat-vec per vector, and the block's
+# temporaries stay O(n * block).
 RESIDUAL_BLOCK = 64
 
 
@@ -132,7 +133,8 @@ def _solve(op, solve_scale: float):
     del even, odd
     vecs = flat.reshape(n, n)
     vecs[:ne, ev] = vr_e.T
-    vecs[:ne, sigma[ev]] = vr_e.T
+    if not fixed.all():  # on the trivial exchange sigma[ev] is ev
+        vecs[:ne, sigma[ev]] = vr_e.T
     vecs[ne:, od] = vr_o.T
     vecs[ne:, sigma[od]] = np.negative(vr_o, out=vr_o).T
     vecs[ne:, ev[fixed]] = 0.0

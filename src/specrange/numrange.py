@@ -22,9 +22,9 @@ The sweep's solver is chosen once per operator from its type.
       not a setting.  H's sub-diagonals are the box's hopping pairs
       (LatticeOperator.hops).  An angle the iteration has not certified
       within _BAND_MAX_FACTORS factorisations goes to a real dense
-      scipy.linalg.eigh on real copies of Re A and Im A, taken from the
-      operator's dense matrix only then and freed of it before the
-      rotation's n x n buffers are allocated.
+      scipy.linalg.eigh of H / scale, written from the box and d into one
+      real n x n buffer (Operator.fill_blocks on the trivial exchange), and
+      its witness is formed as a certified angle's is.
   any other operator (an explicit matrix, whatever its entries): a complex
       Hermitian dense scipy.linalg.eigh of Re(e^{i theta} A), rotated from
       Re A = (A + A*)/2 and Im A = (A - A*)/2i, formed once per operator.
@@ -60,7 +60,7 @@ import scipy.linalg
 
 from .config import DEFAULT_N_ANGLES
 from .exceptions import EigenSolverError, HullDomainError
-from .model import LatticeOperator, Operator, as_operator
+from .model import LatticeOperator, Operator, as_operator, trivial_swap
 
 
 def _top_eigpair(build) -> tuple[float, np.ndarray]:
@@ -187,7 +187,8 @@ def _band_sweep(op: LatticeOperator):
     r <= delta and sigma = rho + delta factors: lambda_max then lies in
     [rho, rho + delta].  Otherwise (sigma I - H) y = x is solved and
     x = y / ||y||.  An angle not certified within _BAND_MAX_FACTORS
-    factorisations goes to a real dense eigh.
+    factorisations goes to a real dense eigh of H / scale, and its top
+    vector to the same witness expression.
 
     Products and norms are elementwise numpy operations and sums along one
     angle's row, and the factorisation and solve sweep column by column
@@ -279,15 +280,14 @@ def _band_sweep(op: LatticeOperator):
             norms[faint] = _row_norms(y[faint])
         return y / norms[:, None]
 
-    def rows(ab: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """The factors of the blocks `keep` selects, with the identity."""
-        m = len(keep)
-        return np.concatenate([ab[:m * n].reshape(m, n, kd + 1)[keep]
-                               .reshape(-1, kd + 1), ab[m * n:]])
+    def witness(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Re, Im) of f_j^T (A / scale) f_j for the rows f_j of f."""
+        return (np.add.reduce(f * (re_d * f + product(None, hops, f)), axis=1),
+                np.add.reduce(f * (im_d * f), axis=1))
 
     def chunk(c: np.ndarray, s: np.ndarray):
-        """(rho, Re w, Im w, dense) for the angles of cosines c and sines
-        s, on A / scale; dense marks the angles left to the dense solver."""
+        """(rho, Re w, Im w) for the angles of cosines c and sines s, on
+        A / scale."""
         m = len(c)
         hd = c[:, None] * re_d - s[:, None] * im_d
         subs = [(k, c[:, None] * j[:m * n].reshape(m, n)) for k, j in hops]
@@ -315,43 +315,44 @@ def _band_sweep(op: LatticeOperator):
             ab, ok = factor(hd, subs, rho + np.maximum(r, delta) * widen)
             done = ok & certified
             moving = ok & ~certified
-            if moving.all():
-                x = solve(ab, x)
-            elif moving.any():
-                x[moving] = solve(rows(ab, moving), x[moving])
+            # the blocks are uncoupled, so a moving row has the bits of its
+            # own solve whatever the other blocks hold
+            x = np.where(moving[:, None], solve(ab, x), x)
             widen = np.where(moving, 1.0, 2.0 * widen)
             if done.any():
-                f, i = x[done], todo[done]
+                i = todo[done]
                 rho_out[i] = rho[done]
-                wr[i] = np.add.reduce(f * (re_d * f + product(None, hops, f)),
-                                      axis=1)
-                wi[i] = np.add.reduce(f * (im_d * f), axis=1)
+                wr[i], wi[i] = witness(x[done])
                 left = ~done
                 todo, hd, x, widen = todo[left], hd[left], x[left], widen[left]
                 subs = [(k, sub[left]) for k, sub in subs]
-        dense = np.zeros(m, dtype=bool)
-        dense[todo] = True
-        return rho_out, wr, wi, dense
+        if len(todo):
+            # each angle left: a real dense eigh of H / scale, written into
+            # one buffer from Re A whenever eigh has overwritten it
+            h, f = np.empty((n, n), order="F"), np.empty((len(todo), n))
+            diag = np.arange(n)
 
-    dense_solver = None
+            def build(i: int) -> np.ndarray:
+                op.fill_blocks(trivial_swap(n), h, h[:0, :0])
+                np.multiply(h, c[i] / scale, out=h)
+                h[diag, diag] -= s[i] * im_d
+                return h
+            for j, i in enumerate(todo):
+                rho_out[i], f[j] = _top_eigpair(lambda: build(i))
+            wr[todo], wi[todo] = witness(f)
+        return rho_out, wr, wi
 
     def sweep(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal dense_solver
         cos, sin = np.cos(thetas), np.sin(thetas)
         parts = [chunk(cos[j:j + per_chunk], sin[j:j + per_chunk])
                  for j in range(0, len(thetas), per_chunk)]
-        rho, wr, wi, dense = (np.concatenate(p) for p in zip(*parts))
-        sup = np.empty(len(thetas))
+        rho, wr, wi = (np.concatenate(p) for p in zip(*parts))
         wit = np.empty(len(thetas), dtype=np.complex128)
         # a support or witness beyond the float64 range becomes inf here,
         # which compute_hull refuses
         with np.errstate(over="ignore"):
-            sup[:] = rho * scale
+            sup = rho * scale
             wit.real, wit.imag = wr * scale, wi * scale
-        for i in np.flatnonzero(dense):
-            if dense_solver is None:
-                dense_solver = _real_dense_solver(op)
-            sup[i], wit[i] = dense_solver(thetas[i])
         return sup, wit
     return sweep
 
@@ -389,21 +390,6 @@ def _sweep_solver(op: Operator):
         sup, wit = sweep(np.array([theta], dtype=np.float64))
         return float(sup[0]), complex(wit[0])
     return solve
-
-
-def _real_dense_solver(op: LatticeOperator):
-    """theta -> (s(theta), witness) for the assembled op = re + i im, both
-    real symmetric, by a real dense eigh, its n x n buffers allocated
-    here."""
-    a = op.matrix
-    re, im = a.real.copy(), a.imag.copy()
-    del a  # freed before the rotation's buffers are allocated
-    rotated = _rotation(re.T, im.T)  # symmetric: the same entries, F-ordered
-
-    def real_symmetric(theta: float) -> tuple[float, complex]:
-        s, f = _top_eigpair(lambda: rotated(theta))
-        return s, complex(f @ re @ f, f @ im @ f)
-    return real_symmetric
 
 
 # A witness closer than this fraction of the witness set's extent to the

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from specrange import numrange
 from specrange.config import DEFAULT_MAX_DIM
-from specrange.exceptions import HullDomainError
+from specrange.exceptions import EigenSolverError, HullDomainError
 from specrange.model import (ConstantPotential, GeometricDecayPotential,
-                             LatticeBox, OperatorMatrix,
+                             LatticeBox, LatticeOperator, OperatorMatrix,
                              SeededRandomPotential, SumPotential,
                              TablePotential, as_operator, assemble)
 from specrange.numrange import compute_hull
@@ -436,7 +436,7 @@ def test_hull_bytes_do_not_follow_the_blas_thread_count(tmp_path, scenario,
     assert outputs[0] == outputs[1]
 
 
-def test_chain_sweep_falls_back_when_bisection_finds_nothing():
+def test_chain_sweep_of_entries_near_the_float_limit():
     # Entries near the float64 limit: the band iteration runs on the chain
     # divided by its power-of-two scale (Operator.scale), so its shifts,
     # products and norms stay finite.  Next to 1e308 the hopping is lost to
@@ -493,24 +493,40 @@ def test_tied_extreme_does_not_crash_either_path():
 EIGH = scipy.linalg.eigh
 
 
-def expression_sweep(a, thetas):
+def expression_sweep(a, thetas, op=None):
     """Reference: each angle's matrix formed as a fresh expression, which
-    eigh copies before it solves."""
-    if np.array_equal(a, a.T):
-        p, q = a.real.copy(), a.imag.copy()
+    eigh copies before it solves.  For the assembled op (a = op.matrix)
+    that matrix is H / scale = cos(theta) Re A / scale - sin(theta)
+    Im d / scale on the diagonal, and the witness is f^T (A / scale) f
+    with J f summed hop by hop as the band sweep's stencil does, both
+    scaled back."""
+    n = len(a)
+    if op is not None:
+        scale, k = op.scale, np.arange(n)
+        re_d, im_d = a.real.diagonal() / scale, a.imag.diagonal() / scale
     else:
         p, q = (a + a.conj().T) / 2.0, (a - a.conj().T) / 2.0j
     out = []
     for t in thetas:
-        h = np.cos(t) * p - np.sin(t) * q
-        n = len(h)
+        if op is not None:
+            h = a.real * (np.cos(t) / scale)
+            h[k, k] -= np.sin(t) * im_d
+        else:
+            h = np.cos(t) * p - np.sin(t) * q
         w, v = EIGH(h, subset_by_index=(n - 1, n - 1))
         if len(w) == 0:
             w, v = EIGH(h)
         f = v[:, -1]
-        wit = (complex(f @ p @ f, f @ q @ f) if p.dtype == np.float64
-               else complex(np.vdot(f, a @ f)))
-        out.append((float(w[-1]), wit))
+        if op is None:
+            out.append((float(w[-1]), complex(np.vdot(f, a @ f))))
+            continue
+        jf = np.zeros(n)
+        for stride, i in op.hops():
+            jf[i + stride] += f[i] / scale
+            jf[i] += f[i + stride] / scale
+        wr = np.add.reduce(f * (re_d * f + jf))
+        wi = np.add.reduce(f * (im_d * f))
+        out.append((float(w[-1]) * scale, complex(wr * scale, wi * scale)))
     return out
 
 
@@ -518,9 +534,9 @@ def test_buffered_sweep_reproduces_the_expression_bit_for_bit(monkeypatch):
     # A constant potential ties the top eigenvalue at theta = pi/2, which
     # sends some angles to the full-spectrum fallback after the subset solve
     # may have overwritten its input.  An assembled box reaches the real
-    # dense builder only when the band iteration gives up, forced here by a
+    # dense eigh only when the band iteration gives up, forced here by a
     # budget of no band factorisations; a phased explicit matrix takes the
-    # complex dense path.
+    # complex dense path.  The third potential's scale is 64, not 1.
     box = LatticeBox(2, ((0, 7), (0, 7)))
     phases = np.exp(0.7j * np.arange(box.site_count))
     fallbacks = []
@@ -533,16 +549,17 @@ def test_buffered_sweep_reproduces_the_expression_bit_for_bit(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", spy)
     monkeypatch.setattr(numrange, "_BAND_MAX_FACTORS", 0)
     for pot in (ConstantPotential(0.3 + 0.4j),
-                GeometricDecayPotential(0.6 + 0.9j, 0.5)):
+                GeometricDecayPotential(0.6 + 0.9j, 0.5),
+                GeometricDecayPotential(60.0 + 90.0j, 0.5)):
         op = assemble(box, pot)
         a = op.matrix
         phased = phases[:, None] * a * phases.conj()[None, :]
         for x, m in ((op, a), (phased, phased)):
             hull = compute_hull(x, n_angles=32)
-            ref = expression_sweep(m, hull.thetas)
+            ref = expression_sweep(m, hull.thetas, x if x is op else None)
             assert hull.supports.tolist() == [s for s, _ in ref]
             assert hull.witnesses.tolist() == [w for _, w in ref]
-    # the real dense builder's full-spectrum fallback ran
+    # the real dense path's full-spectrum eigh ran
     assert np.dtype(np.float64) in fallbacks
 
 
@@ -606,10 +623,11 @@ def test_band_iteration_that_gives_up_reaches_the_dense_solver(monkeypatch):
                          - dense_supports(op.matrix, hull.thetas))) < 1e-12
 
 
-def test_band_fallback_peak_memory_is_four_real_arrays(monkeypatch):
-    # every angle goes to the real dense solver: Re A, Im A and the
-    # rotation's two buffers, about 4.1 real n x n arrays; a fallback that
-    # keeps the complex dense matrix alive while it allocates them reads 6
+def test_band_fallback_peak_memory_is_one_real_array(monkeypatch):
+    # every angle goes to the real dense eigh: H / scale is written from
+    # Re A into one real n x n buffer, about 1.2 real n x n arrays with
+    # eigh's workspace; a second n x n array (a copy of Re A or Im A, or
+    # of the complex dense matrix) would read over 2
     box = LatticeBox(2, ((0, 23), (0, 23)))
     op = assemble(box, GeometricDecayPotential(0.6 + 0.9j, 0.5))
     monkeypatch.setattr(numrange, "_BAND_MAX_FACTORS", 0)
@@ -620,7 +638,43 @@ def test_band_fallback_peak_memory_is_four_real_arrays(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * 8 * op.dim ** 2
+    assert peak < 1.5 * 8 * op.dim ** 2
+
+
+@pytest.mark.parametrize("box", [LatticeBox(1, ((-3, 3),)),
+                                 LatticeBox(2, ((-3, 3), (-3, 3)))],
+                         ids=["chain", "box_7x7"])
+def test_band_fallback_works_on_the_scaled_box_and_d(monkeypatch, box):
+    # every angle goes to the real dense eigh, which runs on A divided by
+    # its power-of-two scale, built from the box and d: next to 1e308 the
+    # supports stay finite and the witnesses on their lines, and a support
+    # beyond the float64 range is refused as the band iteration refuses it
+    def no_matrix(self):
+        raise AssertionError("the sweep read LatticeOperator.matrix")
+
+    dense_calls = []
+
+    def spy(h, *args, **kw):
+        dense_calls.append(h.dtype)
+        return EIGH(h, *args, **kw)
+
+    monkeypatch.setattr(LatticeOperator, "matrix", property(no_matrix))
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(numrange, "_BAND_MAX_FACTORS", 0)
+    c = 1e308 + 1e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hull = compute_hull(assemble(box, ConstantPotential(c)), n_angles=32)
+        with pytest.raises(EigenSolverError):
+            compute_hull(assemble(box, ConstantPotential(1.7e308 - 1.7e308j)),
+                         n_angles=32)
+    assert len(dense_calls) >= 64
+    assert set(dense_calls) == {np.dtype(np.float64)}
+    exact = (np.exp(1j * hull.thetas) * c).real
+    assert np.all(np.isfinite(hull.supports))
+    assert np.max(np.abs(hull.supports - exact)) <= 1e-12 * abs(c)
+    on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
+    assert np.max(np.abs(on_line - hull.supports)) <= 1e-12 * abs(c)
 
 
 def test_box_at_the_dimension_cap_sweeps():
