@@ -24,9 +24,9 @@ from .criteria import (CriteriaParams, CriteriaReport, CriterionResult,
 from .exceptions import (BandRegimeError, BlowupError, CertificationError,
                          DecayCertificateError, DesignError,
                          DimensionLimitError, EigenSolverError,
-                         HullDomainError, NotHermitianError, ProvenanceError,
-                         SchemaError, SpecrangeError)
-from .linalg import EigenPair, eig_general, eig_hermitian
+                         HullDomainError, ProvenanceError, SchemaError,
+                         SpecrangeError)
+from .linalg import EigenPair, eig_general
 from .model import (Alternating1DPotential, ConstantPotential, DecayBound,
                     GeometricDecayPotential, LatticeBox, LatticeOperator,
                     Operator, OperatorMatrix, PotentialSpec,
@@ -51,9 +51,8 @@ __all__ = [
     "evaluate_all",
     "BandRegimeError", "BlowupError", "CertificationError",
     "DecayCertificateError", "DesignError", "DimensionLimitError",
-    "EigenSolverError", "HullDomainError",
-    "NotHermitianError", "ProvenanceError", "SchemaError", "SpecrangeError",
-    "EigenPair", "eig_general", "eig_hermitian",
+    "EigenSolverError", "HullDomainError", "ProvenanceError", "SchemaError",
+    "SpecrangeError", "EigenPair", "eig_general",
     "Alternating1DPotential", "ConstantPotential", "DecayBound",
     "GeometricDecayPotential", "LatticeBox", "LatticeOperator", "Operator",
     "OperatorMatrix",

@@ -101,10 +101,16 @@ def classify(op: Operator, hull: NumericalRangeHull,
 
     The hull must have been computed from the same operator; the sampled
     minimum margin is the boundary distance (see numrange module notes on
-    its direction of error).  Never raises ProvenanceError: without a box
-    the split verdict is None.  Pairs go in blocks of RESIDUAL_BLOCK: each
-    block's residuals, margins, supports and extents are arrays, and each
-    record is built once from their rows.
+    its direction of error).  With a box, Im A = diag(Im d) puts W(A) in
+    the strip m <= Im z <= M (m, M the extremes of Im d), and a pair with
+    residual r is within r of <A f, f>, a point of W(A), so within
+    2 r + min(|M - Im lambda|, |Im lambda - m|) of its boundary: that bound
+    at most tol_boundary also makes the pair boundary, on any angle grid
+    (the strip rule; boundary_distance stays the sampled margin).  Never
+    raises ProvenanceError: without a box the split verdict is None.  Pairs
+    go in blocks of RESIDUAL_BLOCK: each block's residuals, margins,
+    supports and extents are arrays, and each record is built once from
+    their rows.
     """
     frob = op.frobenius
     if not np.isfinite(frob):
@@ -114,18 +120,21 @@ def classify(op: Operator, hull: NumericalRangeHull,
             where="classify.classify")
     tol_boundary = tol.boundary(frob)
     pairs = eig_general(op, tol)
+    im = op.diagonal.imag if op.box is not None and pairs else None
+    strip = None if im is None else (im.min(), im.max())
     out = []
     for b in residual_blocks(len(pairs)):
         # a call per block, so that a block's temporaries are freed before
         # the next block allocates its own
-        out += _block_records(op, hull, tol, tol_boundary, pairs[b])
+        out += _block_records(op, hull, tol, tol_boundary, strip, pairs[b])
     return out
 
 
 def _block_records(op: Operator, hull: NumericalRangeHull, tol: Tolerances,
-                   tol_boundary: float,
+                   tol_boundary: float, strip: tuple[float, float] | None,
                    block: list[EigenPair]) -> list[EigenClassification]:
-    """The records of a block of pairs."""
+    """The records of a block of pairs; strip is (min, max) of Im d, or
+    None without a box."""
     scale = op.scale
     box = op.box
     f = np.array([p.vector for p in block])  # rows f_j
@@ -140,6 +149,12 @@ def _block_records(op: Operator, hull: NumericalRangeHull, tol: Tolerances,
     split_im = scale * np.linalg.norm((af - ahf) / 2.0j - lam.imag * f,
                                       axis=1)
     dist = hull.boundary_distances(values, outside_tol=tol_boundary)
+    boundaries = dist <= tol_boundary
+    if strip is not None:
+        res = np.array([p.residual for p in block])
+        edge = np.minimum(np.abs(strip[1] - values.imag),
+                          np.abs(values.imag - strip[0]))
+        boundaries |= 2.0 * res + edge <= tol_boundary
     absf = np.abs(f)
     support = absf > (tol.support_rel * absf.max(axis=1))[:, None]
     # each row's support sites, as views of one array (np.nonzero's
@@ -153,7 +168,7 @@ def _block_records(op: Operator, hull: NumericalRangeHull, tol: Tolerances,
         extents, limited = _extents(box, support, sizes)
     out = []
     for pair, d, boundary, nr, sr, si, idx, extent, lim in zip(
-            block, dist.tolist(), (dist <= tol_boundary).tolist(),
+            block, dist.tolist(), boundaries.tolist(),
             normality.tolist(), split_re.tolist(), split_im.tolist(),
             indices, extents, limited):
         ev = _Evidence(pair, boundary, nr, sr, si, idx)

@@ -25,10 +25,6 @@ class DimensionLimitError(SpecrangeError):
     pass
 
 
-class NotHermitianError(SpecrangeError):
-    pass
-
-
 class EigenSolverError(SpecrangeError):
     """Non-convergence or residual contract breach; carries worst residual seen."""
 

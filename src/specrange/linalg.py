@@ -1,4 +1,5 @@
-"""Dense eigensolvers with recomputed residual contracts.
+"""The one dense eigensolver, eig_general, with a recomputed residual
+contract.
 
 Solving delegates to LAPACK (numpy/scipy); nothing returned by the backend
 is trusted: unit norms are re-imposed, residuals are recomputed from the
@@ -17,7 +18,8 @@ A f (a stencil for an assembled operator), formed on A scaled by a power of
 two so that they overflow only with ||A||_F.  An assembled operator whose
 Im d is a constant c (Operator.normal_shift) is normal, and its pairs are
 (mu + i c, u) for the eigenpairs of the real symmetric Re A: each block is
-then the real part alone, solved by LAPACK ?syevr instead of ?geev.
+then the real part alone, solved by LAPACK ?syevr instead of ?geev.  An
+explicit matrix, Hermitian or not, is never taken for normal: ?geev.
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ import numpy as np
 import scipy.linalg
 
 from .config import Tolerances, DEFAULT_TOLERANCES
-from .exceptions import EigenSolverError, NotHermitianError
-from .model import as_operator, frobenius_norm, trivial_swap
+from .exceptions import EigenSolverError
+from .model import as_operator, trivial_swap
 
-HERMITIAN_TOL = 1e-12
-ORTHO_TOL = 1e-10
 # Eigenvectors per residual product: one product per block (a stencil for
 # an assembled operator) replaces a mat-vec per vector, and the block's
 # temporaries stay O(n * block).
@@ -141,18 +141,6 @@ def _solve(op, solve_scale: float):
     return np.concatenate([vals_e, vals_o]), vecs
 
 
-def _normalise_rows(vecs: np.ndarray, where: str) -> None:
-    """Scale each row of vecs in place to unit norm and the canonical
-    phase; a zero row raises."""
-    for v in vecs:
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise EigenSolverError("backend returned a zero eigenvector",
-                                   where=where)
-        v /= nrm
-        _canonical_phase(v)
-
-
 def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
     """All eigenpairs of a general complex matrix (an Operator or an array).
 
@@ -202,7 +190,13 @@ def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
     # vector is a view of this one block rather than a separate small array,
     # so n pairs do not scatter n allocations (and their temporaries) over
     # the heap.
-    _normalise_rows(vecs, "linalg.eig_general")
+    for v in vecs:
+        nrm = np.linalg.norm(v)
+        if nrm == 0:
+            raise EigenSolverError("backend returned a zero eigenvector",
+                                   where="linalg.eig_general")
+        v /= nrm
+        _canonical_phase(v)
     scale = op.scale
     res = np.empty(len(vals))
     for b in residual_blocks(len(vals)):
@@ -229,49 +223,3 @@ def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
         )
     return pairs
 
-
-def eig_hermitian(op, tol: Tolerances = DEFAULT_TOLERANCES,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, real) and orthonormal eigenvector columns.
-
-    Input must be finite and hermitian within 1e-12 entrywise; pairwise
-    orthogonality of the returned basis is enforced to 1e-10.  The vectors
-    are normalised and phased as eig_general's are.
-    """
-    op = as_operator(op)
-    if not op.finite:
-        raise EigenSolverError("matrix has entries beyond the float64 range",
-                               where="linalg.eig_hermitian")
-    a = op.matrix
-    dev = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-    if dev > HERMITIAN_TOL:
-        raise NotHermitianError(
-            f"matrix deviates from hermitian by {dev:.3e} (> {HERMITIAN_TOL})",
-            where="linalg.eig_hermitian",
-        )
-    frob = frobenius_norm(a)
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(
-            f"eigensolver did not converge: {exc}",
-            worst_residual=float("nan"),
-            where="linalg.eig_hermitian",
-        ) from exc
-    _normalise_rows(vecs.T, "linalg.eig_hermitian")
-    res = np.linalg.norm(a @ vecs - vecs * vals[None, :], axis=0)
-    worst = float(res.max()) if len(res) else 0.0
-    if worst > tol.eig * (1.0 + frob):
-        raise EigenSolverError(
-            f"residual contract breached: worst residual {worst:.3e}",
-            worst_residual=worst,
-            where="linalg.eig_hermitian",
-        )
-    gram = np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1]))
-    if gram.size and float(gram.max()) > ORTHO_TOL:
-        raise EigenSolverError(
-            f"orthonormality breached by {float(gram.max()):.3e}",
-            worst_residual=worst,
-            where="linalg.eig_hermitian",
-        )
-    return vals, vecs

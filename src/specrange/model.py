@@ -31,7 +31,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -166,9 +165,6 @@ class PotentialSpec(abc.ABC):
     @abc.abstractmethod
     def values(self, sites: np.ndarray) -> np.ndarray:
         """Evaluate on an (m, nu) int array of sites; returns complex128 (m,)."""
-
-    def value(self, site: Sequence[int]) -> complex:
-        return complex(self.values(np.asarray([site], dtype=np.int64))[0])
 
     @property
     def site_dim(self) -> int | None:

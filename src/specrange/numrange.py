@@ -47,7 +47,8 @@ boundary, which upper-bounds the distance to the true boundary: on curved
 arcs a genuine boundary point may read as slightly interior (never the
 other way around), and on flat faces whose normal is on the angle grid the
 margin is exact.  Grids divisible by 4 sample the axis directions exactly,
-which is what the diagonal-imaginary-part certificates rely on.
+but classify does not rely on that for the strip edges Im z = min and
+max Im d: it decides eigenvalues there from the strip itself, on any grid.
 """
 
 from __future__ import annotations
@@ -379,17 +380,6 @@ def _sweep(op: Operator):
             wit[i] = np.vdot(f, a @ f)
         return sup, wit
     return dense
-
-
-def _sweep_solver(op: Operator):
-    """theta -> (s(theta), witness) for op: one angle through _sweep(op),
-    with the bits that angle has in any grid."""
-    sweep = _sweep(op)
-
-    def solve(theta: float) -> tuple[float, complex]:
-        sup, wit = sweep(np.array([theta], dtype=np.float64))
-        return float(sup[0]), complex(wit[0])
-    return solve
 
 
 # A witness closer than this fraction of the witness set's extent to the

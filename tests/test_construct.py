@@ -102,7 +102,8 @@ def test_real_potential_lives_on_zero_neighbors_only():
 def test_stencil_residual_matches_the_sitewise_loop():
     u = design_eigenfunction(3.0, [-3, 2, 6], window=(-10, 10))
     re_spec = TablePotential({(n,): 0.01 * n for n in range(-11, 12)})
-    worst = max(abs(u.value_at(n - 1) + (re_spec.value((n,)).real - 3.0)
+    re_d = re_spec.values(np.arange(-10, 11)[:, None]).real
+    worst = max(abs(u.value_at(n - 1) + (re_d[n + 10] - 3.0)
                     * u.value_at(n) + u.value_at(n + 1))
                 for n in range(-10, 11))
     assert u.stencil_residual(re_spec, 3.0) == worst / u.peak
@@ -162,6 +163,24 @@ def test_build_counterexample_certifies_the_designed_eigenvalue():
     # hull confined to the designed strip
     assert np.asarray(build.hull.vertices()).imag.max() <= 1.0 + 1e-8
     assert np.asarray(build.hull.vertices()).imag.min() >= -1e-8
+
+
+@pytest.mark.parametrize("n_angles", [3, 5, 7, 90, 359, 361, 718, 722, 1001])
+def test_strip_edge_eigenvalues_are_boundary_on_any_angle_grid(n_angles):
+    # the designed a + ib lies on the strip edge Im z = b = max Im d; grids
+    # that miss the direction pi/2 read a positive sampled margin there,
+    # and the strip rule decides it boundary all the same
+    build = build_counterexample(-2.5, 1.0, [0], n_sites=101,
+                                 n_angles=n_angles)
+    assert build.classification.certified
+    assert sum(r.certified for r in build.records) == 50
+    if n_angles == 361:
+        assert build.classification.boundary_distance > 1e-4
+        # the one record near the top edge whose vector does not reduce A
+        top = [r for r in build.records if r.is_boundary and not r.certified]
+        assert len(top) == 1
+        assert abs(top[0].pair.value - (1.996122 + 0.99998765j)) < 1e-6
+        assert top[0].normality is NormalityVerdict.VIOLATED
 
 
 @pytest.mark.filterwarnings("ignore:eigenfunction has no zeros")

@@ -337,7 +337,7 @@ def test_evaluate_all_evaluates_the_potential_once_per_grid(monkeypatch):
     values = type(PAIR_POT).values
 
     def spy(self, sites):
-        if self is PAIR_POT and len(sites) > 1:  # value() asks for one site
+        if self is PAIR_POT:
             grids.append(sites.shape)
         return values(self, sites)
 

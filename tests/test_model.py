@@ -332,8 +332,9 @@ def test_seeded_random_gives_every_site_its_own_value():
     pot = SeededRandomPotential(3, box, (-1.0, 1.0), (0.0, 1.0))
     assert len(set(pot.values(box.sites).tolist())) == box.site_count
     # sites whose coordinates are all negative always had their own counter
-    assert pot.value((-2, -1)) == -0.19365529257910108 + 0.2487787451724367j
-    assert pot.value((-1, -2)) == 0.440810207525979 + 0.6152236166583348j
+    assert pot.values(np.array([[-2, -1], [-1, -2]])).tolist() == [
+        -0.19365529257910108 + 0.2487787451724367j,
+        0.440810207525979 + 0.6152236166583348j]
 
 
 @pytest.mark.parametrize("bound", [1e308, sys.float_info.max])

@@ -204,9 +204,10 @@ def test_structured_sweep_matches_dense_complex_path(op):
 def test_support_function_equals_every_hull_sample(matrix):
     op = as_operator(matrix)
     hull = compute_hull(op, n_angles=24)
-    solve = numrange._sweep_solver(op)
+    sweep = numrange._sweep(op)
     for t, s, w in zip(hull.thetas, hull.supports, hull.witnesses):
-        assert solve(t) == (s, w)
+        sup, wit = sweep(np.array([t]))
+        assert (sup[0], wit[0]) == (s, w)
 
 
 def solver_calls(monkeypatch, op):
@@ -352,9 +353,10 @@ def test_one_angle_has_the_bits_of_its_chunked_hull_sample(op, n_angles):
     # the 301-site chain, 7 on the 16 x 16 box, 2 on the 24 x 24 box); the
     # same angle alone gives the same bits
     hull = compute_hull(op, n_angles=n_angles)
-    solve = numrange._sweep_solver(op)
+    sweep = numrange._sweep(op)
     for t, s, w in zip(hull.thetas, hull.supports, hull.witnesses):
-        assert solve(t) == (s, w)
+        sup, wit = sweep(np.array([t]))
+        assert (sup[0], wit[0]) == (s, w)
 
 
 @pytest.mark.parametrize("ranges, per_chunk", [
