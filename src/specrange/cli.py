@@ -178,7 +178,7 @@ def _spectrum_csv(pairs: list[EigenPair]) -> str:
 def _hull_json(hull: NumericalRangeHull) -> dict:
     poly = hull.polygon
     return {
-        "n_angles": hull.n_angles,
+        "n_angles": len(hull.thetas),
         "polygon": [list(z) for z in zip(poly.real.tolist(),
                                          poly.imag.tolist())],
         "support_min": float(hull.supports.min()),

@@ -262,14 +262,13 @@ def build_counterexample(a: float, b: float, zero_sites: list[int],
     """Assemble the truncated operator and certify its boundary eigenvalue.
 
     Requires the eigenvalue nearest a + ib to sit within the match
-    tolerance, be boundary, and pass both certificates; and the computed
-    hull to lie in the strip 0 <= Im z <= b.  Failure raises with the
-    offending residuals (the usual cause is a truncation too small for
-    the tails to clear the box edge).  The design window is the smallest
-    that holds (-10, 10) and every zero with one site to spare; the box is
-    checked against it and against the dimension cap max_dim before the
-    design, whose cost grows with the window.  The build carries every
-    classification record, not only the designed one.
+    tolerance, be boundary, and pass both certificates.  Failure raises
+    with the offending residuals (the usual cause is a truncation too
+    small for the tails to clear the box edge).  The design window is the
+    smallest that holds (-10, 10) and every zero with one site to spare;
+    the box is checked against it and against the dimension cap max_dim
+    before the design, whose cost grows with the window.  The build
+    carries every classification record, not only the designed one.
     """
     zeros = [int(z) for z in zero_sites]
     w_lo = min([-10] + [z - 1 for z in zeros])
@@ -301,10 +300,6 @@ def build_counterexample(a: float, b: float, zero_sites: list[int],
     if best.split is not SplitVerdict.CERTIFIED:
         problems["split_residual_re"] = best.split_residual_re
         problems["split_residual_im"] = best.split_residual_im
-    strip_lo = min(v.imag for v in hull.polygon)
-    strip_hi = max(v.imag for v in hull.polygon)
-    if strip_lo < -tol.hull or strip_hi > b + tol.hull:
-        problems["hull_strip_excess"] = max(-strip_lo, strip_hi - b)
     if problems:
         raise CertificationError(
             "counterexample certification failed (truncation likely too "

@@ -41,7 +41,7 @@ pass tests every vertex against its current neighbours, from the last to
 the first, dropping it at once; an array screen over the ring decides
 first whether any vertex could drop, and ends the passes when none can.
 
-Membership and boundary-distance queries run against the outer description.
+Margins and boundary distances are taken against the outer description.
 The sampled minimum margin equals the distance to the outer region's
 boundary, which upper-bounds the distance to the true boundary: on curved
 arcs a genuine boundary point may read as slightly interior (never the
@@ -84,19 +84,6 @@ def _lapack_ok(info: int, routine: str) -> None:
                                where="numrange.compute_hull")
 
 
-def _rotation(p: np.ndarray, q: np.ndarray):
-    """theta -> cos(theta) p - sin(theta) q, built into two buffers allocated
-    once here.  p and q are Fortran-ordered, so the result is too and eigh
-    works on it in place instead of copying it."""
-    buf, tmp = np.empty_like(p), np.empty_like(p)
-
-    def build(theta: float) -> np.ndarray:
-        np.multiply(p, np.cos(theta), out=buf)
-        np.multiply(q, np.sin(theta), out=tmp)
-        return np.subtract(buf, tmp, out=buf)
-    return build
-
-
 # The certified bracket of the band iteration is [rho, rho + delta] with
 # delta = _BAND_DELTA_ULPS * (kd + 1) * eps * (1 + max row sum |A|): the
 # backward error of a band Cholesky factorisation is a small multiple of
@@ -133,13 +120,15 @@ def _band_cholesky(kd: int):
     goes to ?pttrf/?pttrs, its L D L^T form: the same certificate (every
     pivot positive) and the same info, at well under half of ?pbtrf's and
     ?pbtrs's cost per column on chains, whose band routines spend most of
-    each column in BLAS calls of length 1."""
+    each column in BLAS calls of length 1; its ab is Fortran-ordered, so
+    LAPACK works on the two contiguous diagonals in place."""
     if kd == 1:
         pttrf, pttrs = scipy.linalg.get_lapack_funcs(("pttrf", "pttrs"),
                                                      dtype=np.float64)
 
         def cholesky(ab: np.ndarray) -> int:
-            ab[:, 0], ab[:-1, 1], info = pttrf(ab[:, 0], ab[:-1, 1])
+            _, _, info = pttrf(ab[:, 0], ab[:-1, 1],
+                               overwrite_d=1, overwrite_e=1)
             if info < 0:
                 _lapack_ok(info, "pttrf")
             return info
@@ -243,7 +232,7 @@ def _band_sweep(op: LatticeOperator):
         the identity close the band, so the last block's solve sees the
         band lengths the others do."""
         m = len(sigma)
-        ab = np.zeros((m * n + kd, kd + 1))
+        ab = np.zeros((m * n + kd, kd + 1), order="F" if kd == 1 else "C")
         ab[m * n:, 0] = 1.0
         ok = np.ones(m, dtype=bool)
         lo = 0
@@ -369,14 +358,16 @@ def _sweep(op: Operator):
         return _band_sweep(op)
     a = op.matrix
     ah = a.conj().T
-    rotated = _rotation(np.asfortranarray((a + ah) / 2.0),
-                        np.asfortranarray((a - ah) / 2.0j))
+    # Fortran-ordered, so each rotation is too and eigh works on it in place
+    re = np.asfortranarray((a + ah) / 2.0)
+    im = np.asfortranarray((a - ah) / 2.0j)
 
     def dense(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sup = np.empty(len(thetas))
         wit = np.empty(len(thetas), dtype=np.complex128)
         for i, theta in enumerate(thetas):
-            sup[i], f = _top_eigpair(lambda: rotated(theta))
+            sup[i], f = _top_eigpair(
+                lambda: re * np.cos(theta) - im * np.sin(theta))
             wit[i] = np.vdot(f, a @ f)
         return sup, wit
     return dense
@@ -478,7 +469,6 @@ class NumericalRangeHull:
     supports: np.ndarray
     witnesses: np.ndarray
     polygon: np.ndarray
-    n_angles: int
 
     @cached_property
     def _phases(self) -> np.ndarray:
@@ -491,10 +481,6 @@ class NumericalRangeHull:
         rounds it; a point inside has min margin at most half the width."""
         with np.errstate(over="ignore"):
             return self.supports - (self._phases * z).real
-
-    def contains(self, z: complex, tol: float = 0.0) -> bool:
-        """Outer membership test: all sampled half-plane constraints within tol."""
-        return bool(np.all(self.margins(z) >= -tol))
 
     def boundary_distances(self, zs, outside_tol: float = 1e-9) -> np.ndarray:
         """Distance from each point of zs to the boundary of the outer
@@ -512,16 +498,9 @@ class NumericalRangeHull:
                 f"point {complex(zs[j])} lies outside the sampled hull by "
                 f"{-float(m[j]):.3e} (> {outside_tol:.1e}); boundary "
                 f"distance undefined",
-                where="numrange.boundary_distance",
+                where="numrange.boundary_distances",
             )
         return np.where(m < 0.0, 0.0, m)
-
-    def boundary_distance(self, z: complex, outside_tol: float = 1e-9) -> float:
-        """boundary_distances of the one point z."""
-        return float(self.boundary_distances([z], outside_tol)[0])
-
-    def vertices(self) -> np.ndarray:
-        return self.polygon
 
 
 def compute_hull(op, n_angles: int = DEFAULT_N_ANGLES) -> NumericalRangeHull:
@@ -538,4 +517,4 @@ def compute_hull(op, n_angles: int = DEFAULT_N_ANGLES) -> NumericalRangeHull:
             where="numrange.compute_hull")
     poly = _convex_hull_ccw(wit)
     return NumericalRangeHull(thetas=ts, supports=sup, witnesses=wit,
-                              polygon=poly, n_angles=n_angles)
+                              polygon=poly)

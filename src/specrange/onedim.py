@@ -85,18 +85,6 @@ class SolutionTrace:
         i = self.index(n)
         return complex(self.values[i] * math.exp(self.log_scale[i]))
 
-    def residual_max(self, potential: PotentialSpec) -> float:
-        """max_n |u(n-1) + (d(n) - lambda) u(n) + u(n+1)| / max|u|, over
-        interior sites whose three-point stencil shares one scale factor."""
-        peak = float(np.abs(self.values).max())
-        if peak == 0.0:
-            return 0.0
-        d = potential.values(np.arange(self.n_lo, self.n_hi + 1).reshape(-1, 1))
-        s = self.log_scale
-        same = (s[:-2] == s[1:-1]) & (s[1:-1] == s[2:])
-        res = stencil_residuals(self.values, d, self.lam)[same]
-        return float(res.max()) / peak if res.size else 0.0
-
 
 def three_term_scan(coeff, x0: complex, x1: complex,
                     ) -> tuple[np.ndarray, np.ndarray, int | None]:

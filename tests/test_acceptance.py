@@ -63,7 +63,7 @@ def test_criterion_01_free_chain_extremes_and_real_hull(announce):
     edge = 2.0 * math.cos(math.pi / 201.0)
     dev = max(abs(vals[-1] - edge), abs(vals[0] + edge))
     hull = compute_hull(op, n_angles=360)
-    im = float(np.abs(np.asarray(hull.vertices()).imag).max())
+    im = float(np.abs(hull.polygon.imag).max())
     announce(1, dev <= 1e-9 and im <= 1e-9,
              f"edge deviation {dev:.3e}, max |Im hull| {im:.3e}")
 
@@ -82,8 +82,7 @@ def test_criterion_02_random_potentials_stay_in_analytic_box(announce):
                       box2, 2, (-0.7, 0.7), (-0.4, 0.8)))
     worst = -np.inf
     for pot, box, nu, rr, ir in cases:
-        verts = np.asarray(compute_hull(assemble(box, pot),
-                                        n_angles=360).vertices())
+        verts = compute_hull(assemble(box, pot), n_angles=360).polygon
         worst = max(worst,
                     (-2 * nu + rr[0]) - verts.real.min(),
                     verts.real.max() - (2 * nu + rr[1]),
@@ -109,7 +108,8 @@ def test_criterion_03_rayleigh_points_are_contained(announce):
         phases = np.exp(1j * hull.thetas)[:, None]
         margins = hull.supports[:, None] - (phases * ray[None, :]).real
         worst = min(worst, float(margins.min()))
-        spot_ok = spot_ok and all(hull.contains(z, 1e-8) for z in ray[:50])
+        spot_ok = spot_ok and all((hull.margins(z) >= -1e-8).all()
+                                    for z in ray[:50])
     announce(3, worst >= -1e-8 and spot_ok,
              f"10 x 10^4 vectors, worst containment margin {worst:.3e}")
 
@@ -117,7 +117,7 @@ def test_criterion_03_rayleigh_points_are_contained(announce):
 def test_criterion_04_jordan_hull_is_the_half_disk_boundary(announce):
     op = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]],
                                  dtype=np.complex128))
-    verts = np.asarray(compute_hull(op, n_angles=720).vertices())
+    verts = compute_hull(op, n_angles=720).polygon
     out = float(np.abs(np.abs(verts) - 0.5).max())
     circle = 0.5 * np.exp(2j * np.pi * np.arange(4000) / 4000)
     p = np.column_stack([circle.real, circle.imag])
@@ -162,7 +162,7 @@ def test_criterion_06_designed_eigenvalue_and_truncation_decay(
     cls = build.classification
     hits = sum(1 for p in eig_general(build.operator)
                if abs(p.value - target) < 1e-6)
-    verts = np.asarray(build.hull.vertices())
+    verts = build.hull.polygon
     strip = verts.imag.min() >= -1e-8 and verts.imag.max() <= 1.0 + 1e-8
     residuals_ok = (cls.pair.residual <= 1e-6
                     and cls.normality_residual <= 1e-6

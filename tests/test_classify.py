@@ -158,7 +158,7 @@ def test_blocked_classify_matches_per_pair_reference(op):
         thresh = DEFAULT_TOLERANCES.support_rel * float(np.abs(f).max())
         assert np.array_equal(rec.support_indices,
                               np.flatnonzero(np.abs(f) > thresh))
-        dist = hull.boundary_distance(lam, outside_tol=tol_boundary)
+        dist = hull.boundary_distances([lam], outside_tol=tol_boundary)[0]
         assert rec.boundary_distance == dist
         assert rec.is_boundary == (dist <= tol_boundary)
         assert isinstance(rec.normality_residual, float)

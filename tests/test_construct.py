@@ -7,14 +7,17 @@ import re
 import numpy as np
 import pytest
 
-from specrange.classify import NormalityVerdict, SplitVerdict
+from specrange.classify import NormalityVerdict, SplitVerdict, classify
+from specrange.config import DEFAULT_TOLERANCES
 from specrange.construct import (CounterexampleBuild, build_counterexample,
                                  contractive_tail_ratio, design_eigenfunction,
                                  designed_potential,
                                  real_potential_from_eigenfunction,
                                  symmetric_box)
 from specrange.exceptions import CertificationError, DesignError
-from specrange.model import ConstantPotential, SumPotential, TablePotential
+from specrange.model import (ConstantPotential, LatticeBox, SumPotential,
+                             TablePotential, assemble)
+from specrange.numrange import compute_hull
 
 
 def test_contractive_ratio_solves_quadratic_exactly():
@@ -161,8 +164,8 @@ def test_build_counterexample_certifies_the_designed_eigenvalue():
     assert build.classification.split is SplitVerdict.CERTIFIED
     assert build.classification.certified
     # hull confined to the designed strip
-    assert np.asarray(build.hull.vertices()).imag.max() <= 1.0 + 1e-8
-    assert np.asarray(build.hull.vertices()).imag.min() >= -1e-8
+    assert build.hull.polygon.imag.max() <= 1.0 + 1e-8
+    assert build.hull.polygon.imag.min() >= -1e-8
 
 
 @pytest.mark.parametrize("n_angles", [3, 5, 7, 90, 359, 361, 718, 722, 1001])
@@ -181,6 +184,27 @@ def test_strip_edge_eigenvalues_are_boundary_on_any_angle_grid(n_angles):
         assert len(top) == 1
         assert abs(top[0].pair.value - (1.996122 + 0.99998765j)) < 1e-6
         assert top[0].normality is NormalityVerdict.VIOLATED
+
+
+@pytest.mark.parametrize("n_angles", [361, 720])
+def test_separable_design_certifies_its_sum_on_a_2d_box(n_angles):
+    # d(k1, k2) = V(k1) + V(k2) from the 1D design V = T + i, T nonzero on
+    # three sites: A is the Kronecker sum of the chain A_1 with itself, so
+    # its 15 reducing pairs give 15^2 = 225, all on the strip's top edge
+    # Im z = 2 = max Im d, the designed one at 2 (a + ib) = -5 + 2i
+    t = build_counterexample(-2.5, 1.0, [0], n_sites=31).potential.values(
+        np.arange(-15, 16).reshape(-1, 1)) - 1j
+    entries = {(k1 - 15, k2 - 15): complex(t[k1] + t[k2])
+               for k1 in range(31) for k2 in range(31) if t[k1] + t[k2] != 0}
+    assert len(entries) == 177
+    box = LatticeBox(2, ((-15, 15), (-15, 15)))
+    op = assemble(box, SumPotential((TablePotential(entries),
+                                     ConstantPotential(2j))))
+    records = classify(op, compute_hull(op, n_angles=n_angles))
+    certified = [r.pair.value for r in records if r.certified]
+    assert len(certified) == 225
+    assert min(abs(v - (-5.0 + 2.0j)) for v in certified) \
+        <= DEFAULT_TOLERANCES.match
 
 
 @pytest.mark.filterwarnings("ignore:eigenfunction has no zeros")

@@ -38,7 +38,7 @@ def test_jordan_block_hull_is_half_disk_boundary():
     hull = hull_of([[0.0, 1.0], [0.0, 0.0]], n_angles=720)
     # numerical range of the 2x2 nilpotent Jordan block: disk of radius 1/2
     assert np.max(np.abs(hull.supports - 0.5)) < 1e-12
-    verts = np.asarray(hull.vertices())
+    verts = hull.polygon
     assert np.max(np.abs(np.abs(verts) - 0.5)) < 1e-4
 
 
@@ -53,7 +53,7 @@ def test_diagonal_hull_support_equals_pointwise_max():
 def test_hermitian_hull_degenerates_to_real_segment():
     d = np.array([-1.5, -0.2, 0.4, 2.0])
     hull = hull_of(np.diag(d), n_angles=360)
-    verts = np.asarray(hull.vertices())
+    verts = hull.polygon
     assert np.max(np.abs(verts.imag)) < 1e-9
     assert abs(verts.real.max() - 2.0) < 1e-9
     assert abs(verts.real.min() + 1.5) < 1e-9
@@ -87,8 +87,8 @@ def test_eigenvalues_lie_inside_with_margin():
     op = assemble(box, pot)
     hull = compute_hull(op, n_angles=360)
     for lam in np.linalg.eigvals(op.matrix):
-        assert hull.contains(lam, tol=1e-10)
-        assert hull.boundary_distance(lam) >= 0.0
+        assert (hull.margins(lam) >= -1e-10).all()
+        assert hull.boundary_distances([lam])[0] >= 0.0
 
 
 def test_witness_points_attain_their_supports():
@@ -99,15 +99,15 @@ def test_witness_points_attain_their_supports():
     for theta, s, w in zip(hull.thetas, hull.supports, hull.witnesses):
         # the witness is the Rayleigh point of the top vector at this angle
         assert abs((np.exp(1j * theta) * w).real - s) < 1e-9
-        assert hull.contains(complex(w), tol=1e-9)
+        assert (hull.margins(complex(w)) >= -1e-9).all()
 
 
 def test_contains_rejects_far_point_and_distance_raises():
     hull = hull_of([[0.0, 1.0], [0.0, 0.0]], n_angles=360)
-    assert not hull.contains(2.0 + 2.0j, tol=1e-8)
+    assert not (hull.margins(2.0 + 2.0j) >= -1e-8).all()
     with pytest.raises(HullDomainError):
-        hull.boundary_distance(2.0 + 2.0j)
-    assert hull.boundary_distance(0.0) == pytest.approx(0.5, abs=1e-6)
+        hull.boundary_distances([2.0 + 2.0j])
+    assert hull.boundary_distances([0.0])[0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_block_distances_clamp_near_points_and_name_the_first_far_one():
@@ -117,8 +117,8 @@ def test_block_distances_clamp_near_points_and_name_the_first_far_one():
     near = [0.25 + 0.25j, 1.0 + 1e-12, -1e-12j]
     dist = hull.boundary_distances(near, outside_tol=1e-9)
     assert dist[0] > 0.2 and dist[1] == dist[2] == 0.0
-    assert [hull.boundary_distance(z, outside_tol=1e-9) for z in near] == \
-        dist.tolist()
+    assert [hull.boundary_distances([z], outside_tol=1e-9)[0]
+            for z in near] == dist.tolist()
     with pytest.raises(HullDomainError, match=r"point \(2\+2j\) lies outside"):
         hull.boundary_distances([0.25, 2.0 + 2.0j, 3.0])
 
@@ -137,11 +137,11 @@ def test_margins_beyond_the_float_range_raise_no_warning():
         dist = hull.boundary_distances(values, outside_tol=tol)
         assert np.isfinite(dist).all() and (dist <= tol).all()
         assert hull.margins(values[:, None]).max() == np.inf
-        assert hull.contains(values[0], tol=tol)
+        assert (hull.margins(values[0]) >= -tol).all()
         for outside in (1.7e308, -1.7e308, 1e307j):
-            assert not hull.contains(outside, tol=tol)
+            assert not (hull.margins(outside) >= -tol).all()
             with pytest.raises(HullDomainError, match="lies outside"):
-                hull.boundary_distance(outside, outside_tol=tol)
+                hull.boundary_distances([outside], outside_tol=tol)
 
 
 def test_refining_angles_tightens_the_outer_polygon():
@@ -150,8 +150,8 @@ def test_refining_angles_tightens_the_outer_polygon():
     coarse = hull_of(a, n_angles=90)
     fine = hull_of(a, n_angles=720)
     # every fine vertex satisfies the coarse half-planes: outer regions nest
-    for v in np.asarray(fine.vertices()):
-        assert coarse.contains(complex(v), tol=1e-9)
+    for v in fine.polygon:
+        assert (coarse.margins(complex(v)) >= -1e-9).all()
     # and the fine region is no larger in any sampled direction
     assert np.max(fine.supports[::8] - coarse.supports) < 1e-12
 
@@ -160,7 +160,22 @@ def test_angle_grid_shape_and_first_angle():
     hull = hull_of(np.diag([1.0, -1.0]), n_angles=16)
     assert len(hull.thetas) == 16 == len(hull.supports)
     assert hull.thetas[0] == 0.0
-    assert hull.n_angles == 16
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_every_bundled_hull_lies_in_the_strip_of_im_d(path):
+    # Im A = diag(Im d), so W(A) lies in min Im d <= Im z <= max Im d (the
+    # fact classify's strip rule reads): every witness and polygon vertex
+    # of each bundled scenario's hull, at its own angle count
+    sc = load_scenario(path)
+    op = assemble(sc.box, sc.potential)
+    hull = compute_hull(op, n_angles=sc.n_angles)
+    im_d = op.diagonal.imag
+    slack = 1e-14 * (1.0 + np.abs(op.diagonal).max())
+    for z in (hull.witnesses, hull.polygon):
+        assert z.imag.min() >= im_d.min() - slack
+        assert z.imag.max() <= im_d.max() + slack
 
 
 def dense_supports(a, thetas):
@@ -189,9 +204,9 @@ def test_structured_sweep_matches_dense_complex_path(op):
     ref = dict(zip(thetas, dense_supports(op.matrix, thetas)))
     for hull in hulls:
         expect = np.array([ref[t] for t in hull.thetas])
-        assert np.max(np.abs(hull.supports - expect)) < 1e-12, hull.n_angles
+        assert np.max(np.abs(hull.supports - expect)) < 1e-12, len(hull.thetas)
         on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
-        assert np.max(np.abs(on_line - hull.supports)) < 1e-9, hull.n_angles
+        assert np.max(np.abs(on_line - hull.supports)) < 1e-9, len(hull.thetas)
 
 
 # an explicit matrix, an assembled chain and an assembled box: each solver
@@ -333,10 +348,10 @@ def test_chain_sweep_equals_eigh_tridiagonal_bit_for_bit(monkeypatch, op):
     for hull in hulls:
         ref = tridiagonal_tops(op.matrix, hull.thetas)
         slack = delta + 4.0 * np.spacing(np.abs(ref))
-        assert np.all(np.abs(hull.supports - ref) <= slack), hull.n_angles
+        assert np.all(np.abs(hull.supports - ref) <= slack), len(hull.thetas)
         on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
         assert np.all(np.abs(on_line - hull.supports)
-                      <= 1e-12 * (1.0 + np.abs(hull.supports))), hull.n_angles
+                      <= 1e-12 * (1.0 + np.abs(hull.supports))), len(hull.thetas)
 
 
 @pytest.mark.parametrize("op, n_angles", [
@@ -602,9 +617,9 @@ def test_band_sweep_matches_the_dense_path(monkeypatch, op, grids):
     matrix = op.matrix
     for hull in hulls:
         ref = dense_supports(matrix, hull.thetas)
-        assert np.max(np.abs(hull.supports - ref)) < 1e-12, hull.n_angles
+        assert np.max(np.abs(hull.supports - ref)) < 1e-12, len(hull.thetas)
         on_line = (np.exp(1j * hull.thetas) * hull.witnesses).real
-        assert np.max(np.abs(on_line - hull.supports)) < 1e-9, hull.n_angles
+        assert np.max(np.abs(on_line - hull.supports)) < 1e-9, len(hull.thetas)
 
 
 def test_band_iteration_that_gives_up_reaches_the_dense_solver(monkeypatch):
