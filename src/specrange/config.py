@@ -33,6 +33,9 @@ class Tolerances:
     Relative entries scale with the operator: boundary/cert thresholds are
     rel * (1 + frobenius), the support threshold is support_rel * max|f|.
     The *_abs fields, when set, override the scaled value outright.
+    hull is validated and echoed in a report's scenario.params.tolerances
+    but decides nothing in run, criteria, construct or sweep; only the
+    benchmark's support-line check (perfbench/checks.py) reads it.
     """
 
     eig: float = 1e-9

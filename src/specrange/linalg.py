@@ -1,8 +1,9 @@
 """The one dense eigensolver, eig_general, with a recomputed residual
 contract.
 
-Solving delegates to LAPACK (numpy/scipy); nothing returned by the backend
-is trusted: unit norms are re-imposed, residuals are recomputed from the
+Solving delegates to LAPACK through scipy.linalg, which is imported at the
+first solve, not with this module; nothing returned by the backend is
+trusted: unit norms are re-imposed, residuals are recomputed from the
 returned vectors, and the residual contract is enforced here.  Eigenvector
 phases are canonicalized (largest-magnitude entry real positive) so results
 are reproducible run to run.
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import Tolerances, DEFAULT_TOLERANCES
 from .exceptions import EigenSolverError
@@ -70,6 +70,8 @@ def _block_eig(a: np.ndarray, solve_scale: float, shift: float | None):
     block of size 0 is not handed to LAPACK."""
     if not len(a):
         return np.empty(0, dtype=np.complex128), a
+    # loaded at the first solve, so criteria and refused calls skip it
+    import scipy.linalg
     if solve_scale != 1.0:
         a /= solve_scale
     if shift is None:

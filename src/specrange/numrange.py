@@ -6,7 +6,8 @@ half-plane {z : Re(e^{i theta} z) <= s(theta)} and one inner witness point
 and the half-plane intersection (outer region) sandwich the true numerical
 range; the gap shrinks like 1/n_angles^2 on smooth boundary arcs.
 
-The sweep's solver is chosen once per operator from its type.
+The sweep's solver is chosen once per operator from its type.  Its LAPACK
+routines come from scipy.linalg, imported at the first solve.
 
   an assembled operator (model.LatticeOperator, A = J + diag(d) with J the
   box's real hopping, so A = A^T):
@@ -57,7 +58,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_N_ANGLES
 from .exceptions import EigenSolverError, HullDomainError
@@ -67,6 +67,8 @@ from .model import LatticeOperator, Operator, as_operator, trivial_swap
 def _top_eigpair(build) -> tuple[float, np.ndarray]:
     """Top eigenpair of the Hermitian matrix that build() returns.  eigh may
     overwrite that matrix, so the fallback builds it again."""
+    # loaded at the first solve, so criteria and refused calls skip it
+    import scipy.linalg
     h = build()
     n = h.shape[0]
     w, v = scipy.linalg.eigh(h, subset_by_index=(n - 1, n - 1),
@@ -122,6 +124,8 @@ def _band_cholesky(kd: int):
     ?pbtrs's cost per column on chains, whose band routines spend most of
     each column in BLAS calls of length 1; its ab is Fortran-ordered, so
     LAPACK works on the two contiguous diagonals in place."""
+    # loaded at the first solve, so criteria and refused calls skip it
+    import scipy.linalg
     if kd == 1:
         pttrf, pttrs = scipy.linalg.get_lapack_funcs(("pttrf", "pttrs"),
                                                      dtype=np.float64)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -234,45 +235,76 @@ def test_construct_follows_the_blas_thread_count_only_in_its_residuals(
         tmp_path):
     # ?geev's eigenvectors follow, in their last bits, how threaded BLAS
     # splits its work, so identical report bytes need the same BLAS build
-    # and thread setting (README, Determinism).  The default construct with
-    # one and with two threads agrees in everything else.
-    src = Path(__file__).resolve().parent.parent / "src"
+    # and thread setting (README, Determinism).  The default construct and
+    # run on each bundled scenario, with one and with two threads, write
+    # the same bytes but for the counterexample's report and spectrum, and
+    # those agree in everything else.
+    root = Path(__file__).resolve().parent.parent
+    code = textwrap.dedent("""\
+        import sys
+        from pathlib import Path
+        import specrange.cli as cli
+        scenarios, out = Path(sys.argv[1]), Path(sys.argv[2])
+        assert cli.main(["construct", "--a", "-2.5", "--b", "1", "--zeros",
+                         "0", "--out-dir", str(out / "construct")]) == 0
+        for f in sorted(scenarios.glob("*.json")):
+            assert cli.main(["run", str(f), "--out-dir",
+                             str(out / "corpus")]) == 0, f
+        """)
     files = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
-                       [str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
-                                     if p]))
+                       [str(root / "src")] +
+                       [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run(
-            [sys.executable, "-m", "specrange", "construct", "--a", "-2.5",
-             "--b", "1", "--zeros", "0", "--out-dir", str(out)],
+            [sys.executable, "-c", code, str(root / "scenarios"), str(out)],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        files.append({f.name: f.read_bytes() for f in out.iterdir()})
+        files.append({f.relative_to(out).as_posix(): f.read_bytes()
+                      for f in out.rglob("*") if f.is_file()})
     base = "counterexample_a-2.5_b1"
-    assert sorted(files[0]) == sorted(files[1]) == sorted(
-        f"{base}.{kind}" for kind in ("hull.csv", "report.json",
-                                      "scenario.json", "spectrum.csv"))
-    for name in (f"{base}.hull.csv", f"{base}.scenario.json"):
-        assert files[0][name] == files[1][name]
-    one, two = (json.loads(f[f"{base}.report.json"])["results"]
-                for f in files)
+    assert sorted(files[0]) == sorted(files[1])
+    assert sorted(f for f in files[0] if f.startswith("construct/")) == \
+        sorted(f"construct/{base}.{kind}" for kind in (
+            "hull.csv", "report.json", "scenario.json", "spectrum.csv"))
+    assert len([f for f in files[0] if f.endswith(".report.json")]) == 15
+    moving = {f"{d}/{base}.{kind}" for d in ("construct", "corpus")
+              for kind in ("report.json", "spectrum.csv")}
+    for name in set(files[0]) - moving:
+        assert files[0][name] == files[1][name], name
+
+    def close(a, b):
+        assert abs(a - b) <= 1e-13 * (1.0 + abs(a))
+
     residuals = ("residual", "normality_residual", "split_residual_re",
                  "split_residual_im")
-    assert one["classify"]["certified_boundary_count"] == \
-        two["classify"]["certified_boundary_count"]
-    rows = [r["spectrum"]["eigenvalues"] + r["classify"]["records"]
-            for r in (one, two)]
-    for a, b in zip(*rows, strict=True):
-        assert abs(complex(*a["value"]) - complex(*b["value"])) <= \
-            1e-13 * (1.0 + abs(complex(*a["value"])))
-        for key in residuals:
-            if key in a:
-                assert abs(a[key] - b[key]) <= 1e-15
-        for key in ("is_boundary", "normality", "split", "support_size"):
-            if key in a:
-                assert a[key] == b[key]
+    for d in ("construct", "corpus"):
+        one, two = (json.loads(f[f"{d}/{base}.report.json"])["results"]
+                    for f in files)
+        assert one["classify"]["certified_boundary_count"] == \
+            two["classify"]["certified_boundary_count"]
+        rows = [r["spectrum"]["eigenvalues"] + r["classify"]["records"]
+                for r in (one, two)]
+        for a, b in zip(*rows, strict=True):
+            close(complex(*a["value"]), complex(*b["value"]))
+            for key in residuals:
+                if key in a:
+                    assert abs(a[key] - b[key]) <= 1e-15
+            for key in ("is_boundary", "normality", "split", "support_size"):
+                if key in a:
+                    assert a[key] == b[key]
+        one, two = (f[f"{d}/{base}.spectrum.csv"].decode().splitlines()
+                    for f in files)
+        assert one[0] == two[0] == "index,eig_re,eig_im,residual"
+        for a, b in zip(one[1:], two[1:], strict=True):
+            (i, re_a, im_a, res_a), (j, re_b, im_b, res_b) = (
+                row.split(",") for row in (a, b))
+            assert i == j
+            close(complex(float(re_a), float(im_a)),
+                  complex(float(re_b), float(im_b)))
+            assert abs(float(res_a) - float(res_b)) <= 1e-15
 
 
 def centred_box(nu, side, *more):

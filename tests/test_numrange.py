@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -723,6 +724,46 @@ def test_box_hull_loads_no_sparse_solver():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_only_a_solve_loads_scipy(tmp_path):
+    # importing scipy.linalg is most of a process's start-up: criteria,
+    # --help and every call refused before a solve never load scipy, and
+    # the first solve loads scipy.linalg
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = textwrap.dedent("""\
+        import sys
+        from pathlib import Path
+        import specrange
+        import specrange.cli as cli
+        scenarios, out = Path(sys.argv[1]), sys.argv[2]
+        free = str(scenarios / "free_1d.json")
+        for f in sorted(scenarios.glob("*.json")):
+            assert cli.main(["criteria", str(f), "--out-dir", out]) == 0, f
+        try:
+            cli.main(["--help"])
+        except SystemExit as exc:
+            assert exc.code == 0
+        else:
+            raise AssertionError("--help returned")
+        missing = str(Path(out) / "missing.json")
+        assert cli.main(["run", missing, "--out-dir", out]) == 2
+        assert cli.main(["run", free, "--max-dim", "10",
+                         "--out-dir", out]) == 3
+        assert cli.main(["construct", "--a", "-2.5", "--b", "1", "--zeros",
+                         "0", "--n", "5", "--out-dir", out]) == 4
+        before = "scipy" in sys.modules
+        assert cli.main(["run", free, "--out-dir", out]) == 0
+        print(before, "scipy.linalg" in sys.modules)
+        """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code, str(SCENARIO_DIR),
+                           str(tmp_path)], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False True"
+    assert len(list(tmp_path.glob("*.criteria.json"))) == 14
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e160])
