@@ -482,10 +482,14 @@ def evaluate_all(potential: PotentialSpec, nu: int,
     exclude every boundary eigenvalue; alternating and summability do so
     directly.  Entries keep a fixed deterministic order.  The checks share
     one scan, so the potential is evaluated at most once on its grid.
+    A potential declared on another lattice dimension than nu is refused
+    with ValueError (PotentialSpec.check_site_dim), as model.assemble
+    refuses it.
     """
     if params is None:
         params = CriteriaParams()
     nu = int(nu)
+    potential.check_site_dim(nu)
     axes = params.axes if params.axes is not None else tuple(range(nu))
     for axis in axes:
         if not 0 <= axis < nu:

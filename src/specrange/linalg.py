@@ -3,10 +3,9 @@ contract.
 
 Solving delegates to LAPACK through scipy.linalg, which is imported at the
 first solve, not with this module; nothing returned by the backend is
-trusted: unit norms are re-imposed, residuals are recomputed from the
-returned vectors, and the residual contract is enforced here.  Eigenvector
-phases are canonicalized (largest-magnitude entry real positive) so results
-are reproducible run to run.
+trusted: each vector is made unit with its largest entry real positive,
+so results repeat run to run, its residual is recomputed, and the residual
+contract is enforced here.
 
 eig_general takes any model.Operator, and the only dense copy of A it
 makes is one n x n buffer.  The operator writes into it its blocks on the
@@ -44,15 +43,6 @@ class EigenPair:
     value: complex
     vector: np.ndarray
     residual: float
-
-
-def _canonical_phase(vec: np.ndarray) -> np.ndarray:
-    """Scale vec in place so its largest entry is real positive."""
-    k = int(np.argmax(np.abs(vec)))
-    pivot = vec[k]
-    if pivot != 0:
-        vec *= abs(pivot) / pivot
-    return vec
 
 
 def residual_blocks(n: int):
@@ -155,10 +145,12 @@ def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
     of the trivial exchange when op.swap is None, written by
     op.fill_blocks into one Fortran-ordered n x n buffer.  LAPACK ?geev
     overwrites each block, divided by op.lapack_scale; the block
-    eigenvectors are lifted into the buffer's rows, normalised in place
-    and read in (Re, Im) order through an index: two n x n arrays at
-    most.  On the trivial exchange the one block is A, so the pairs are
-    those of ?geev on the dense matrix, bit for bit with one BLAS thread.
+    eigenvectors are lifted into the buffer's rows.  One pass over
+    blocks of these rows in (Re, Im) order makes each row unit (by the
+    ddot calls of np.linalg.norm), its largest entry real positive,
+    writes it back and forms its residual: two n x n arrays at most.
+    On the trivial exchange the one block is A, so the pairs are those
+    of ?geev on the dense matrix, bit for bit with one BLAS thread.
     A swap (an exchange of two axes of the box that A commutes with)
     gives blocks of sizes (n + f) / 2 and (n - f) / 2 for f fixed sites,
     about a quarter of the work in about 1.5 n x n arrays; the lifted
@@ -188,31 +180,31 @@ def eig_general(op, tol: Tolerances = DEFAULT_TOLERANCES) -> list[EigenPair]:
     vals, vecs = _solve(op, op.lapack_scale)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
-    # One contiguous row per eigenvector, normalised in place: each pair's
-    # vector is a view of this one block rather than a separate small array,
-    # so n pairs do not scatter n allocations (and their temporaries) over
-    # the heap.
-    for v in vecs:
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
+    scale = op.scale
+    res = np.empty(n)
+    for b in residual_blocks(n):
+        # unit rows (np.linalg.norm's ddot calls), largest entry positive
+        f = vecs[order[b]]
+        nrm = np.sqrt(
+            np.matmul(f.real[:, None], f.real[:, :, None])[:, 0, 0]
+            + np.matmul(f.imag[:, None], f.imag[:, :, None])[:, 0, 0])
+        if not nrm.all():
             raise EigenSolverError("backend returned a zero eigenvector",
                                    where="linalg.eig_general")
-        v /= nrm
-        _canonical_phase(v)
-    scale = op.scale
-    res = np.empty(len(vals))
-    for b in residual_blocks(len(vals)):
+        f /= nrm[:, None]
+        pivot = f[np.arange(len(f)), np.argmax(np.abs(f), axis=1)]
+        f *= (np.abs(pivot) / pivot)[:, None]
+        vecs[order[b]] = f
         # rows A f_j / scale - (lambda_j / scale) f_j and their norms, with
         # the operations of np.linalg.norm(..., axis=1) on three blocks of
         # temporaries; f / scale is f itself for a scale of 1
-        f = vecs[order[b]]
         r = op.apply(f if scale == 1.0 else f / scale)
         t = (vals[b, None] / scale) * f
         r -= t
         np.conjugate(r, out=t)
         t *= r
         res[b] = scale * np.sqrt(np.add.reduce(t.real, axis=1))
-    worst = float(res.max()) if len(res) else 0.0
+    worst = float(res.max())
     pairs = list(map(EigenPair, vals.tolist(), (vecs[k] for k in order),
                      res.tolist()))
     bound = tol.eig * (1.0 + frob)

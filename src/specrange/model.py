@@ -172,6 +172,14 @@ class PotentialSpec(abc.ABC):
         is defined on Z^nu for every nu."""
         return None
 
+    def check_site_dim(self, nu: int) -> None:
+        """Raise ValueError unless the kind is defined on Z^nu: read on
+        sites of another width, a table gives zeros, a potential nobody
+        wrote."""
+        if self.site_dim not in (None, nu):
+            raise ValueError(f"{self.kind} potential is declared on "
+                             f"nu={self.site_dim}, not on nu={nu}")
+
     # --- certificate protocol (conservative defaults) ---
 
     def tail_info(self) -> TailInfo | None:
@@ -976,8 +984,6 @@ def assemble(box: LatticeBox, potential: PotentialSpec,
     the box and the potential's values d on it, O(n) storage; no n x n
     array is formed.  Refuses boxes of more than max_dim sites.
     """
-    if potential.site_dim not in (None, box.nu):
-        raise ValueError(f"{potential.kind} potential is declared on "
-                         f"nu={potential.site_dim}, the box has nu={box.nu}")
+    potential.check_site_dim(box.nu)
     check_dimension(box, max_dim)
     return LatticeOperator(box, potential.values(box.sites))

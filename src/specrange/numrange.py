@@ -444,8 +444,7 @@ def _convex_hull_ccw(points: np.ndarray) -> np.ndarray:
     """Monotone chain on complex points; counterclockwise vertex order,
     nearly collinear points dropped (COLLINEAR_REL).  Degenerate inputs
     yield 1 (point) or 2 (segment) vertices."""
-    pts = np.unique(points)
-    pts = pts[np.lexsort((pts.imag, pts.real))]
+    pts = np.unique(points)  # sorted by (Re, Im)
     if len(pts) <= 2:
         return pts
     # The tests run on the points scaled by a power of two (exactly, so the

@@ -127,8 +127,11 @@ def propagate(potential: PotentialSpec, lam: complex,
     Forward and mirrored backward recursion fill the whole range; the
     active pair is rescaled at RESCALE_AT and the cumulative log factor is
     recorded per site.  A non-finite value raises BlowupError naming its
-    site.
+    site.  A potential declared on Z^nu for nu != 1 is refused with
+    ValueError (PotentialSpec.check_site_dim), as model.assemble refuses
+    it.
     """
+    potential.check_site_dim(1)
     n_lo, n_hi, anchor = int(rng[0]), int(rng[1]), int(anchor)
     if not (n_lo <= anchor and anchor + 1 <= n_hi):
         raise ValueError("range must contain anchor and anchor+1")

@@ -24,7 +24,7 @@ import tempfile
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _encode_string
 
-from .config import DEFAULT_N_ANGLES, MAX_N_ANGLES
+from .config import DEFAULT_N_ANGLES, MAX_N_ANGLES, Tolerances
 from .criteria import CriteriaParams
 from .exceptions import SchemaError
 from .model import (Alternating1DPotential, ConstantPotential,
@@ -33,8 +33,7 @@ from .model import (Alternating1DPotential, ConstantPotential,
                     SumPotential, TablePotential)
 
 ANALYSES = ("spectrum", "numrange", "classify", "criteria")
-TOLERANCE_KEYS = ("eig", "hull", "boundary_rel", "cert_rel", "support_rel",
-                  "match", "boundary_abs", "cert_abs")
+TOLERANCE_KEYS = tuple(f.name for f in dataclasses.fields(Tolerances))
 
 
 # ---------------------------------------------------------------------------

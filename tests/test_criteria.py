@@ -12,6 +12,7 @@ from specrange.model import (Alternating1DPotential, ConstantPotential,
                              GeometricDecayPotential, LatticeBox,
                              PowerDecayPotential, SeededRandomPotential,
                              SumPotential, TablePotential)
+from specrange.onedim import shooting_l2_test
 from specrange.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -256,6 +257,24 @@ def test_evaluate_all_does_not_overclaim_for_the_counterexample():
     assert not rep.no_boundary_eigenvalues
     assert not rep.nonreal_excluded
     assert 1.0 not in rep.im_excluded
+
+
+def test_potential_declared_on_another_dimension_is_refused():
+    # a table on Z^2 read on Z has no entries there: the criteria would
+    # find the level set Im d = 1 empty and certify Im lambda = 1 absent,
+    # and shooting would answer for the free chain
+    params = CriteriaParams(b_values=(1.0,))
+    with pytest.raises(ValueError, match="declared on nu=2"):
+        evaluate_all(TablePotential({(0, 0): 1j}), 1, params)
+    with pytest.raises(ValueError, match="declared on nu=1"):
+        evaluate_all(SumPotential((Alternating1DPotential(1.0, -1.0),
+                                   ConstantPotential(0.5))), 2, params)
+    with pytest.raises(ValueError, match="declared on nu=2"):
+        shooting_l2_test(TablePotential({(0, 0): 1}), 3.0, 20)
+    # on its own dimension the same table is scanned, site (0, 0) included
+    rep = evaluate_all(TablePotential({(0, 0): 1j}), 2, params)
+    assert [e.absent for e in rep.entries
+            if e.criterion == "level_set_empty"] == [False]
 
 
 def test_evaluate_all_notes_selfadjoint_degeneracy():

@@ -13,6 +13,7 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
+from specrange import linalg
 from specrange.config import DEFAULT_TOLERANCES, Tolerances
 from specrange.exceptions import EigenSolverError
 from specrange.linalg import RESIDUAL_BLOCK, eig_general
@@ -373,6 +374,54 @@ def test_split_pairs_match_the_dense_solve_within_rounding(op):
         direct = np.linalg.norm(a @ p.vector - p.value * p.vector)
         assert abs(direct - p.residual) <= 1e-13 * (1.0 + abs(p.value))
         assert abs(np.linalg.norm(p.vector) - 1.0) < 1e-13
+
+
+# every layout the blockwise pass meets: one ?geev of an explicit matrix or
+# of a chain, one ?syevr of a real chain, and the two blocks of a square box
+# split by ?geev or, with Im d constant, by ?syevr
+PASS_OPERATORS = (
+    [pytest.param(OperatorMatrix(random_matrix(n, seed=n)),
+                  id=f"explicit_{n}") for n in BLOCK_SIZES]
+    + [pytest.param(assemble(centred_box(1, n), GeometricDecayPotential(
+        0.4 + 0.7j, 0.6)), id=f"chain_{n}") for n in BLOCK_SIZES]
+    + [pytest.param(assemble(centred_box(1, 141), GeometricDecayPotential(
+        0.4, 0.6)), id="real_chain_141")]
+    + [pytest.param(assemble(centred_box(2, side), potential),
+                    id=f"{side}x{side}_{name}")
+       for side in (8, 9)
+       for name, potential in (
+           ("decay_geometric", GeometricDecayPotential(0.4 + 0.7j, 0.6)),
+           ("constant", ConstantPotential(0.3 + 0.5j)))])
+
+
+@pytest.mark.parametrize("op", PASS_OPERATORS)
+def test_vectors_are_the_solved_rows_made_unit_and_phased_bit_for_bit(op):
+    # the blockwise pass gives each row the bits of normalising it alone by
+    # np.linalg.norm and scaling its largest entry real positive
+    vals, vecs = linalg._solve(op, op.lapack_scale)
+    order = np.lexsort((vals.imag, vals.real))
+    pairs = eig_general(op)
+    assert len(pairs) == op.dim
+    for p, j in zip(pairs, order, strict=True):
+        v = vecs[j] / np.linalg.norm(vecs[j])
+        k = int(np.argmax(np.abs(v)))
+        assert p.value == vals[j]
+        assert p.vector.tobytes() == (v * (abs(v[k]) / v[k])).tobytes()
+
+
+def test_zero_eigenvector_in_a_later_block_still_raises(monkeypatch):
+    solve = linalg._solve
+
+    def one_zero_row(op, solve_scale):
+        vals, vecs = solve(op, solve_scale)
+        # the second row of the second block in (Re, Im) order
+        vecs[np.lexsort((vals.imag, vals.real))[RESIDUAL_BLOCK + 1]] = 0.0
+        return vals, vecs
+
+    monkeypatch.setattr(linalg, "_solve", one_zero_row)
+    a = random_matrix(2 * RESIDUAL_BLOCK + 3, seed=5)
+    with pytest.raises(EigenSolverError, match="zero eigenvector"):
+        eig_general(OperatorMatrix(a))
 
 
 def spy_lapack(monkeypatch):
